@@ -149,6 +149,7 @@ def _dispatch(args) -> int:
                 "h_m": res.h_m,
                 "h_G": res.h_G,
                 "mu_threshold": res.coeffs.mu_threshold,
+                "surface_fallback_cells": res.cov_est.fallback_cells,
             },
         )
         for name in ("mean.csv", "surface.csv", "surface_diag.csv", "coefficients.csv"):

@@ -3,15 +3,27 @@
 For curves observed as Y_ij = X_i(T_ij) + U_ij, the off-diagonal products
 Y_ij * Y_ik (k != j) have conditional mean G(T_ij, T_ik) = E[X(s)X(t)]:
 measurement noise cancels because U_ij and U_ik are independent.  Products
-with j = k would instead target G(t, t) + rho^2, so the raw scatter used
-here excludes them; that exclusion is the entire trick for separating the
-surface from the noise floor.
+with j = k would instead target G(t, t) + rho^2, so the fits here exclude
+them; that exclusion is the entire trick for separating the surface from
+the noise floor.
 
 Both orientations of each pair enter the design, making the scatter
-symmetric about the diagonal.  A degree-1 fit in raw centred monomials
-returns the surface value and both first partials directly.  Diagonal
-quantities combine the two partials, D'(t) = d/dt G(t,t), evaluated a hair
-inside the triangle to keep the arithmetic one-sided.
+symmetric about the diagonal.  A fit in raw centred monomials returns the
+surface value and both first partials directly.  Diagonal quantities
+combine the two partials, D'(t) = d/dt G(t,t), evaluated a hair inside the
+triangle to keep the arithmetic one-sided.
+
+`fit_cov_at` fits one point from an explicit pair scatter.  `fit_cov_grid`
+never builds the scatter unless it must: with a product kernel every
+normal-matrix and response entry at (s, t) is a sum over curves of
+(sum_j K(a_ij) a_ij^p Y_ij)(sum_k K(b_ik) b_ik^q Y_ik) minus the j = k
+terms, with a = (T - s)/h and b = (T - t)/h.  So the whole grid comes from
+matrix products of per-curve kernel sums, taken over blocks of curves, and
+one batched solve; the offset cells (t - eps, t + eps) behind D' come from
+one more pass that pairs each s with its own t.  A cell whose window at
+h_G holds fewer active pairs than basis columns, or whose normal matrix
+fails the condition check of `solve_wls`, is refitted by `fit_cov_at`,
+which widens its window or flags the cell.
 """
 
 from __future__ import annotations
@@ -27,11 +39,14 @@ from .errors import (
     ValidationError,
 )
 from .kernels import EPANECHNIKOV, KernelSpec
-from .meanfit import MAX_WIDEN, WIDEN_FACTOR, fit_mean_at, solve_wls
+from .meanfit import _COND_LIMIT, MAX_WIDEN, WIDEN_FACTOR, fit_mean_at, solve_wls
 from .observe import SparseObservations
 
 # diagonal evaluation offset, as a fraction of the bandwidth
 DIAG_EPS_FACTOR = 1e-3
+
+# curves per block of the factorised grid fit; keeps its working set at a few MB
+_CURVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,7 @@ class CovEstimate:
     bandwidth: float
     kernel: KernelSpec
     eps_diag: float
+    fallback_cells: int = 0  # cells refitted by fit_cov_at after the factorised solve
 
 
 def default_bandwidth_cov(obs: SparseObservations, d: int = 1) -> float:
@@ -183,6 +199,79 @@ def fit_diag(
     return D, dsG + dtG
 
 
+def _window_features(obs: SparseObservations, lo: int, hi: int, centres, h, kernel, d):
+    """Per-observation features of rows lo:hi at each centre c, with a = (T - c)/h.
+
+    Returns the kernel moments K(a) a^P for P = 0..2d, the responses
+    K(a) a^p Y for p = 0..d and the window indicator K(a) > 0, each stacked
+    as (power, centre, observation).
+    """
+    a = (obs.t[None, lo:hi] - centres[:, None]) / h
+    mom = np.empty((2 * d + 1,) + a.shape)
+    mom[0] = kernel.values(a)
+    for P in range(1, 2 * d + 1):
+        mom[P] = mom[P - 1] * a
+    resp = mom[: d + 1] * obs.y[lo:hi]
+    ind = (mom[:1] > 0).astype(float)
+    return mom, resp, ind
+
+
+def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
+    """Sums over within-curve pairs j != k of products of window features.
+
+    For each cell (s, t) the pair (T_ij, T_ik) enters through
+    a = (T_ij - s)/h and b = (T_ik - t)/h.  Returns M[P, Q] = sum
+    K(a)a^P K(b)b^Q, R[p, q] = sum K(a)a^p Y_ij K(b)b^q Y_ik and the count of
+    pairs with K(a)K(b) > 0.  A curve's pair sum is the product of its two
+    feature sums minus its j = k terms, so the trailing axes come from
+    matrix products over curves: (i, j) for the cells (s_pts[i], s_pts[j]),
+    or, given t_pts, one axis c for the cells (s_pts[c], t_pts[c]).
+    """
+    if t_pts is None:
+        def contract(x, y):
+            xy = x.reshape(-1, x.shape[-1]) @ y.reshape(-1, y.shape[-1]).T
+            return xy.reshape(x.shape[:2] + y.shape[:2]).swapaxes(1, 2)
+    else:
+        def contract(x, y):
+            return np.einsum("pcn,qcn->pqc", x, y)
+
+    bounds = np.array([sl.start for sl in obs.curve_slices()] + [obs.total])
+    sums = [0.0, 0.0, 0.0]
+    for c0 in range(0, bounds.size - 1, _CURVE_BLOCK):
+        starts = bounds[c0 : c0 + _CURVE_BLOCK + 1]
+        lo, hi = int(starts[0]), int(starts[-1])
+        left = _window_features(obs, lo, hi, s_pts, h, kernel, d)
+        right = left if t_pts is None else _window_features(obs, lo, hi, t_pts, h, kernel, d)
+        for k, (x, y) in enumerate(zip(left, right)):
+            cx = np.add.reduceat(x, starts[:-1] - lo, axis=-1)
+            cy = cx if y is x else np.add.reduceat(y, starts[:-1] - lo, axis=-1)
+            sums[k] = sums[k] + contract(cx, cy) - contract(x, y)
+    M, R, count = sums
+    return M, R, count[0, 0]
+
+
+def _solve_cells(M, R, count, d):
+    """Batched local polynomial solve for each cell from its pair sums.
+
+    Applies the checks of `solve_wls`; returns the coefficients in
+    `_monomial_exponents` order and a mask of the cells that passed.
+    """
+    expo = np.array(_monomial_exponents(d))
+    ncols = len(expo)
+    p, q = expo[:, 0], expo[:, 1]
+    A = np.moveaxis(M[p[:, None] + p[None, :], q[:, None] + q[None, :]], (0, 1), (-2, -1))
+    b = np.moveaxis(R[p, q], 0, -1)
+    ok = count >= ncols
+    cond = np.full(count.shape, np.inf)
+    if ok.any():
+        cond[ok] = np.linalg.cond(A[ok])
+    ok &= np.isfinite(cond) & (cond <= _COND_LIMIT)
+    beta = np.full(b.shape, np.nan)
+    if ok.any():
+        beta[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+    return beta, ok
+
+
 def fit_cov_grid(
     obs: SparseObservations,
     eval_times: np.ndarray,
@@ -190,61 +279,67 @@ def fit_cov_grid(
     h_G: float | None = None,
     kernel: KernelSpec = EPANECHNIKOV,
     max_flagged_frac: float = 0.2,
-    scatter: PairScatter | None = None,
 ) -> CovEstimate:
-    """Fit the surface on every grid pair s <= t plus the diagonal arrays."""
+    """Fit the surface on every grid pair s <= t plus the diagonal arrays.
+
+    Every cell is first solved at h_G from factorised pair sums; a cell
+    whose window fails the `solve_wls` checks there is refitted by
+    `fit_cov_at`, which widens or flags it.
+    """
+    if d < 1:
+        raise ValidationError("need degree >= 1 for surface derivatives")
     eval_times = np.asarray(eval_times, dtype=float)
     if h_G is None:
         h_G = default_bandwidth_cov(obs, d)
-    if scatter is None:
-        scatter = pair_scatter(obs)
+    if h_G <= 0:
+        raise ValidationError("bandwidth must be positive")
+    h = float(h_G)
     nt = eval_times.size
-    G2 = np.full((nt, nt), np.nan)
-    ds2 = np.full((nt, nt), np.nan)
-    dt2 = np.full((nt, nt), np.nan)
-    flags = np.zeros((nt, nt), dtype=bool)
-    eps = DIAG_EPS_FACTOR * h_G
-    D_hat = np.full(nt, np.nan)
-    dD_hat = np.full(nt, np.nan)
-    diag_flags = np.zeros(nt, dtype=bool)
+    iu = np.triu_indices(nt)
+    eps = DIAG_EPS_FACTOR * h
+    lo = np.maximum(eval_times - eps, 0.0)
+    hi = np.minimum(eval_times + eps, 1.0)
 
-    for i in range(nt):
+    # grid cells (s_i, t_j), i <= j, then the offset cells (t - eps, t + eps)
+    grid_sums = _pair_sums(obs, h, kernel, d, eval_times)
+    offset_sums = _pair_sums(obs, h, kernel, d, lo, hi)
+    M, R, count = (
+        np.concatenate((g[..., iu[0], iu[1]], o), axis=-1) for g, o in zip(grid_sums, offset_sums)
+    )
+    beta, ok = _solve_cells(M, R, count, d)
+    fits = np.stack((beta[:, 0], beta[:, 1] / h, beta[:, 2] / h), axis=1)
+    cell_s = np.concatenate((eval_times[iu[0]], lo))
+    cell_t = np.concatenate((eval_times[iu[1]], hi))
+    failed = np.zeros(ok.size, dtype=bool)
+    scatter = None
+    for c in np.flatnonzero(~ok):
+        if scatter is None:
+            scatter = pair_scatter(obs)
         try:
-            D_hat[i], dD_hat[i] = fit_diag(scatter, float(eval_times[i]), d, h_G, kernel)
+            fits[c] = fit_cov_at(scatter, float(cell_s[c]), float(cell_t[c]), d, h, kernel)
         except SparseWindowError:
-            diag_flags[i] = True
-        for j in range(i, nt):
-            if j == i:
-                # diagonal pair reuses the diagonal fit so downstream
-                # quadrature sees one consistent value there
-                if not diag_flags[i]:
-                    G2[i, i] = D_hat[i]
-                    try:
-                        _, dsG, dtG = fit_cov_at(
-                            scatter,
-                            max(eval_times[i] - eps, 0.0),
-                            min(eval_times[i] + eps, 1.0),
-                            d,
-                            h_G,
-                            kernel,
-                        )
-                        ds2[i, i], dt2[i, i] = dsG, dtG
-                    except SparseWindowError:
-                        flags[i, i] = True
-                else:
-                    flags[i, i] = True
-                continue
-            try:
-                G2[i, j], ds2[i, j], dt2[i, j] = fit_cov_at(
-                    scatter, float(eval_times[i]), float(eval_times[j]), d, h_G, kernel
-                )
-            except SparseWindowError:
-                flags[i, j] = True
+            failed[c] = True
 
-    n_cells = nt * (nt + 1) // 2
-    n_bad = int(flags[np.triu_indices(nt)].sum())
-    if n_bad > max_flagged_frac * n_cells:
-        raise EstimationFailedError(f"{n_bad}/{n_cells} surface cells failed")
+    # the diagonal pair carries the level at (t, t) with the offset partials,
+    # so downstream quadrature sees one consistent value there
+    ncell = iu[0].size
+    on_diag = np.flatnonzero(iu[0] == iu[1])
+    diag_flags = failed[on_diag] | failed[ncell:]
+    diag_fits = fits[ncell:]
+    diag_fits[:, 0] = fits[on_diag, 0]
+    diag_fits[diag_flags] = np.nan
+    fits[on_diag] = diag_fits
+    failed[on_diag] = diag_flags
+    G2, ds2, dt2 = np.full((3, nt, nt), np.nan)
+    G2[iu], ds2[iu], dt2[iu] = fits[:ncell].T
+    flags = np.zeros((nt, nt), dtype=bool)
+    flags[iu] = failed[:ncell]
+    D_hat = diag_fits[:, 0]
+    dD_hat = diag_fits[:, 1] + diag_fits[:, 2]
+
+    n_bad = int(failed[:ncell].sum())
+    if n_bad > max_flagged_frac * ncell:
+        raise EstimationFailedError(f"{n_bad}/{ncell} surface cells failed")
     return CovEstimate(
         eval_times=eval_times,
         G2=G2,
@@ -255,9 +350,10 @@ def fit_cov_grid(
         dD_hat=dD_hat,
         diag_flags=diag_flags,
         degree=d,
-        bandwidth=float(h_G),
+        bandwidth=h,
         kernel=kernel,
         eps_diag=eps,
+        fallback_cells=int((~ok).sum()),
     )
 
 

@@ -190,6 +190,15 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     m = cfg.model
     if m["kind"] not in ("builtin", "expressions"):
@@ -205,49 +214,62 @@ def _validate(cfg: ExperimentConfig) -> None:
             if not isinstance(m[key], str):
                 raise ConfigError(f"model.{key} expression required")
     span = m["span"]
-    if not (isinstance(span, (list, tuple)) and len(span) == 2 and span[1] > span[0]):
+    if not (
+        isinstance(span, (list, tuple))
+        and len(span) == 2
+        and all(_is_real(v) for v in span)
+        and span[1] > span[0]
+    ):
         raise ConfigError(f"model.span must be [t0, t1] with t1 > t0, got {span}")
-    if not (isinstance(m["nu_K"], (int, float)) and m["nu_K"] > 0):
+    if not (_is_real(m["nu_K"]) and m["nu_K"] > 0):
         raise ConfigError("model.nu_K must be a positive number")
-    if not (isinstance(m["driver_variance_scale"], (int, float)) and m["driver_variance_scale"] > 0):
+    if not (_is_real(m["driver_variance_scale"]) and m["driver_variance_scale"] > 0):
         raise ConfigError("model.driver_variance_scale must be positive")
     x0 = m["x0"]
     if not isinstance(x0, dict) or x0.get("kind") not in ("point", "normal"):
         raise ConfigError("model.x0 must have kind point|normal")
+    if x0["kind"] == "point" and not _is_real(x0.get("value")):
+        raise ConfigError("model.x0 point needs a numeric value")
+    if x0["kind"] == "normal" and not (
+        _is_real(x0.get("mean")) and _is_real(x0.get("sd")) and x0["sd"] >= 0
+    ):
+        raise ConfigError("model.x0 normal needs a numeric mean and sd >= 0")
 
     d = cfg.design
     n = d["n"]
     if isinstance(n, list):
-        if not n or not all(isinstance(v, int) and v >= 1 for v in n):
+        if not n or not all(_is_int(v) and v >= 1 for v in n):
             raise ConfigError("design.n list must hold positive integers")
-    elif not (isinstance(n, int) and n >= 1):
+    elif not (_is_int(n) and n >= 1):
         raise ConfigError("design.n must be a positive integer or list")
-    if not (isinstance(d["r"], int) and d["r"] >= 2):
+    if not (_is_int(d["r"]) and d["r"] >= 2):
         raise ConfigError("design.r must be an integer >= 2")
-    if not (isinstance(d["noise_sd"], (int, float)) and d["noise_sd"] >= 0):
+    if not (_is_real(d["noise_sd"]) and d["noise_sd"] >= 0):
         raise ConfigError("design.noise_sd must be >= 0")
     law = d["design_law"]
     if not isinstance(law, dict) or law.get("kind") not in ("uniform", "clipped-linear"):
         raise ConfigError("design.design_law.kind must be uniform|clipped-linear")
+    if not _is_real(law.get("floor", 0.1)):
+        raise ConfigError("design.design_law.floor must be a number")
     if d["noise_law"] not in ("gaussian", "uniform"):
         raise ConfigError("design.noise_law must be gaussian|uniform")
 
     e = cfg.estimation
-    if e["d_mean"] < 1 or e["d_cov"] < 1:
-        raise ConfigError("polynomial degrees must be >= 1")
+    if not all(_is_int(e[key]) and e[key] >= 1 for key in ("d_mean", "d_cov")):
+        raise ConfigError("polynomial degrees must be integers >= 1")
     for key in ("h_m", "h_G"):
         v = e[key]
-        ok = v == "auto" or (isinstance(v, (int, float)) and v > 0)
+        ok = v == "auto" or (_is_real(v) and v > 0)
         if not ok:
             raise ConfigError(f"estimation.{key} must be 'auto' or a positive number")
-    if not (0 < e["epsilon"] < 1):
+    if not (_is_real(e["epsilon"]) and 0 < e["epsilon"] < 1):
         raise ConfigError("estimation.epsilon must lie in (0, 1)")
     if e["kernel"] not in ("epanechnikov", "gaussian-truncated"):
         raise ConfigError("estimation.kernel must be epanechnikov|gaussian-truncated")
-    if not (isinstance(e["eval_points"], int) and e["eval_points"] >= 5):
+    if not (_is_int(e["eval_points"]) and e["eval_points"] >= 5):
         raise ConfigError("estimation.eval_points must be an integer >= 5")
     thr = e["mu_threshold"]
-    if not (thr == "auto" or (isinstance(thr, (int, float)) and thr > 0)):
+    if not (thr == "auto" or (_is_real(thr) and thr > 0)):
         raise ConfigError("estimation.mu_threshold must be 'auto' or positive")
     if e["separation_source"] not in ("tri", "diag"):
         raise ConfigError("estimation.separation_source must be tri|diag")
@@ -263,16 +285,20 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("estimation.policy.expr (in t) is required")
 
     x = cfg.experiment
-    if not (isinstance(x["master_seed"], int) and x["master_seed"] >= 0):
+    if not (_is_int(x["master_seed"]) and x["master_seed"] >= 0):
         raise ConfigError("experiment.master_seed must be a nonnegative integer")
-    if not (isinstance(x["sim_steps"], int) and x["sim_steps"] >= 1):
+    if not (_is_int(x["sim_steps"]) and x["sim_steps"] >= 1):
         raise ConfigError("experiment.sim_steps must be a positive integer")
-    if not (isinstance(x["replications"], int) and x["replications"] >= 1):
+    if not (_is_int(x["replications"]) and x["replications"] >= 1):
         raise ConfigError("experiment.replications must be >= 1")
-    if not (isinstance(x["B"], int) and x["B"] >= 2):
+    if not (_is_int(x["B"]) and x["B"] >= 2):
         raise ConfigError("experiment.B must be >= 2")
-    if not (0.0 < x["t_star"] < 1.0):
+    if not (_is_real(x["t_star"]) and 0.0 < x["t_star"] < 1.0):
         raise ConfigError("experiment.t_star must lie in (0, 1)")
+    if not (_is_int(x["mc_paths"]) and x["mc_paths"] >= 2):
+        raise ConfigError("experiment.mc_paths must be an integer >= 2")
+    if not isinstance(x["negative_control"], bool):
+        raise ConfigError("experiment.negative_control must be true or false")
     bad = set(x["track"]) - {"mu", "xi2", "s"}
     if bad:
         raise ConfigError(f"experiment.track entries unknown: {sorted(bad)}")
@@ -421,8 +447,7 @@ def run_estimate(
     thr = None if e["mu_threshold"] == "auto" else float(e["mu_threshold"])
     mu_hat, region_A, thr_used = estimate_drift(mean_est, thr)
 
-    scatter = pair_scatter(obs)
-    cov_est = fit_cov_grid(obs, grid, e["d_cov"], h_G, kernel, scatter=scatter)
+    cov_est = fit_cov_grid(obs, grid, e["d_cov"], h_G, kernel)
     eps = float(e["epsilon"])
     s_diag, s_tri, noise_flags = estimate_total_noise(grid, mu_hat, cov_est, eps)
 

@@ -43,7 +43,11 @@ EPANECHNIKOV = KernelSpec("epanechnikov")
 GAUSSIAN_TRUNCATED = KernelSpec("gaussian-truncated")
 
 
+_BY_NAME = {spec.family: spec for spec in (EPANECHNIKOV, GAUSSIAN_TRUNCATED)}
+
+
 def kernel_by_name(name: str) -> KernelSpec:
-    spec = KernelSpec(name)
-    spec.check_mass()
-    return spec
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise ValidationError(f"unknown kernel family {name!r}") from None

@@ -277,6 +277,39 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_estimate_manifest_reports_surface_fallback(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        design={"n": 60, "r": 6},
+        estimation={"eval_points": 11},
+        experiment={"sim_steps": 100},
+        output={"directory": str(tmp_path / "out")},
+    )
+    assert main(["estimate", "--config", cfg]) == 0
+    assert read_manifest(tmp_path / "out")["results"]["surface_fallback_cells"] == 0
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("estimation", {"d_cov": 2.5}),
+        ("estimation", {"d_mean": "2"}),
+        ("estimation", {"d_cov": True}),
+        ("estimation", {"epsilon": "0.1"}),
+        ("experiment", {"t_star": "0.5"}),
+        ("design", {"n": True}),
+        ("model", {"x0": {"kind": "normal"}}),
+        ("design", {"design_law": {"kind": "clipped-linear", "floor": "abc"}}),
+        ("experiment", {"mc_paths": True}),
+    ],
+)
+def test_mistyped_config_value_exits_2(tmp_path, capsys, section, values):
+    cfg = write_cfg(tmp_path, **{section: values})
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_obs_file_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, output={"directory": str(tmp_path / "out")})
     rc = main(["estimate", "--config", cfg, "--obs-csv", str(tmp_path / "nope.csv")])

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from sparsesde import (
+    EPANECHNIKOV,
+    GAUSSIAN_TRUNCATED,
     DesignConfig,
     EstimationFailedError,
     LevyConfig,
@@ -274,3 +276,82 @@ def test_replace_responses_keeps_design():
     npt.assert_array_equal(swapped.curve_id, obs.curve_id)
     npt.assert_array_equal(swapped.y, [5.0, 6.0])
     npt.assert_array_equal(obs.y, [1.0, 2.0])
+
+
+def _grid_reference(obs, grid, d, h, kernel):
+    """Per-cell fits of every grid quantity: (cells, diag) dicts keyed by index,
+    holding the fitted tuple or None where the window never fills."""
+    sc = pair_scatter(obs)
+    eps = 1e-3 * h
+    cells, diag = {}, {}
+    for i, s in enumerate(grid):
+        for j in range(i + 1, grid.size):
+            try:
+                cells[i, j] = fit_cov_at(sc, s, grid[j], d, h, kernel)
+            except SparseWindowError:
+                cells[i, j] = None
+        try:
+            D, dD = fit_diag(sc, s, d, h, kernel)
+            _, dsG, dtG = fit_cov_at(sc, max(s - eps, 0.0), min(s + eps, 1.0), d, h, kernel)
+            diag[i] = (D, dD, dsG, dtG)
+        except SparseWindowError:
+            diag[i] = None
+    return cells, diag
+
+
+def _rel_dev(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def _simulated_panel():
+    paths = simulate_ensemble(
+        sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 200), PointMass(1.0), 60, 31
+    )
+    return observe(paths, DesignConfig(r=6, noise_sd=0.1), seed=31)
+
+
+def _half_covered_panel():
+    # every curve lives on [0, 0.55]: cells there fit at h, cells reaching
+    # past it widen, and cells near (1, 1) never fill
+    rng = np.random.default_rng(31)
+    return make_obs(
+        [(np.sort(rng.uniform(0.0, 0.55, 6)), rng.standard_normal(6) + 1.0) for _ in range(40)]
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN_TRUNCATED])
+@pytest.mark.parametrize("panel", ["simulated", "half-covered"])
+def test_grid_fit_matches_per_cell_fits(d, kernel, panel):
+    if panel == "simulated":
+        obs = _simulated_panel()
+        h = default_bandwidth_cov(obs, d)
+    else:
+        obs = _half_covered_panel()
+        h = 0.05
+    grid = np.linspace(0.0, 1.0, 11)
+    est = fit_cov_grid(obs, grid, d, h, kernel, max_flagged_frac=1.0)
+    cells, diag = _grid_reference(obs, grid, d, h, kernel)
+
+    for (i, j), ref in cells.items():
+        assert est.pair_flags[i, j] == (ref is None)
+        if ref is not None:
+            got = (est.G2[i, j], est.ds2[i, j], est.dt2[i, j])
+            assert _rel_dev(got, ref) <= 1e-10, (i, j)
+    for i, ref in diag.items():
+        assert est.diag_flags[i] == (ref is None)
+        assert est.pair_flags[i, i] == (ref is None)
+        if ref is None:
+            assert np.isnan([est.D_hat[i], est.dD_hat[i], est.G2[i, i]]).all()
+        else:
+            got = (est.D_hat[i], est.dD_hat[i], est.ds2[i, i], est.dt2[i, i])
+            assert _rel_dev(got, ref) <= 1e-10, i
+            assert est.G2[i, i] == est.D_hat[i]
+    n_cells = len(cells) + 2 * len(diag)  # off-diagonal, (t, t) and offset cells
+    if panel == "simulated":
+        assert est.fallback_cells == 0
+        assert not est.pair_flags.any()
+    else:
+        assert 0 < est.fallback_cells < n_cells
+        assert est.pair_flags.any()
