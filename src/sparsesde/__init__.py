@@ -27,7 +27,6 @@ from .model import (
     expression_function,
     rescale_to_unit,
     sinusoid_model,
-    tabulated_function,
 )
 from .moments import (
     MomentSolution,

@@ -24,6 +24,19 @@ def _add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
     p.add_argument("--out", default=None, help="override output.directory")
 
 
+def _add_obs_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--obs-csv", default=None, help="observations file (default: simulate)")
+    p.add_argument("--wide", action="store_true", help="obs file is wide format")
+    p.add_argument(
+        "--rescale-time",
+        nargs=2,
+        type=float,
+        metavar=("T0", "T1"),
+        default=None,
+        help="map ingested times from [T0, T1] to [0, 1]",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sparsesde",
@@ -40,27 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="recover coefficients from observations")
     _add_common(p)
-    p.add_argument("--obs-csv", default=None, help="observations file (default: simulate)")
-    p.add_argument("--wide", action="store_true", help="obs file is wide format")
-    p.add_argument(
-        "--rescale-time",
-        nargs=2,
-        type=float,
-        metavar=("T0", "T1"),
-        default=None,
-        help="map ingested times from [T0, T1] to [0, 1]",
-    )
+    _add_obs_source(p)
 
     p = sub.add_parser("emse", help="replicated error study across sample sizes")
     _add_common(p)
 
     p = sub.add_parser("bootstrap", help="curve-level bootstrap at t_star")
     _add_common(p)
-    p.add_argument("--obs-csv", default=None, help="observations file (default: simulate)")
-    p.add_argument("--wide", action="store_true", help="obs file is wide format")
-    p.add_argument(
-        "--rescale-time", nargs=2, type=float, metavar=("T0", "T1"), default=None
-    )
+    _add_obs_source(p)
 
     p = sub.add_parser("oracle-check", help="identity web and Monte Carlo cross-check")
     _add_common(p)

@@ -39,7 +39,15 @@ from .errors import (
     ValidationError,
 )
 from .kernels import EPANECHNIKOV, KernelSpec
-from .meanfit import _COND_LIMIT, MAX_WIDEN, WIDEN_FACTOR, fit_mean_at, solve_wls
+from .meanfit import (
+    _COND_LIMIT,
+    MAX_WIDEN,
+    WIDEN_FACTOR,
+    _clamped_bandwidth,
+    default_bandwidth_mean,
+    fit_mean_at,
+    solve_wls,
+)
 from .observe import SparseObservations
 
 # diagonal evaluation offset, as a fraction of the bandwidth
@@ -118,17 +126,8 @@ class CovEstimate:
 def default_bandwidth_cov(obs: SparseObservations, d: int = 1) -> float:
     """Surface bandwidth c * (n * rbar^2)^(-1/(2d+4)), clamped like the mean rule."""
     counts = obs.counts()
-    n = counts.size
     rbar = float(counts.mean())
-    t_sorted = np.sort(obs.t)
-    rng = float(t_sorted[-1] - t_sorted[0])
-    if rng <= 0:
-        raise ValidationError("design has zero time range")
-    h = 0.5 * rng * (n * rbar**2) ** (-1.0 / (2 * d + 4))
-    gaps = np.diff(t_sorted)
-    gaps = gaps[gaps > 0]
-    lo = 3.0 * float(np.median(gaps)) if gaps.size else 0.0
-    return min(max(h, lo), 0.5)
+    return _clamped_bandwidth(obs, 0.5, (counts.size * rbar**2) ** (-1.0 / (2 * d + 4)))
 
 
 def fit_cov_at(
@@ -371,6 +370,8 @@ def fit_diagonal_inclusive(
     estimate.
     """
     sq = replace_responses(obs, obs.y**2)
+    if h is None:
+        h = default_bandwidth_mean(sq, 1)
     eval_times = np.asarray(eval_times, dtype=float)
     out = np.empty(eval_times.size)
     for i, t in enumerate(eval_times):

@@ -6,6 +6,13 @@ than silently running defaults.  All randomness descends from one master
 seed through named SeedSequence children, which makes every artifact
 byte-reproducible for a fixed (config, seed) pair.
 
+The estimate, emse and bootstrap runs share one pipeline.
+`_resolve_settings` turns the estimation section into concrete settings
+for one observation set (kernel, grid, bandwidths, drift threshold,
+epsilon, separation policy and source, unit-scale nu_K); `_drift_stage`
+runs mean fit -> drift; `_noise_stage` runs surface fit -> total noise ->
+separation.  The three runs differ only in what they score.
+
 Models may live on any finite span; estimation always happens on [0, 1].
 A model on [t0, t1] is affinely rescaled, which multiplies the drift by the
 span length L, the diffusion by sqrt(L) (Brownian scaling) and the jump
@@ -23,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,10 +46,11 @@ from .covfit import (
 from .errors import (
     ConfigError,
     EstimationFailedError,
+    PolicyError,
     SparseSdeError,
     ValidationError,
 )
-from .kernels import kernel_by_name
+from .kernels import KernelSpec, kernel_by_name
 from .meanfit import (
     MeanEstimate,
     default_bandwidth_mean,
@@ -69,7 +78,6 @@ from .observe import (
     DesignConfig,
     SparseObservations,
     UniformDesign,
-    export_observations_csv,
     observe,
 )
 from .recover import (
@@ -79,7 +87,7 @@ from .recover import (
     estimate_total_noise,
     separate,
 )
-from .simulate import PathGrid, SamplePathSet, export_paths_csv, simulate_ensemble
+from .simulate import PathGrid, SamplePathSet, simulate_ensemble
 
 SCHEMA_VERSION = 1
 
@@ -206,9 +214,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     if m["kind"] == "builtin" and m["name"] not in ("sinusoid", "constant"):
         raise ConfigError(f"unknown builtin model {m['name']!r}")
     if m["kind"] == "builtin" and m["name"] == "constant":
-        missing = {"mu", "sigma2", "xi2"} - set(m["params"])
+        p = m["params"]
+        if not isinstance(p, dict):
+            raise ConfigError("constant model params must be an object")
+        missing = {"mu", "sigma2", "xi2"} - set(p)
         if missing:
             raise ConfigError(f"constant model params missing {sorted(missing)}")
+        reals = all(_is_real(p[k]) for k in ("mu", "sigma2", "xi2"))
+        if not (reals and p["sigma2"] >= 0 and p["xi2"] >= 0):
+            raise ConfigError("constant model params must be finite numbers with sigma2, xi2 >= 0")
     if m["kind"] == "expressions":
         for key in ("mu", "sigma", "xi"):
             if not isinstance(m[key], str):
@@ -299,10 +313,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.mc_paths must be an integer >= 2")
     if not isinstance(x["negative_control"], bool):
         raise ConfigError("experiment.negative_control must be true or false")
-    bad = set(x["track"]) - {"mu", "xi2", "s"}
+    track = x["track"]
+    if not (isinstance(track, list) and all(isinstance(v, str) for v in track)):
+        raise ConfigError("experiment.track must be a list of strings")
+    bad = set(track) - {"mu", "xi2", "s"}
     if bad:
         raise ConfigError(f"experiment.track entries unknown: {sorted(bad)}")
-    if "xi2" in x["track"] and cfg.estimation["policy"] is None:
+    if "xi2" in track and cfg.estimation["policy"] is None:
         raise ConfigError("tracking xi2 requires estimation.policy")
 
 
@@ -420,6 +437,69 @@ def simulate_paths(cfg: ExperimentConfig, bundle: ModelBundle, seed: int, n: int
     return simulate_ensemble(bundle.coeffs, bundle.levy, grid, bundle.x0_law, n, seed)
 
 
+class _Settings(NamedTuple):
+    """Estimation settings of one run, with the bandwidth rules applied."""
+
+    kernel: KernelSpec
+    grid: np.ndarray
+    d_mean: int
+    d_cov: int
+    h_m: float
+    h_G: float
+    mu_threshold: float | None  # None: the default rule of `estimate_drift`
+    epsilon: float
+    policy: SeparationPolicy | None
+    source: str                 # route that separation reads: "tri" or "diag"
+    nu_K: float                 # jump activity on the unit time scale
+
+
+def _resolve_settings(cfg: ExperimentConfig, obs: SparseObservations) -> _Settings:
+    e = cfg.estimation
+    return _Settings(
+        kernel=kernel_by_name(e["kernel"]),
+        grid=np.linspace(0.0, 1.0, e["eval_points"]),
+        d_mean=e["d_mean"],
+        d_cov=e["d_cov"],
+        h_m=default_bandwidth_mean(obs, e["d_mean"]) if e["h_m"] == "auto" else float(e["h_m"]),
+        h_G=default_bandwidth_cov(obs, e["d_cov"]) if e["h_G"] == "auto" else float(e["h_G"]),
+        mu_threshold=None if e["mu_threshold"] == "auto" else float(e["mu_threshold"]),
+        epsilon=float(e["epsilon"]),
+        policy=build_policy(cfg),
+        source=e["separation_source"],
+        nu_K=build_model(cfg).unit_levy.nu_K,
+    )
+
+
+def _drift_stage(
+    obs: SparseObservations, st: _Settings
+) -> tuple[MeanEstimate, np.ndarray, np.ndarray, float]:
+    """Mean fit on the grid, then the drift: (mean_est, mu_hat, region_A, threshold)."""
+    mean_est = fit_mean_curve(obs, st.grid, st.d_mean, st.h_m, st.kernel)
+    return (mean_est, *estimate_drift(mean_est, st.mu_threshold))
+
+
+class _NoiseStage(NamedTuple):
+    cov_est: CovEstimate
+    s_diag: np.ndarray
+    s_tri: np.ndarray
+    source: np.ndarray              # s_diag or s_tri, as the settings pick
+    sigma2: np.ndarray | None       # None without a separation policy
+    xi2: np.ndarray | None
+    flags: dict[str, np.ndarray]
+
+
+def _noise_stage(obs: SparseObservations, st: _Settings, mu_hat: np.ndarray) -> _NoiseStage:
+    """Surface fit, both routes to s = sigma^2 + nu_K xi^2, then the policy split."""
+    cov_est = fit_cov_grid(obs, st.grid, st.d_cov, st.h_G, st.kernel)
+    s_diag, s_tri, flags = estimate_total_noise(st.grid, mu_hat, cov_est, st.epsilon)
+    source = s_tri if st.source == "tri" else s_diag
+    sigma2 = xi2 = None
+    if st.policy is not None:
+        sigma2, xi2, sep_flags = separate(st.grid, source, st.policy, st.nu_K)
+        flags.update(sep_flags)
+    return _NoiseStage(cov_est, s_diag, s_tri, source, sigma2, xi2, flags)
+
+
 @dataclass
 class EstimateResult:
     mean_est: MeanEstimate
@@ -431,67 +511,35 @@ class EstimateResult:
     h_G: float
 
 
-def run_estimate(
-    cfg: ExperimentConfig,
-    obs: SparseObservations,
-    with_noise_variance: bool = True,
-) -> EstimateResult:
+def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResult:
     """Full pipeline on one observation set: mean, surface, coefficients."""
-    e = cfg.estimation
-    kernel = kernel_by_name(e["kernel"])
-    grid = np.linspace(0.0, 1.0, e["eval_points"])
-    h_m = default_bandwidth_mean(obs, e["d_mean"]) if e["h_m"] == "auto" else float(e["h_m"])
-    h_G = default_bandwidth_cov(obs, e["d_cov"]) if e["h_G"] == "auto" else float(e["h_G"])
-
-    mean_est = fit_mean_curve(obs, grid, e["d_mean"], h_m, kernel)
-    thr = None if e["mu_threshold"] == "auto" else float(e["mu_threshold"])
-    mu_hat, region_A, thr_used = estimate_drift(mean_est, thr)
-
-    cov_est = fit_cov_grid(obs, grid, e["d_cov"], h_G, kernel)
-    eps = float(e["epsilon"])
-    s_diag, s_tri, noise_flags = estimate_total_noise(grid, mu_hat, cov_est, eps)
-
-    nu_K = _unit_nu_K(cfg)
-    policy = build_policy(cfg)
-    sigma2 = xi2 = None
-    flags = {"excluded": ~region_A, **noise_flags}
-    if policy is not None:
-        source = s_tri if e["separation_source"] == "tri" else s_diag
-        sigma2, xi2, sep_flags = separate(grid, source, policy, nu_K)
-        flags.update(sep_flags)
-
+    st = _resolve_settings(cfg, obs)
+    mean_est, mu_hat, region_A, thr_used = _drift_stage(obs, st)
+    noise = _noise_stage(obs, st, mu_hat)
     coeffs = CoefficientEstimate(
-        eval_grid=grid,
+        eval_grid=st.grid,
         mu_hat=mu_hat,
         region_A=region_A,
-        s_diag=s_diag,
-        s_tri=s_tri,
-        sigma2_hat=sigma2,
-        xi2_hat=xi2,
-        epsilon=eps,
-        nu_K=nu_K,
-        flags=flags,
-        policy=policy,
+        s_diag=noise.s_diag,
+        s_tri=noise.s_tri,
+        sigma2_hat=noise.sigma2,
+        xi2_hat=noise.xi2,
+        epsilon=st.epsilon,
+        nu_K=st.nu_K,
+        flags={"excluded": ~region_A, **noise.flags},
+        policy=st.policy,
         mu_threshold=thr_used,
     )
-    if with_noise_variance:
-        rho2, floored = noise_variance_estimate(obs, cov_est, kernel)
-    else:
-        rho2, floored = float("nan"), False
+    rho2, floored = noise_variance_estimate(obs, noise.cov_est, st.kernel)
     return EstimateResult(
         mean_est=mean_est,
-        cov_est=cov_est,
+        cov_est=noise.cov_est,
         coeffs=coeffs,
         rho2_hat=rho2,
         rho2_floored=floored,
-        h_m=h_m,
-        h_G=h_G,
+        h_m=st.h_m,
+        h_G=st.h_G,
     )
-
-
-def _unit_nu_K(cfg: ExperimentConfig) -> float:
-    span = cfg.model["span"]
-    return float(cfg.model["nu_K"]) * (float(span[1]) - float(span[0]))
 
 
 def unit_truth(bundle: ModelBundle):
@@ -525,8 +573,10 @@ class EmseResult:
 def run_emse(cfg: ExperimentConfig) -> EmseResult:
     """Replicated simulate/observe/estimate study across sample sizes.
 
-    Per-replication failures are recorded and skipped; a sample size whose
-    failure share exceeds one half aborts the study.
+    Each replication scores the drift; the surface stage runs only when
+    "s" or "xi2" is tracked.  Per-replication failures are recorded and
+    skipped; a sample size whose failure share exceeds one half aborts the
+    study.
     """
     n_cfg = cfg.design["n"]
     n_values = n_cfg if isinstance(n_cfg, list) else [n_cfg]
@@ -536,7 +586,29 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
     bundle = build_model(cfg)
     design = build_design(cfg)
     mu_true, _, xi2_true, s_true = unit_truth(bundle)
-    need_surface = bool({"xi2", "s"} & set(track))
+
+    def score(obs: SparseObservations) -> dict:
+        st = _resolve_settings(cfg, obs)
+        grid = st.grid
+        _, mu_hat, region_A, _ = _drift_stage(obs, st)
+        err2 = np.where(region_A, (mu_hat - mu_true(grid)) ** 2, 0.0)
+        out = {
+            "emse_mu": float(np.trapezoid(err2, grid)),
+            "excluded_points": int((~region_A).sum()),
+        }
+        if not {"xi2", "s"} & set(track):
+            return out
+        noise = _noise_stage(obs, st, mu_hat)
+        if "s" in track:
+            valid = np.isfinite(noise.source)
+            err2 = np.where(valid, (np.where(valid, noise.source, 0.0) - s_true(grid)) ** 2, 0.0)
+            out["emse_s"] = float(np.trapezoid(err2, grid))
+        if "xi2" in track:
+            sel = (grid <= 0.8 + 1e-12) & np.isfinite(noise.xi2)
+            if not sel.any():
+                raise EstimationFailedError("no usable xi2 values on [0, 0.8]")
+            out["sup_xi2"] = float(np.max(np.abs(noise.xi2[sel] - xi2_true(grid[sel]))))
+        return out
 
     rows: list[dict] = []
     medians: dict[int, dict] = {}
@@ -551,9 +623,10 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
             try:
                 paths = simulate_paths(cfg, bundle, seed, n)
                 obs = observe(paths, design, seed)
-                res = _emse_single(cfg, obs, bundle, mu_true, xi2_true, s_true, need_surface)
-                row.update(res)
+                row.update(score(obs))
                 ok_rows.append(row)
+            except (ConfigError, PolicyError):
+                raise  # the same in every replication: a config fault, not a failed fit
             except SparseSdeError as exc:
                 row["status"] = f"failed: {type(exc).__name__}"
             rows.append(row)
@@ -568,40 +641,6 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
             if key not in ("n", "replication", "status")
         }
     return EmseResult(n_values=n_values, rows=rows, medians=medians, failures=failures)
-
-
-def _emse_single(cfg, obs, bundle, mu_true, xi2_true, s_true, need_surface) -> dict:
-    e = cfg.estimation
-    kernel = kernel_by_name(e["kernel"])
-    grid = np.linspace(0.0, 1.0, e["eval_points"])
-    h_m = default_bandwidth_mean(obs, e["d_mean"]) if e["h_m"] == "auto" else float(e["h_m"])
-    mean_est = fit_mean_curve(obs, grid, e["d_mean"], h_m, kernel)
-    thr = None if e["mu_threshold"] == "auto" else float(e["mu_threshold"])
-    mu_hat, region_A, _ = estimate_drift(mean_est, thr)
-    err2 = np.where(region_A, (mu_hat - mu_true(grid)) ** 2, 0.0)
-    out = {
-        "emse_mu": float(np.trapezoid(err2, grid)),
-        "excluded_points": int((~region_A).sum()),
-    }
-    if not need_surface:
-        return out
-    h_G = default_bandwidth_cov(obs, e["d_cov"]) if e["h_G"] == "auto" else float(e["h_G"])
-    cov_est = fit_cov_grid(obs, grid, e["d_cov"], h_G, kernel)
-    eps = float(e["epsilon"])
-    s_diag, s_tri, _ = estimate_total_noise(grid, mu_hat, cov_est, eps)
-    source = s_tri if e["separation_source"] == "tri" else s_diag
-    if "s" in cfg.experiment["track"]:
-        valid = np.isfinite(source)
-        err2 = np.where(valid, (np.where(valid, source, 0.0) - s_true(grid)) ** 2, 0.0)
-        out["emse_s"] = float(np.trapezoid(err2, grid))
-    if "xi2" in cfg.experiment["track"]:
-        policy = build_policy(cfg)
-        _, xi2_hat, _ = separate(grid, source, policy, _unit_nu_K(cfg))
-        sel = (grid <= 0.8 + 1e-12) & np.isfinite(xi2_hat)
-        if not sel.any():
-            raise EstimationFailedError("no usable xi2 values on [0, 0.8]")
-        out["sup_xi2"] = float(np.max(np.abs(xi2_hat[sel] - xi2_true(grid[sel]))))
-    return out
 
 
 @dataclass
@@ -626,37 +665,27 @@ def run_bootstrap(
     against the original point estimate.  Requires at least 80% of
     resamples to succeed.
     """
-    e = cfg.estimation
     if t_star is None:
         t_star = float(cfg.experiment["t_star"])
     if B is None:
         B = int(cfg.experiment["B"])
-    policy = build_policy(cfg)
-    if policy is None:
-        raise ConfigError("bootstrap needs estimation.policy to report sigma2 and xi2")
-    kernel = kernel_by_name(e["kernel"])
-    nu_K = _unit_nu_K(cfg)
-    eps = float(e["epsilon"])
-    if t_star > 1.0 - eps + 1e-12:
-        raise ValidationError(f"t_star={t_star} must satisfy t <= 1 - epsilon")
-
     # bandwidths and drift threshold resolved once on the original data
-    h_m = default_bandwidth_mean(obs, e["d_mean"]) if e["h_m"] == "auto" else float(e["h_m"])
-    h_G = default_bandwidth_cov(obs, e["d_cov"]) if e["h_G"] == "auto" else float(e["h_G"])
-    grid = np.linspace(0.0, 1.0, e["eval_points"])
-    mean_full = fit_mean_curve(obs, grid, e["d_mean"], h_m, kernel)
-    thr = None if e["mu_threshold"] == "auto" else float(e["mu_threshold"])
-    _, _, thr_used = estimate_drift(mean_full, thr)
+    st = _resolve_settings(cfg, obs)
+    if st.policy is None:
+        raise ConfigError("bootstrap needs estimation.policy to report sigma2 and xi2")
+    if t_star > 1.0 - st.epsilon + 1e-12:
+        raise ValidationError(f"t_star={t_star} must satisfy t <= 1 - epsilon")
+    _, _, _, thr_used = _drift_stage(obs, st)
 
     def point_estimates(data: SparseObservations) -> dict[str, float]:
-        m, dm = fit_mean_at(data, t_star, e["d_mean"], h_m, kernel)
+        m, dm = fit_mean_at(data, t_star, st.d_mean, st.h_m, st.kernel)
         if abs(m) < thr_used:
             raise EstimationFailedError(f"|m_hat({t_star})| below drift threshold")
         mu = dm / m
-        D, dD = fit_diag(pair_scatter(data), t_star, e["d_cov"], h_G, kernel)
+        D, dD = fit_diag(pair_scatter(data), t_star, st.d_cov, st.h_G, st.kernel)
         s_val = max(dD - 2.0 * mu * D, 0.0)
         tg = np.asarray([t_star])
-        sigma2, xi2, _ = separate(tg, np.asarray([s_val]), policy, nu_K)
+        sigma2, xi2, _ = separate(tg, np.asarray([s_val]), st.policy, st.nu_K)
         return {"mu": float(mu), "sigma2": float(sigma2[0]), "xi2": float(xi2[0])}
 
     point = point_estimates(obs)
@@ -728,12 +757,11 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
     nu_K = bundle.unit_levy.nu_K
     sol = solve_moments(bundle.unit_coeffs, bundle.unit_levy, bundle.m0, bundle.D0)
     grid = sol.grid
-    _, _, _, s_true = unit_truth(bundle)
+    _, sigma2_true, xi2_true, _ = unit_truth(bundle)
     nu_for_target = nu_K if not cfg.experiment["negative_control"] else 2.0 * nu_K + 1.0
 
     def target(t):
-        base = bundle.unit_coeffs.sigma(np.asarray(t, dtype=float)) ** 2
-        return float(base + nu_for_target * bundle.unit_coeffs.xi(np.asarray(t, dtype=float)) ** 2)
+        return float(sigma2_true(t) + nu_for_target * xi2_true(t))
 
     checks: list[tuple[str, float, float, bool]] = []
     fd = 1e-4
@@ -790,6 +818,8 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -822,118 +852,78 @@ def write_manifest(
         fh.write("\n")
 
 
-def export_mean_csv(mean_est: MeanEstimate, dest) -> None:
+def write_table(dest, header: list[str], rows) -> None:
+    """Write one CSV artifact: the header, then the rows with every number
+    formatted by `_fmt` (ints as ints, floats by repr so they round-trip)."""
     with open(dest, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "m_hat", "dm_hat", "flag"])
-        for i, t in enumerate(mean_est.eval_grid):
-            w.writerow(
-                [_fmt(t), _fmt(mean_est.m_hat[i]), _fmt(mean_est.dm_hat[i]), int(mean_est.flags[i])]
-            )
+        w.writerow(header)
+        w.writerows([_fmt(x) for x in row] for row in rows)
+
+
+def export_mean_csv(mean_est: MeanEstimate, dest) -> None:
+    rows = zip(mean_est.eval_grid, mean_est.m_hat, mean_est.dm_hat, mean_est.flags.astype(int))
+    write_table(dest, ["t", "m_hat", "dm_hat", "flag"], rows)
 
 
 def export_surface_csv(cov_est: CovEstimate, dest) -> None:
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"])
-        nt = cov_est.eval_times.size
-        for i in range(nt):
-            for j in range(i, nt):
-                w.writerow(
-                    [
-                        _fmt(cov_est.eval_times[i]),
-                        _fmt(cov_est.eval_times[j]),
-                        _fmt(cov_est.G2[i, j]),
-                        _fmt(cov_est.ds2[i, j]),
-                        _fmt(cov_est.dt2[i, j]),
-                        int(cov_est.pair_flags[i, j]),
-                    ]
-                )
+    iu = np.triu_indices(cov_est.eval_times.size)
+    s, t = cov_est.eval_times[iu[0]], cov_est.eval_times[iu[1]]
+    flags = cov_est.pair_flags[iu].astype(int)
+    rows = zip(s, t, cov_est.G2[iu], cov_est.ds2[iu], cov_est.dt2[iu], flags)
+    write_table(dest, ["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"], rows)
 
 
 def export_surface_diag_csv(cov_est: CovEstimate, dest) -> None:
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "D_hat", "dD_hat"])
-        for i, t in enumerate(cov_est.eval_times):
-            w.writerow([_fmt(t), _fmt(cov_est.D_hat[i]), _fmt(cov_est.dD_hat[i])])
+    rows = zip(cov_est.eval_times, cov_est.D_hat, cov_est.dD_hat)
+    write_table(dest, ["t", "D_hat", "dD_hat"], rows)
 
 
 def export_coefficients_csv(est: CoefficientEstimate, dest) -> None:
+    nan = np.full(est.eval_grid.size, np.nan)
+    sigma2 = est.sigma2_hat if est.sigma2_hat is not None else nan
+    xi2 = est.xi2_hat if est.xi2_hat is not None else nan
     flag_names = sorted(est.flags)
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mu_hat", "s_diag", "s_tri", "sigma2_hat", "xi2_hat", "flags"])
-        for i, t in enumerate(est.eval_grid):
-            tokens = [name for name in flag_names if est.flags[name][i]]
-            sigma2 = est.sigma2_hat[i] if est.sigma2_hat is not None else float("nan")
-            xi2 = est.xi2_hat[i] if est.xi2_hat is not None else float("nan")
-            w.writerow(
-                [
-                    _fmt(t),
-                    _fmt(est.mu_hat[i]),
-                    _fmt(est.s_diag[i]),
-                    _fmt(est.s_tri[i]),
-                    _fmt(sigma2),
-                    _fmt(xi2),
-                    "|".join(tokens),
-                ]
-            )
+    tokens = (
+        "|".join(name for name in flag_names if est.flags[name][i])
+        for i in range(est.eval_grid.size)
+    )
+    rows = zip(est.eval_grid, est.mu_hat, est.s_diag, est.s_tri, sigma2, xi2, tokens)
+    write_table(dest, ["t", "mu_hat", "s_diag", "s_tri", "sigma2_hat", "xi2_hat", "flags"], rows)
 
 
 def export_oracle_csvs(sol: MomentSolution, dest_dir: Path, grid_step: float = 0.05) -> None:
     pts = np.round(np.arange(0.0, 1.0 + 1e-9, grid_step), 10)
-    with open(dest_dir / "oracle_m_D.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "m", "D"])
-        for t in pts:
-            w.writerow([_fmt(t), _fmt(float(sol.mean_at(t))), _fmt(float(sol.second_moment_at(t)))])
-    with open(dest_dir / "oracle_G.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "t", "G"])
-        for i, s in enumerate(pts):
-            for t in pts[i:]:
-                w.writerow([_fmt(s), _fmt(t), _fmt(float(cov_value(sol, s, t)))])
+    rows = ([t, float(sol.mean_at(t)), float(sol.second_moment_at(t))] for t in pts)
+    write_table(dest_dir / "oracle_m_D.csv", ["t", "m", "D"], rows)
+    rows = ([s, t, float(cov_value(sol, s, t))] for i, s in enumerate(pts) for t in pts[i:])
+    write_table(dest_dir / "oracle_G.csv", ["s", "t", "G"], rows)
 
 
 def export_emse_csv(result: EmseResult, dest_dir: Path) -> None:
     metrics = sorted(
         {k for r in result.rows for k in r if k not in ("n", "replication", "status")}
     )
-    with open(dest_dir / "emse.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "replication", "status", *metrics])
-        for r in result.rows:
-            w.writerow(
-                [r["n"], r["replication"], r["status"]]
-                + [_fmt(r[k]) if k in r else "" for k in metrics]
-            )
-    with open(dest_dir / "emse_summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "failures", *[f"median_{k}" for k in metrics]])
-        for n in result.n_values:
-            meds = result.medians[n]
-            w.writerow(
-                [n, result.failures[n]]
-                + [_fmt(meds[k]) if k in meds else "" for k in metrics]
-            )
+    rows = (
+        [r["n"], r["replication"], r["status"], *(r.get(k, "") for k in metrics)]
+        for r in result.rows
+    )
+    write_table(dest_dir / "emse.csv", ["n", "replication", "status", *metrics], rows)
+    rows = (
+        [n, result.failures[n], *(result.medians[n].get(k, "") for k in metrics)]
+        for n in result.n_values
+    )
+    header = ["n", "failures", *[f"median_{k}" for k in metrics]]
+    write_table(dest_dir / "emse_summary.csv", header, rows)
 
 
 def export_bootstrap_csv(result: BootstrapResult, dest_dir: Path) -> None:
-    with open(dest_dir / "bootstrap_summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["quantity", "point_estimate", "bmse", "t_star", "B", "resamples_used"])
-        for key in ("mu", "sigma2", "xi2"):
-            w.writerow(
-                [
-                    key,
-                    _fmt(result.point[key]),
-                    _fmt(result.bmse[key]),
-                    _fmt(result.t_star),
-                    result.B,
-                    result.n_success,
-                ]
-            )
+    rows = (
+        [key, result.point[key], result.bmse[key], result.t_star, result.B, result.n_success]
+        for key in ("mu", "sigma2", "xi2")
+    )
+    header = ["quantity", "point_estimate", "bmse", "t_star", "B", "resamples_used"]
+    write_table(dest_dir / "bootstrap_summary.csv", header, rows)
 
 
 def export_oracle_report(report: OracleReport, dest) -> None:

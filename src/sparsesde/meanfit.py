@@ -84,16 +84,20 @@ class MeanEstimate:
 def default_bandwidth_mean(obs: SparseObservations, d: int = 2) -> float:
     """Rule-of-thumb bandwidth c * (total observations)^(-1/(2d+3)).
 
-    The constant is half the design range; the result is clamped to
+    The constant is 0.6 times the design range; the result is clamped to
     [3 * median design gap, 0.5] so windows neither starve nor span the
     whole interval.
     """
-    N = obs.total
+    return _clamped_bandwidth(obs, 0.6, obs.total ** (-1.0 / (2 * d + 3)))
+
+
+def _clamped_bandwidth(obs: SparseObservations, c: float, rate: float) -> float:
+    """c * (design range) * rate, clamped to [3 * median design gap, 0.5]."""
     t_sorted = np.sort(obs.t)
     rng = float(t_sorted[-1] - t_sorted[0])
     if rng <= 0:
         raise ValidationError("design has zero time range")
-    h = 0.6 * rng * N ** (-1.0 / (2 * d + 3))
+    h = c * rng * rate
     gaps = np.diff(t_sorted)
     gaps = gaps[gaps > 0]
     lo = 3.0 * float(np.median(gaps)) if gaps.size else 0.0

@@ -6,16 +6,15 @@ The process under study is a scalar linear SDE
 
 with deterministic coefficient functions mu, sigma, xi on a finite time span
 and a finite small-jump activity nu_K.  This module holds the coefficient
-containers, a small safe-expression parser for config files, tabulated
-coefficients with linear interpolation, the built-in models used by the
-experiment harness, and the affine time rescale that maps a model on
-[t0, t1] to the unit interval.
+containers, a small safe-expression parser for config files, the built-in
+models used by the experiment harness, and the affine time rescale that
+maps a model on [t0, t1] to the unit interval.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,32 +58,13 @@ def expression_function(expr: str) -> Callable[[np.ndarray], np.ndarray]:
 
     def f(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, "t": t})
-        return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
+        try:
+            out = eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, "t": t})
+            return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
 
     f.expression = expr  # type: ignore[attr-defined]
-    return f
-
-
-def tabulated_function(
-    grid: np.ndarray, values: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Linear interpolant through (grid, values); raises outside the grid."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.shape != values.shape:
-        raise ValidationError("tabulated coefficient needs matching 1-d arrays")
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("tabulated grid must be strictly increasing, >= 2 points")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("tabulated values must be finite")
-
-    def f(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < grid[0] - 1e-12) or np.any(t > grid[-1] + 1e-12):
-            raise ValidationError("evaluation outside tabulated coefficient range")
-        return np.interp(t, grid, values)
-
     return f
 
 
@@ -124,7 +104,7 @@ class CoefficientSet:
             if not np.all(np.isfinite(vals)):
                 raise ValidationError(f"{name} is not finite on the span")
         # square-integrability is automatic for finite values on a compact
-        # span, but keep the explicit check so tabulated inputs are audited
+        # span, but the squares of large finite values can still overflow
         for name in ("sigma", "xi"):
             sq = np.asarray(getattr(self, name)(grid), dtype=float) ** 2
             if not math.isfinite(float(np.trapezoid(sq, grid))):
@@ -157,9 +137,6 @@ class PointMass:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
-    def describe(self) -> str:
-        return f"point({self.value})"
-
 
 class GaussianInitial:
     """Gaussian initial law X(0) ~ N(mean, sd^2)."""
@@ -172,9 +149,6 @@ class GaussianInitial:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean + self.sd * rng.standard_normal(n)
-
-    def describe(self) -> str:
-        return f"normal({self.mean}, {self.sd})"
 
 
 def sinusoid_model(span: tuple[float, float] = (0.0, 1.0)) -> CoefficientSet:

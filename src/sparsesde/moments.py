@@ -84,11 +84,15 @@ class MomentSolution:
             raise ValidationError("second moment fell below squared mean")
 
 
+def _drift_integral(coeffs: CoefficientSet, grid: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral int_{grid[0]}^t mu on the grid."""
+    return cumulative_trapezoid(coeffs.mu(grid), grid, initial=0.0)
+
+
 def solve_mean(coeffs: CoefficientSet, m0: float, grid: np.ndarray) -> np.ndarray:
     """Solve m' = mu m with m(grid[0]) = m0; exact up to quadrature of mu."""
     grid = np.asarray(grid, dtype=float)
-    M = cumulative_trapezoid(coeffs.mu(grid), grid, initial=0.0)
-    return m0 * np.exp(M)
+    return m0 * np.exp(_drift_integral(coeffs, grid))
 
 
 def solve_second_moment(
@@ -96,7 +100,7 @@ def solve_second_moment(
 ) -> np.ndarray:
     """Solve D' = 2 mu D + sigma^2 + nu_K xi^2 by integrating factor."""
     grid = np.asarray(grid, dtype=float)
-    M = cumulative_trapezoid(coeffs.mu(grid), grid, initial=0.0)
+    M = _drift_integral(coeffs, grid)
     forcing = coeffs.sigma(grid) ** 2 + nu_K * coeffs.xi(grid) ** 2
     inner = cumulative_trapezoid(np.exp(-2.0 * M) * forcing, grid, initial=0.0)
     return np.exp(2.0 * M) * (D0 + inner)
@@ -117,11 +121,9 @@ def solve_moments(
     if grid is None:
         grid = _uniform_grid(coeffs.span[0], coeffs.span[1], step)
     grid = np.asarray(grid, dtype=float)
-    M = cumulative_trapezoid(coeffs.mu(grid), grid, initial=0.0)
-    m = m0 * np.exp(M)
-    forcing = coeffs.sigma(grid) ** 2 + nu_K * coeffs.xi(grid) ** 2
-    inner = cumulative_trapezoid(np.exp(-2.0 * M) * forcing, grid, initial=0.0)
-    D = np.exp(2.0 * M) * (D0 + inner)
+    m = solve_mean(coeffs, m0, grid)
+    D = solve_second_moment(coeffs, nu_K, D0, grid)
+    M = _drift_integral(coeffs, grid)
     sol = MomentSolution(
         grid=grid, m=m, D=D, M=M, coeffs=coeffs, nu_K=nu_K, m0=m0, D0=D0
     )

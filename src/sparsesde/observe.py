@@ -37,9 +37,6 @@ class UniformDesign:
     def sample(self, rng: np.random.Generator, r: int) -> np.ndarray:
         return rng.random(r)
 
-    def describe(self) -> str:
-        return "uniform"
-
 
 class ClippedLinearDesign:
     """Density proportional to max(2t, floor) on [0, 1].
@@ -63,9 +60,6 @@ class ClippedLinearDesign:
         out[low] = q[low] * self._Z / self.floor
         out[~low] = np.sqrt(q[~low] * self._Z - self.floor**2 / 4.0)
         return out
-
-    def describe(self) -> str:
-        return f"clipped-linear(floor={self.floor})"
 
 
 _NOISE_KINDS = ("gaussian", "uniform")
@@ -124,7 +118,8 @@ class SparseObservations:
             raise ValidationError("column lengths differ")
         if np.any(np.diff(self.curve_id) < 0):
             raise ValidationError("curve ids must be grouped in ascending order")
-        if np.any(self.t < 0) or np.any(self.t > 1):
+        # both comparisons are False for NaN, so NaN times fail here
+        if not np.all((self.t >= 0) & (self.t <= 1)):
             raise ValidationError("observation times must lie in [0, 1]")
         if not np.all(np.isfinite(self.y)):
             raise ValidationError("observation values must be finite")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationDivergedError, ValidationError
-from .model import CoefficientSet, LevyConfig, PointMass
+from .model import CoefficientSet, LevyConfig
 
 # child-stream tags under the master seed
 _STREAM_PATHS = 0
@@ -178,13 +178,3 @@ def export_paths_csv(paths: SamplePathSet, dest) -> None:
             row_vals = paths.values[i]
             for t, x in zip(points, row_vals):
                 writer.writerow([i, repr(float(t)), repr(float(x))])
-
-
-__all__ = [
-    "PathGrid",
-    "SamplePathSet",
-    "simulate_path",
-    "simulate_ensemble",
-    "export_paths_csv",
-    "PointMass",
-]

@@ -301,6 +301,14 @@ def test_estimate_manifest_reports_surface_fallback(tmp_path):
         ("model", {"x0": {"kind": "normal"}}),
         ("design", {"design_law": {"kind": "clipped-linear", "floor": "abc"}}),
         ("experiment", {"mc_paths": True}),
+        ("experiment", {"track": 5}),
+        ("experiment", {"track": ["mu", ["x"]]}),
+        ("model", {**CONSTANT_MODEL, "params": 5}),
+        ("model", {**CONSTANT_MODEL, "params": {"mu": "a", "sigma2": 0.04, "xi2": 0.09}}),
+        ("model", {**CONSTANT_MODEL, "params": {"mu": -1.0, "sigma2": -1, "xi2": 0.09}}),
+        ("model", {"kind": "expressions", "mu": "1/0", "sigma": "0.2", "xi": "0.3"}),
+        ("model", {"kind": "expressions", "mu": "-1", "sigma": "minimum(t)", "xi": "0.3"}),
+        ("model", {"kind": "expressions", "mu": "-1", "sigma": "0.2", "xi": "t ** 'a'"}),
     ],
 )
 def test_mistyped_config_value_exits_2(tmp_path, capsys, section, values):
@@ -308,6 +316,22 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, section, values):
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["estimate", "emse"])
+@pytest.mark.parametrize("expr", ["1/0", "minimum(t)", "t ** 'a'"])
+def test_failing_policy_expression_exits_2(tmp_path, capsys, command, expr):
+    # only the estimation commands evaluate the policy; simulate never does
+    cfg = write_cfg(
+        tmp_path,
+        design={"n": 60, "r": 6},
+        estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": expr}},
+        experiment={"sim_steps": 100, "replications": 2, "track": ["mu", "xi2"]},
+    )
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(expr) in err
 
 
 def test_missing_obs_file_exits_2(tmp_path, capsys):

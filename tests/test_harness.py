@@ -27,6 +27,7 @@ from sparsesde import (
     sinusoid_model,
 )
 from sparsesde.harness import (
+    _STREAM_REPLICATION,
     _single_n,
     build_design,
     build_policy,
@@ -330,6 +331,50 @@ def test_bootstrap_t_star_domain():
     with pytest.raises(Exception) as exc:
         run_bootstrap(cfg, obs, t_star=0.95)
     assert "epsilon" in str(exc.value)
+
+
+def test_bootstrap_point_matches_estimate_at_t_star():
+    # run_estimate and run_bootstrap resolve bandwidths and the drift threshold alike
+    cfg = parse_config(
+        cfg_dict(
+            model={**CONSTANT_MODEL, "span": [0.0, 2.0]},
+            design={"n": 60, "r": 8},
+            estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": "0.5"}},
+            experiment={"B": 4, "sim_steps": 100, "t_star": 0.5},
+        )
+    )
+    bundle = build_model(cfg)
+    obs = observe(simulate_paths(cfg, bundle, 7, 60), build_design(cfg), 7)
+    coeffs = run_estimate(cfg, obs).coeffs
+    point = run_bootstrap(cfg, obs).point
+    (i,) = np.flatnonzero(coeffs.eval_grid == 0.5)
+    assert coeffs.region_A[i]
+    assert point["mu"] == coeffs.mu_hat[i]
+    s_boot = point["sigma2"] + bundle.unit_levy.nu_K * point["xi2"]
+    assert s_boot == pytest.approx(coeffs.s_diag[i], rel=1e-10, abs=0.0)
+
+
+def test_emse_rows_match_estimate_on_regenerated_panels():
+    cfg = parse_config(
+        cfg_dict(
+            design={"n": [40, 60], "r": 8},
+            estimation={"eval_points": 11},
+            experiment={"replications": 2, "sim_steps": 100},
+        )
+    )
+    result = run_emse(cfg)
+    bundle = build_model(cfg)
+    mu_true = unit_truth(bundle)[0]
+    master = cfg.experiment["master_seed"]
+    for row in result.rows:
+        assert row["status"] == "ok"
+        ni = cfg.design["n"].index(row["n"])
+        seq = np.random.SeedSequence([master, _STREAM_REPLICATION, ni, row["replication"]])
+        seed = int(seq.generate_state(1)[0])
+        obs = observe(simulate_paths(cfg, bundle, seed, row["n"]), build_design(cfg), seed)
+        c = run_estimate(cfg, obs).coeffs
+        err2 = np.where(c.region_A, (c.mu_hat - mu_true(c.eval_grid)) ** 2, 0.0)
+        assert row["emse_mu"] == float(np.trapezoid(err2, c.eval_grid))
 
 
 def test_write_manifest_deterministic(tmp_path):

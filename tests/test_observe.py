@@ -247,3 +247,10 @@ def test_validate_catches_unordered_and_out_of_range():
         SparseObservations(
             curve_id=np.array([0, 0]), t=np.array([0.1, 0.2]), y=np.array([np.nan, 1.0])
         ).validate()
+
+
+def test_ingest_rejects_nan_time(tmp_path):
+    f = tmp_path / "nan.csv"
+    f.write_text("curve_id,t,y\n0,0.1,1.0\n0,nan,2.0\n0,0.5,1.5\n")
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        ingest_csv(f)
