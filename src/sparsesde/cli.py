@@ -172,7 +172,11 @@ def _dispatch(args) -> int:
         obs, notes = _load_obs(args, cfg, bundle, seed)
         result = harness.run_bootstrap(cfg, obs)
         harness.export_bootstrap_csv(result, out)
-        harness.write_manifest(out, "bootstrap", cfg, seed, bundle.notes + notes)
+        results = {
+            "resamples_used": result.n_success,
+            "bootstrap_fallback_resamples": result.fallback,
+        }
+        harness.write_manifest(out, "bootstrap", cfg, seed, bundle.notes + notes, results)
         print(f"wrote {out / 'bootstrap_summary.csv'}")
         for key in ("mu", "sigma2", "xi2"):
             print(

@@ -55,6 +55,11 @@ DIAG_EPS_FACTOR = 1e-3
 
 # curves per block of the factorised grid fit; keeps its working set at a few MB
 _CURVE_BLOCK = 64
+# candidate rows of a window reach this many bandwidths from its centre,
+# so rounding in (T - t)/h cannot drop a row the kernel still weights
+_WINDOW_MARGIN = 1.01
+# (centre, row) pairs per block of the batched diagonal-inclusive fit
+_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,25 +77,27 @@ class PairScatter:
 
 
 def pair_scatter(obs: SparseObservations, include_diagonal: bool = False) -> PairScatter:
-    """All ordered within-curve pairs; j = k products only on request."""
-    us, vs, ps = [], [], []
-    for sl in obs.curve_slices():
-        T = obs.t[sl]
-        Y = obs.y[sl]
-        r = T.size
-        uu = np.repeat(T, r)
-        vv = np.tile(T, r)
-        pp = np.repeat(Y, r) * np.tile(Y, r)
-        if not include_diagonal:
-            keep = np.repeat(np.arange(r), r) != np.tile(np.arange(r), r)
-            uu, vv, pp = uu[keep], vv[keep], pp[keep]
-        us.append(uu)
-        vs.append(vv)
-        ps.append(pp)
+    """All ordered within-curve pairs; j = k products only on request.
+
+    Curve by curve, the pairs (j, k) run over j, then k, in row order.
+    """
+    bounds = obs.curve_bounds()
+    r = np.diff(bounds)
+    first = np.repeat(bounds[:-1], r)  # first row of each row's curve
+    # row j pairs with each row k of its curve, in reps[j] consecutive slots
+    reps = np.repeat(r, r)
+    start = np.cumsum(reps) - reps
+    rows_k = np.arange(int(reps.sum()))
+    rows_k -= np.repeat(start - first, reps)
+    if not include_diagonal:
+        keep = np.ones(rows_k.size, dtype=bool)
+        keep[start + np.arange(obs.total) - first] = False
+        rows_k = rows_k[keep]
+        reps = reps - 1
     return PairScatter(
-        u=np.concatenate(us),
-        v=np.concatenate(vs),
-        p=np.concatenate(ps),
+        u=np.repeat(obs.t, reps),
+        v=obs.t[rows_k],
+        p=np.repeat(obs.y, reps) * obs.y[rows_k],
         includes_diagonal=include_diagonal,
     )
 
@@ -222,9 +229,10 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
     a = (T_ij - s)/h and b = (T_ik - t)/h.  Returns M[P, Q] = sum
     K(a)a^P K(b)b^Q, R[p, q] = sum K(a)a^p Y_ij K(b)b^q Y_ik and the count of
     pairs with K(a)K(b) > 0.  A curve's pair sum is the product of its two
-    feature sums minus its j = k terms, so the trailing axes come from
-    matrix products over curves: (i, j) for the cells (s_pts[i], s_pts[j]),
-    or, given t_pts, one axis c for the cells (s_pts[c], t_pts[c]).
+    feature sums minus its j = k terms (`bootstrap._curve_pair_sums` keeps
+    them per curve), so the trailing axes come from products summed over
+    curves: (i, j) for the cells (s_pts[i], s_pts[j]), or, given t_pts, one
+    axis c for the cells (s_pts[c], t_pts[c]).
     """
     if t_pts is None:
         def contract(x, y):
@@ -234,7 +242,7 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
         def contract(x, y):
             return np.einsum("pcn,qcn->pqc", x, y)
 
-    bounds = np.array([sl.start for sl in obs.curve_slices()] + [obs.total])
+    bounds = obs.curve_bounds()
     sums = [0.0, 0.0, 0.0]
     for c0 in range(0, bounds.size - 1, _CURVE_BLOCK):
         starts = bounds[c0 : c0 + _CURVE_BLOCK + 1]
@@ -249,13 +257,16 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
     return M, R, count[0, 0]
 
 
-def _solve_cells(M, R, count, d):
-    """Batched local polynomial solve for each cell from its pair sums.
+def _solve_cells(M, R, count, expo):
+    """Batched local polynomial solve for each cell from its window sums.
 
-    Applies the checks of `solve_wls`; returns the coefficients in
-    `_monomial_exponents` order and a mask of the cells that passed.
+    The basis column (p, q) of `expo` is a^p b^q, so the normal matrix holds
+    M[p + p', q + q'] and the response R[p, q]; a mean fit uses exponents
+    (p, 0).  Applies the checks of `solve_wls` (count of active rows or
+    pairs >= columns, finite condition <= its limit); returns the
+    coefficients in `expo` order and a mask of the cells that passed.
     """
-    expo = np.array(_monomial_exponents(d))
+    expo = np.asarray(expo)
     ncols = len(expo)
     p, q = expo[:, 0], expo[:, 1]
     A = np.moveaxis(M[p[:, None] + p[None, :], q[:, None] + q[None, :]], (0, 1), (-2, -1))
@@ -305,7 +316,7 @@ def fit_cov_grid(
     M, R, count = (
         np.concatenate((g[..., iu[0], iu[1]], o), axis=-1) for g, o in zip(grid_sums, offset_sums)
     )
-    beta, ok = _solve_cells(M, R, count, d)
+    beta, ok = _solve_cells(M, R, count, _monomial_exponents(d))
     fits = np.stack((beta[:, 0], beta[:, 1] / h, beta[:, 2] / h), axis=1)
     cell_s = np.concatenate((eval_times[iu[0]], lo))
     cell_t = np.concatenate((eval_times[iu[1]], hi))
@@ -356,6 +367,34 @@ def fit_cov_grid(
     )
 
 
+def _window_sums(T, Y, times, centres, reach, h, kernel):
+    """Local linear window sums at each centre over the time-sorted rows T, Y.
+
+    With a = (T - centre)/h, returns the sums of K(a) a^P for P = 0..2 and of
+    K(a) a^p Y for p = 0..1, and the count of the sorted distinct `times`
+    with K(a) > 0.  Only rows within reach of a centre are visited; rows
+    there but outside the kernel window get K = 0.
+    """
+    def pairs(sorted_t):
+        lo = np.searchsorted(sorted_t, centres - reach)
+        size = np.searchsorted(sorted_t, centres + reach, "right") - lo
+        point = np.repeat(np.arange(centres.size), size)
+        rows = np.arange(int(size.sum())) + np.repeat(lo - (np.cumsum(size) - size), size)
+        return point, rows, (sorted_t[rows] - centres[point]) / h
+
+    def total(point, weights):
+        return np.bincount(point, weights, minlength=centres.size)
+
+    point, rows, a = pairs(T)
+    k = kernel.values(a)
+    ka = k * a
+    y = Y[rows]
+    M = [total(point, w) for w in (k, ka, ka * a)]
+    R = [total(point, w) for w in (k * y, ka * y)]
+    point, _, a = pairs(times)
+    return M, R, total(point, kernel.values(a) > 0)
+
+
 def fit_diagonal_inclusive(
     obs: SparseObservations,
     eval_times: np.ndarray,
@@ -367,15 +406,35 @@ def fit_diagonal_inclusive(
     This is the fit that does NOT exclude same-index products, so it
     estimates D(t) + rho^2 rather than D(t).  It serves as the biased
     control in diagnostics and as an ingredient of the noise variance
-    estimate.
+    estimate.  The local linear fits at all points come from window sums
+    over the time-sorted observations and one batched solve under the
+    checks of `fit_mean_at`; a point failing them at h is refitted by
+    `fit_mean_at`, which widens its window.
     """
     sq = replace_responses(obs, obs.y**2)
     if h is None:
         h = default_bandwidth_mean(sq, 1)
     eval_times = np.asarray(eval_times, dtype=float)
-    out = np.empty(eval_times.size)
-    for i, t in enumerate(eval_times):
-        out[i], _ = fit_mean_at(sq, float(t), d=1, h_m=h, kernel=kernel)
+    order = np.argsort(sq.t, kind="stable")
+    T, Y2 = sq.t[order], sq.y[order]
+    times = T[np.concatenate(([True], np.diff(T) > 0))]
+    reach = _WINDOW_MARGIN * h
+    # mean-fit sums with the exponent pairs (P, 0), in blocks of centres
+    # that visit at most _PAIR_BLOCK (centre, row) pairs each
+    M = np.empty((3, 1, eval_times.size))
+    R = np.empty((2, 1, eval_times.size))
+    distinct = np.empty(eval_times.size, dtype=int)
+    lo = np.searchsorted(T, eval_times - reach)
+    widest = int(np.max(np.searchsorted(T, eval_times + reach, "right") - lo))
+    step = max(1, _PAIR_BLOCK // max(widest, 1))
+    for c0 in range(0, eval_times.size, step):
+        block = slice(c0, c0 + step)
+        sums = _window_sums(T, Y2, times, eval_times[block], reach, h, kernel)
+        M[:, 0, block], R[:, 0, block], distinct[block] = sums
+    beta, ok = _solve_cells(M, R, distinct, [(0, 0), (1, 0)])
+    out = beta[:, 0]
+    for i in np.flatnonzero(~ok):
+        out[i], _ = fit_mean_at(sq, float(eval_times[i]), d=1, h_m=h, kernel=kernel)
     return out
 
 

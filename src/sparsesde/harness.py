@@ -39,9 +39,7 @@ from .covfit import (
     CovEstimate,
     default_bandwidth_cov,
     fit_cov_grid,
-    fit_diag,
     noise_variance_estimate,
-    pair_scatter,
 )
 from .errors import (
     ConfigError,
@@ -54,7 +52,6 @@ from .kernels import KernelSpec, kernel_by_name
 from .meanfit import (
     MeanEstimate,
     default_bandwidth_mean,
-    fit_mean_at,
     fit_mean_curve,
 )
 from .model import (
@@ -213,10 +210,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"model.kind must be builtin|expressions, got {m['kind']!r}")
     if m["kind"] == "builtin" and m["name"] not in ("sinusoid", "constant"):
         raise ConfigError(f"unknown builtin model {m['name']!r}")
-    if m["kind"] == "builtin" and m["name"] == "constant":
-        p = m["params"]
-        if not isinstance(p, dict):
-            raise ConfigError("constant model params must be an object")
+    p = m["params"]
+    if not isinstance(p, dict):
+        raise ConfigError("model.params must be an object")
+    constant = m["kind"] == "builtin" and m["name"] == "constant"
+    # only the constant model reads params; any other key is a typo
+    unknown = set(p) - ({"mu", "sigma2", "xi2"} if constant else set())
+    if unknown:
+        raise ConfigError(f"unknown keys in 'model.params': {sorted(unknown)}")
+    if constant:
         missing = {"mu", "sigma2", "xi2"} - set(p)
         if missing:
             raise ConfigError(f"constant model params missing {sorted(missing)}")
@@ -242,6 +244,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     x0 = m["x0"]
     if not isinstance(x0, dict) or x0.get("kind") not in ("point", "normal"):
         raise ConfigError("model.x0 must have kind point|normal")
+    unknown = set(x0) - ({"kind", "value"} if x0["kind"] == "point" else {"kind", "mean", "sd"})
+    if unknown:
+        raise ConfigError(f"unknown keys in 'model.x0' ({x0['kind']}): {sorted(unknown)}")
     if x0["kind"] == "point" and not _is_real(x0.get("value")):
         raise ConfigError("model.x0 point needs a numeric value")
     if x0["kind"] == "normal" and not (
@@ -650,6 +655,8 @@ class BootstrapResult:
     n_success: int
     point: dict[str, float]
     bmse: dict[str, float]
+    used: np.ndarray        # bool per resample: produced estimates
+    fallback: int           # resamples refitted by the per-resample chain
 
 
 def run_bootstrap(
@@ -660,11 +667,22 @@ def run_bootstrap(
 ) -> BootstrapResult:
     """Curve-level bootstrap of the pointwise estimators at t_star.
 
-    Resamples whole curves with replacement (same n), re-runs the pointwise
-    estimation per resample, and reports BMSE(q) = mean (q_b - q_orig)^2
-    against the original point estimate.  Requires at least 80% of
-    resamples to succeed.
+    Resamples whole curves with replacement (same n) and reports
+    BMSE(q) = mean (q_b - q_0)^2 over the resamples that produced
+    estimates.  Every window sum behind a resample's estimate is a sum over
+    its drawn curves, so all resamples come from one per-curve table
+    gathered along the draws and batched solves
+    (`bootstrap.gathered_estimates`).  A resample whose mean or surface
+    window fails a check at h_m or h_G is refitted by the pointwise chain
+    `bootstrap.point_estimates`, which widens the window or fails the
+    resample; one whose |m_hat| falls below the drift threshold is skipped.
+    The reported point estimate comes from the same chain on the original
+    data.  The centre q_0 is the identity resample (all curves once)
+    reduced along with the others, so equal resamples give exactly zero
+    BMSE.  Requires at least 80% of resamples to succeed.
     """
+    from . import bootstrap  # the batched route, compiled only when a bootstrap runs
+
     if t_star is None:
         t_star = float(cfg.experiment["t_star"])
     if B is None:
@@ -676,45 +694,37 @@ def run_bootstrap(
     if t_star > 1.0 - st.epsilon + 1e-12:
         raise ValidationError(f"t_star={t_star} must satisfy t <= 1 - epsilon")
     _, _, _, thr_used = _drift_stage(obs, st)
+    point = dict(zip(bootstrap.KEYS, bootstrap.point_estimates(obs, t_star, st, thr_used)))
 
-    def point_estimates(data: SparseObservations) -> dict[str, float]:
-        m, dm = fit_mean_at(data, t_star, st.d_mean, st.h_m, st.kernel)
-        if abs(m) < thr_used:
-            raise EstimationFailedError(f"|m_hat({t_star})| below drift threshold")
-        mu = dm / m
-        D, dD = fit_diag(pair_scatter(data), t_star, st.d_cov, st.h_G, st.kernel)
-        s_val = max(dD - 2.0 * mu * D, 0.0)
-        tg = np.asarray([t_star])
-        sigma2, xi2, _ = separate(tg, np.asarray([s_val]), st.policy, st.nu_K)
-        return {"mu": float(mu), "sigma2": float(sigma2[0]), "xi2": float(xi2[0])}
-
-    point = point_estimates(obs)
-    n = obs.n
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.experiment["master_seed"], _STREAM_BOOTSTRAP])
     )
-    draws = rng.integers(0, n, size=(B, n))
-    reps: dict[str, list[float]] = {"mu": [], "sigma2": [], "xi2": []}
-    n_success = 0
-    for b in range(B):
-        sample = obs.subset(draws[b])
+    draws = rng.integers(0, obs.n, size=(B, obs.n))
+    est, used, chain = bootstrap.gathered_estimates(obs, t_star, st, thr_used, draws)
+    if not used[0]:
+        # the identity resample is the original data, whose chain gave the point
+        est[0] = [point[key] for key in bootstrap.KEYS]
+    for b in np.flatnonzero(chain[1:]) + 1:
         try:
-            est = point_estimates(sample)
+            est[b] = bootstrap.point_estimates(obs.subset(draws[b - 1]), t_star, st, thr_used)
         except SparseSdeError:
             continue
-        n_success += 1
-        for key in reps:
-            reps[key].append(est[key])
+        used[b] = True
+    n_success = int(used[1:].sum())
     if n_success < 0.8 * B:
         raise EstimationFailedError(
             f"only {n_success}/{B} bootstrap resamples produced estimates"
         )
-    bmse = {
-        key: float(np.mean((np.asarray(vals) - point[key]) ** 2))
-        for key, vals in reps.items()
-    }
+    reps = est[1:][used[1:]]
+    bmse = {key: float(np.mean((reps[:, k] - est[0, k]) ** 2)) for k, key in enumerate(point)}
     return BootstrapResult(
-        t_star=t_star, B=B, n_success=n_success, point=point, bmse=bmse
+        t_star=t_star,
+        B=B,
+        n_success=n_success,
+        point=point,
+        bmse=bmse,
+        used=used[1:],
+        fallback=int(chain[1:].sum()),
     )
 
 

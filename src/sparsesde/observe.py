@@ -105,11 +105,13 @@ class SparseObservations:
     def counts(self) -> np.ndarray:
         return np.bincount(self.curve_id, minlength=self.n)
 
+    def curve_bounds(self) -> np.ndarray:
+        """Row offsets: curve c holds rows bounds[c]:bounds[c + 1]."""
+        return np.concatenate(([0], np.flatnonzero(np.diff(self.curve_id)) + 1, [self.total]))
+
     def curve_slices(self) -> list[slice]:
-        bounds = np.flatnonzero(np.diff(self.curve_id)) + 1
-        starts = np.concatenate(([0], bounds))
-        stops = np.concatenate((bounds, [self.total]))
-        return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
+        bounds = self.curve_bounds()
+        return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def validate(self) -> None:
         if self.t.size == 0:
@@ -134,16 +136,13 @@ class SparseObservations:
 
         Repeats are allowed (bootstrap resamples duplicate curves).
         """
-        slices = self.curve_slices()
-        cid, tt, yy = [], [], []
-        for new_id, old in enumerate(curve_ids):
-            sl = slices[int(old)]
-            k = sl.stop - sl.start
-            cid.append(np.full(k, new_id))
-            tt.append(self.t[sl])
-            yy.append(self.y[sl])
+        bounds = self.curve_bounds()
+        ids = np.asarray(curve_ids, dtype=int)
+        sizes = bounds[ids + 1] - bounds[ids]
+        new_starts = np.cumsum(sizes) - sizes
+        rows = np.arange(int(sizes.sum())) + np.repeat(bounds[ids] - new_starts, sizes)
         return SparseObservations(
-            curve_id=np.concatenate(cid), t=np.concatenate(tt), y=np.concatenate(yy)
+            curve_id=np.repeat(np.arange(ids.size), sizes), t=self.t[rows], y=self.y[rows]
         )
 
 

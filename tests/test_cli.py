@@ -234,6 +234,22 @@ def test_bootstrap_cli(tmp_path, capsys):
     assert "mu(t=0.5):" in capsys.readouterr().out
 
 
+def test_bootstrap_manifest_reports_resamples(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        design={"n": 20, "r": 10},
+        estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": "0.5"}},
+        experiment={"sim_steps": 100, "B": 16},
+        output={"directory": str(tmp_path / "out")},
+    )
+    assert main(["bootstrap", "--config", cfg]) == 0
+    results = read_manifest(tmp_path / "out")["results"]
+    assert set(results) == {"resamples_used", "bootstrap_fallback_resamples"}
+    rows = (tmp_path / "out" / "bootstrap_summary.csv").read_text().splitlines()
+    assert results["resamples_used"] == int(rows[1].split(",")[-1])
+    assert 0 <= results["bootstrap_fallback_resamples"] <= 16
+
+
 def test_oracle_check_cli_pass_and_negative_control(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -309,6 +325,11 @@ def test_estimate_manifest_reports_surface_fallback(tmp_path):
         ("model", {"kind": "expressions", "mu": "1/0", "sigma": "0.2", "xi": "0.3"}),
         ("model", {"kind": "expressions", "mu": "-1", "sigma": "minimum(t)", "xi": "0.3"}),
         ("model", {"kind": "expressions", "mu": "-1", "sigma": "0.2", "xi": "t ** 'a'"}),
+        ("model", {**CONSTANT_MODEL, "params": {**CONSTANT_MODEL["params"], "sigma": 5}}),
+        ("model", {"params": {"mu": -1.0}}),
+        ("model", {"params": 5}),
+        ("model", {"x0": {"kind": "point", "value": 1.0, "sd": 3}}),
+        ("model", {"x0": {"kind": "normal", "mean": 1.0, "sd": 0.5, "value": 1.0}}),
     ],
 )
 def test_mistyped_config_value_exits_2(tmp_path, capsys, section, values):

@@ -18,10 +18,12 @@ from sparsesde import (
     constant_model,
     cov_value,
     default_bandwidth_cov,
+    default_bandwidth_mean,
     fit_cov_at,
     fit_cov_grid,
     fit_diag,
     fit_diagonal_inclusive,
+    fit_mean_at,
     noise_variance_estimate,
     observe,
     pair_scatter,
@@ -29,7 +31,8 @@ from sparsesde import (
     solve_moments,
     sinusoid_model,
 )
-from sparsesde.covfit import replace_responses
+from sparsesde.bootstrap import _curve_pair_sums
+from sparsesde.covfit import _pair_sums, replace_responses
 
 from conftest import make_obs
 
@@ -51,6 +54,34 @@ def test_pair_scatter_counts_and_values():
     assert with_diag.size == 4
     assert with_diag.includes_diagonal
     assert np.sum(with_diag.p) == pytest.approx(6.0 + 6.0 + 4.0 + 9.0)
+
+
+def _loop_pair_scatter(obs, include_diagonal):
+    """Curve-by-curve reference for pair_scatter: (u, v, p) arrays."""
+    us, vs, ps = [], [], []
+    for sl in obs.curve_slices():
+        T, Y = obs.t[sl], obs.y[sl]
+        r = T.size
+        for j in range(r):
+            for k in range(r):
+                if include_diagonal or j != k:
+                    us.append(T[j])
+                    vs.append(T[k])
+                    ps.append(Y[j] * Y[k])
+    return np.array(us), np.array(vs), np.array(ps)
+
+
+@pytest.mark.parametrize("include_diagonal", [False, True])
+def test_pair_scatter_matches_loop_reference(rng, include_diagonal):
+    sizes = [2, 7, 3, 2, 11, 5]
+    obs = make_obs([(np.sort(rng.random(r)), rng.standard_normal(r)) for r in sizes])
+    sc = pair_scatter(obs, include_diagonal)
+    u, v, p = _loop_pair_scatter(obs, include_diagonal)
+    # same elements in the same order, bit for bit
+    npt.assert_array_equal(sc.u, u)
+    npt.assert_array_equal(sc.v, v)
+    npt.assert_array_equal(sc.p, p)
+    assert sc.size == sum(r * r if include_diagonal else r * (r - 1) for r in sizes)
 
 
 def test_pair_scatter_stays_within_curve():
@@ -218,6 +249,34 @@ def test_diagonal_inclusive_targets_level_plus_noise(rng):
     npt.assert_allclose(vals, 4.0, atol=1e-8)
 
 
+def _common_grid_panel():
+    # every curve sees the same 21 times, so windows hold few distinct times
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 1.0, 21)
+    return make_obs([(t, 1.0 + t + 0.3 * rng.standard_normal(21)) for _ in range(12)])
+
+
+@pytest.mark.parametrize(
+    "panel, h",
+    [("simulated", None), ("half-covered", 0.05), ("common-grid", 0.04)],
+)
+def test_diagonal_inclusive_matches_per_point_fits(panel, h):
+    obs = {
+        "simulated": _simulated_panel,
+        "half-covered": _half_covered_panel,
+        "common-grid": _common_grid_panel,
+    }[panel]()
+    grid = np.linspace(0.0, 0.7, 36)
+    got = fit_diagonal_inclusive(obs, grid, h=h)
+    sq = replace_responses(obs, obs.y**2)
+    h_ref = default_bandwidth_mean(sq, 1) if h is None else h
+    ref = np.array([fit_mean_at(sq, float(t), d=1, h_m=h_ref)[0] for t in grid])
+    npt.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+    # the sparse panels hold windows with < 2 distinct times at h, which widen
+    distinct = [np.unique(obs.t[np.abs(obs.t - t) < h_ref]).size for t in grid]
+    assert (min(distinct) < 2) == (panel != "simulated")
+
+
 def test_single_sparse_curve_runs_out_of_pairs():
     obs = make_obs([(np.array([0.45, 0.55]), np.array([1.0, 2.0]))])
     sc = pair_scatter(obs)
@@ -276,6 +335,16 @@ def test_replace_responses_keeps_design():
     npt.assert_array_equal(swapped.curve_id, obs.curve_id)
     npt.assert_array_equal(swapped.y, [5.0, 6.0])
     npt.assert_array_equal(obs.y, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_curve_pair_sums_add_up_to_pair_sums(d):
+    obs = _simulated_panel()
+    s_pts, t_pts = np.array([0.2, 0.5, 0.7]), np.array([0.4, 0.5, 0.9])
+    per_curve = _curve_pair_sums(obs, 0.2, EPANECHNIKOV, d, s_pts, t_pts)
+    total = _pair_sums(obs, 0.2, EPANECHNIKOV, d, s_pts, t_pts)
+    for got, ref in zip(per_curve, total):
+        npt.assert_allclose(got.sum(axis=-1).squeeze(), ref, rtol=1e-12, atol=1e-12)
 
 
 def _grid_reference(obs, grid, d, h, kernel):

@@ -26,8 +26,13 @@ from sparsesde import (
     simulate_ensemble,
     sinusoid_model,
 )
+from sparsesde.bootstrap import point_estimates
+from sparsesde.errors import SparseSdeError
 from sparsesde.harness import (
+    _STREAM_BOOTSTRAP,
     _STREAM_REPLICATION,
+    _drift_stage,
+    _resolve_settings,
     _single_n,
     build_design,
     build_policy,
@@ -352,6 +357,93 @@ def test_bootstrap_point_matches_estimate_at_t_star():
     assert point["mu"] == coeffs.mu_hat[i]
     s_boot = point["sigma2"] + bundle.unit_levy.nu_K * point["xi2"]
     assert s_boot == pytest.approx(coeffs.s_diag[i], rel=1e-10, abs=0.0)
+
+
+def _chain_bootstrap(cfg, obs):
+    """Reference bootstrap: the per-resample chain over the draws of run_bootstrap.
+
+    Returns (used mask, BMSE per quantity centred on the point estimate).
+    """
+    st = _resolve_settings(cfg, obs)
+    thr = _drift_stage(obs, st)[3]
+    t_star, B = cfg.experiment["t_star"], cfg.experiment["B"]
+    point = point_estimates(obs, t_star, st, thr)
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.experiment["master_seed"], _STREAM_BOOTSTRAP])
+    )
+    draws = rng.integers(0, obs.n, size=(B, obs.n))
+    used = np.zeros(B, dtype=bool)
+    vals = []
+    for b in range(B):
+        try:
+            vals.append(point_estimates(obs.subset(draws[b]), t_star, st, thr))
+        except SparseSdeError:
+            continue
+        used[b] = True
+    vals = np.array(vals)
+    keys = ("mu", "sigma2", "xi2")
+    return used, {k: float(np.mean((vals[:, i] - point[i]) ** 2)) for i, k in enumerate(keys)}
+
+
+def _gap_panel():
+    # four curves see t* = 0.5 at h = 0.1, the rest only [0, 0.34] and [0.66, 1]:
+    # resamples drawing too few of the four widen their windows
+    rng = np.random.default_rng(7)
+    curves = []
+    for i in range(40):
+        if i < 4:
+            near = 0.44 + 0.03 * i + np.array([0.0, 0.03, 0.06])
+            t = np.concatenate((rng.uniform(0.05, 0.3, 2), near, rng.uniform(0.7, 0.95, 2)))
+        else:
+            t = np.concatenate((rng.uniform(0.0, 0.34, 3), rng.uniform(0.66, 1.0, 3)))
+        t = np.sort(t)
+        level = 1.0 + 0.5 * rng.standard_normal()
+        curves.append((t, level + 0.3 * t + 0.05 * rng.standard_normal(t.size)))
+    return make_obs(curves)
+
+
+def _low_mean_panel():
+    # curve levels scatter around 0.3 with sd 0.6, so m_hat(0.5) of a few
+    # resamples falls below the drift threshold 0.012
+    rng = np.random.default_rng(7)
+    curves = []
+    for _ in range(40):
+        t = np.sort(rng.uniform(0.0, 1.0, 6))
+        level = 0.3 + 0.6 * rng.standard_normal()
+        curves.append((t, level + 0.2 * (t - 0.5) + 0.05 * rng.standard_normal(6)))
+    return make_obs(curves)
+
+
+@pytest.mark.parametrize("d_mean, d_cov", [(1, 1), (2, 2), (2, 1), (1, 2)])
+@pytest.mark.parametrize("panel", ["simulated", "gap", "low-mean"])
+def test_bootstrap_matches_per_resample_chain(panel, d_mean, d_cov):
+    est = {"d_mean": d_mean, "d_cov": d_cov, "eval_points": 21}
+    est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
+    if panel == "simulated":
+        experiment = {"B": 60, "sim_steps": 200}
+        cfg = parse_config(cfg_dict(design={"n": 30, "r": 8}, estimation=est, experiment=experiment))
+        bundle = build_model(cfg)
+        obs = observe(simulate_paths(cfg, bundle, 11, 30), build_design(cfg), 11)
+    elif panel == "gap":
+        est.update(h_m=0.1, h_G=0.1)
+        cfg = parse_config(cfg_dict(estimation=est, experiment={"B": 60}))
+        obs = _gap_panel()
+    else:
+        est["mu_threshold"] = 0.012
+        cfg = parse_config(cfg_dict(estimation=est, experiment={"B": 60}))
+        obs = _low_mean_panel()
+    result = run_bootstrap(cfg, obs)
+    used, bmse = _chain_bootstrap(cfg, obs)
+    npt.assert_array_equal(result.used, used)
+    assert result.n_success == int(used.sum())
+    for key, ref in bmse.items():
+        assert result.bmse[key] == pytest.approx(ref, rel=1e-10, abs=0.0), key
+    if panel == "gap":
+        assert result.fallback > 0
+    else:
+        assert result.fallback == 0
+    if panel == "low-mean":
+        assert result.n_success < 60
 
 
 def test_emse_rows_match_estimate_on_regenerated_panels():

@@ -238,6 +238,22 @@ def test_subset_renumbers_with_repeats():
     npt.assert_array_equal(sub.t, [0.3, 0.4, 0.3, 0.4, 0.1, 0.2])
 
 
+def test_subset_matches_loop_reference(rng):
+    sizes = [3, 2, 8, 5, 2]
+    obs = make_obs([(np.sort(rng.random(r)), rng.standard_normal(r)) for r in sizes])
+    ids = [4, 2, 2, 0, 4, 3, 1, 2]
+    sub = obs.subset(ids)
+    slices = obs.curve_slices()
+    ref_t = np.concatenate([obs.t[slices[i]] for i in ids])
+    ref_y = np.concatenate([obs.y[slices[i]] for i in ids])
+    ref_id = np.concatenate([np.full(sizes[i], k) for k, i in enumerate(ids)])
+    npt.assert_array_equal(sub.t, ref_t)
+    npt.assert_array_equal(sub.y, ref_y)
+    npt.assert_array_equal(sub.curve_id, ref_id)
+    assert sub.curve_id.dtype == ref_id.dtype
+    sub.validate()
+
+
 def test_validate_catches_unordered_and_out_of_range():
     with pytest.raises(ValidationError):
         make_obs([([0.2, 0.1], [1.0, 2.0])])
