@@ -20,16 +20,9 @@ import math
 
 import numpy as np
 
-from .covfit import (
-    DIAG_EPS_FACTOR,
-    _monomial_exponents,
-    _solve_cells,
-    _window_features,
-    fit_diag,
-    pair_scatter,
-)
-from .errors import EstimationFailedError
-from .meanfit import fit_mean_at
+from .covfit import DIAG_EPS_FACTOR, _monomial_exponents, _window_features, fit_diag, pair_scatter
+from .errors import EstimationFailedError, SparseWindowError
+from .meanfit import _solve_cells, fit_mean_points
 from .recover import separate
 
 KEYS = ("mu", "sigma2", "xi2")
@@ -40,9 +33,12 @@ def point_estimates(data, t_star: float, st, thr: float) -> tuple[float, float, 
 
     `st` holds the run's settings (`harness._Settings`).  Mean fit, drift
     threshold, diagonal surface fit, separation; each fit widens its window
-    as it needs.  Raises SparseSdeError when a step fails.
+    as it needs, and the mean fit is the one `fit_mean_curve` makes at
+    t_star.  Raises SparseSdeError when a step fails.
     """
-    m, dm = fit_mean_at(data, t_star, st.d_mean, st.h_m, st.kernel)
+    (m,), (dm,), (failed,) = fit_mean_points(data, [t_star], st.d_mean, st.h_m, st.kernel)
+    if failed:
+        raise SparseWindowError(t_star)
     if abs(m) < thr:
         raise EstimationFailedError(f"|m_hat({t_star})| below drift threshold")
     mu = dm / m

@@ -40,12 +40,13 @@ from .errors import (
 )
 from .kernels import EPANECHNIKOV, KernelSpec
 from .meanfit import (
-    _COND_LIMIT,
     MAX_WIDEN,
     WIDEN_FACTOR,
     _clamped_bandwidth,
+    _features,
+    _solve_cells,
     default_bandwidth_mean,
-    fit_mean_at,
+    fit_mean_points,
     solve_wls,
 )
 from .observe import SparseObservations
@@ -55,11 +56,6 @@ DIAG_EPS_FACTOR = 1e-3
 
 # curves per block of the factorised grid fit; keeps its working set at a few MB
 _CURVE_BLOCK = 64
-# candidate rows of a window reach this many bandwidths from its centre,
-# so rounding in (T - t)/h cannot drop a row the kernel still weights
-_WINDOW_MARGIN = 1.01
-# (centre, row) pairs per block of the batched diagonal-inclusive fit
-_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -206,20 +202,13 @@ def fit_diag(
 
 
 def _window_features(obs: SparseObservations, lo: int, hi: int, centres, h, kernel, d):
-    """Per-observation features of rows lo:hi at each centre c, with a = (T - c)/h.
+    """`meanfit._features` of rows lo:hi at each centre c, with a = (T - c)/h.
 
-    Returns the kernel moments K(a) a^P for P = 0..2d, the responses
-    K(a) a^p Y for p = 0..d and the window indicator K(a) > 0, each stacked
-    as (power, centre, observation).
+    Returns its moments, responses and window indicator, each stacked as
+    (power, centre, observation).
     """
-    a = (obs.t[None, lo:hi] - centres[:, None]) / h
-    mom = np.empty((2 * d + 1,) + a.shape)
-    mom[0] = kernel.values(a)
-    for P in range(1, 2 * d + 1):
-        mom[P] = mom[P - 1] * a
-    resp = mom[: d + 1] * obs.y[lo:hi]
-    ind = (mom[:1] > 0).astype(float)
-    return mom, resp, ind
+    F = _features((obs.t[None, lo:hi] - centres[:, None]) / h, obs.y[lo:hi], kernel, d)
+    return F[: 2 * d + 1], F[2 * d + 1 : -1], F[-1:]
 
 
 def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
@@ -255,31 +244,6 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
             sums[k] = sums[k] + contract(cx, cy) - contract(x, y)
     M, R, count = sums
     return M, R, count[0, 0]
-
-
-def _solve_cells(M, R, count, expo):
-    """Batched local polynomial solve for each cell from its window sums.
-
-    The basis column (p, q) of `expo` is a^p b^q, so the normal matrix holds
-    M[p + p', q + q'] and the response R[p, q]; a mean fit uses exponents
-    (p, 0).  Applies the checks of `solve_wls` (count of active rows or
-    pairs >= columns, finite condition <= its limit); returns the
-    coefficients in `expo` order and a mask of the cells that passed.
-    """
-    expo = np.asarray(expo)
-    ncols = len(expo)
-    p, q = expo[:, 0], expo[:, 1]
-    A = np.moveaxis(M[p[:, None] + p[None, :], q[:, None] + q[None, :]], (0, 1), (-2, -1))
-    b = np.moveaxis(R[p, q], 0, -1)
-    ok = count >= ncols
-    cond = np.full(count.shape, np.inf)
-    if ok.any():
-        cond[ok] = np.linalg.cond(A[ok])
-    ok &= np.isfinite(cond) & (cond <= _COND_LIMIT)
-    beta = np.full(b.shape, np.nan)
-    if ok.any():
-        beta[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
-    return beta, ok
 
 
 def fit_cov_grid(
@@ -367,34 +331,6 @@ def fit_cov_grid(
     )
 
 
-def _window_sums(T, Y, times, centres, reach, h, kernel):
-    """Local linear window sums at each centre over the time-sorted rows T, Y.
-
-    With a = (T - centre)/h, returns the sums of K(a) a^P for P = 0..2 and of
-    K(a) a^p Y for p = 0..1, and the count of the sorted distinct `times`
-    with K(a) > 0.  Only rows within reach of a centre are visited; rows
-    there but outside the kernel window get K = 0.
-    """
-    def pairs(sorted_t):
-        lo = np.searchsorted(sorted_t, centres - reach)
-        size = np.searchsorted(sorted_t, centres + reach, "right") - lo
-        point = np.repeat(np.arange(centres.size), size)
-        rows = np.arange(int(size.sum())) + np.repeat(lo - (np.cumsum(size) - size), size)
-        return point, rows, (sorted_t[rows] - centres[point]) / h
-
-    def total(point, weights):
-        return np.bincount(point, weights, minlength=centres.size)
-
-    point, rows, a = pairs(T)
-    k = kernel.values(a)
-    ka = k * a
-    y = Y[rows]
-    M = [total(point, w) for w in (k, ka, ka * a)]
-    R = [total(point, w) for w in (k * y, ka * y)]
-    point, _, a = pairs(times)
-    return M, R, total(point, kernel.values(a) > 0)
-
-
 def fit_diagonal_inclusive(
     obs: SparseObservations,
     eval_times: np.ndarray,
@@ -406,35 +342,17 @@ def fit_diagonal_inclusive(
     This is the fit that does NOT exclude same-index products, so it
     estimates D(t) + rho^2 rather than D(t).  It serves as the biased
     control in diagnostics and as an ingredient of the noise variance
-    estimate.  The local linear fits at all points come from window sums
-    over the time-sorted observations and one batched solve under the
-    checks of `fit_mean_at`; a point failing them at h is refitted by
-    `fit_mean_at`, which widens its window.
+    estimate.  The local linear fits come from the batched
+    `fit_mean_points`; a point that fails even after widening raises
+    SparseWindowError.
     """
     sq = replace_responses(obs, obs.y**2)
     if h is None:
         h = default_bandwidth_mean(sq, 1)
     eval_times = np.asarray(eval_times, dtype=float)
-    order = np.argsort(sq.t, kind="stable")
-    T, Y2 = sq.t[order], sq.y[order]
-    times = T[np.concatenate(([True], np.diff(T) > 0))]
-    reach = _WINDOW_MARGIN * h
-    # mean-fit sums with the exponent pairs (P, 0), in blocks of centres
-    # that visit at most _PAIR_BLOCK (centre, row) pairs each
-    M = np.empty((3, 1, eval_times.size))
-    R = np.empty((2, 1, eval_times.size))
-    distinct = np.empty(eval_times.size, dtype=int)
-    lo = np.searchsorted(T, eval_times - reach)
-    widest = int(np.max(np.searchsorted(T, eval_times + reach, "right") - lo))
-    step = max(1, _PAIR_BLOCK // max(widest, 1))
-    for c0 in range(0, eval_times.size, step):
-        block = slice(c0, c0 + step)
-        sums = _window_sums(T, Y2, times, eval_times[block], reach, h, kernel)
-        M[:, 0, block], R[:, 0, block], distinct[block] = sums
-    beta, ok = _solve_cells(M, R, distinct, [(0, 0), (1, 0)])
-    out = beta[:, 0]
-    for i in np.flatnonzero(~ok):
-        out[i], _ = fit_mean_at(sq, float(eval_times[i]), d=1, h_m=h, kernel=kernel)
+    out, _, flags = fit_mean_points(sq, eval_times, 1, h, kernel)
+    if flags.any():
+        raise SparseWindowError(float(eval_times[np.argmax(flags)]))
     return out
 
 

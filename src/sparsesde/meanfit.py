@@ -5,6 +5,14 @@ of Y on powers of (T - t) inside a kernel window: the intercept estimates
 m(t) and the linear coefficient estimates m'(t) directly, because the basis
 uses raw centred powers rather than an orthogonalised system.  Degree 2 is
 the default so the first derivative is not bias-limited at curve ends.
+
+`fit_mean_points` fits a whole grid at once.  In the time-sorted data each
+centre's window is one segment of rows; one `np.add.reduceat` per block of
+centres sums its kernel moments, responses and distinct active times, and
+one batched solve applies the checks of `fit_mean_at` (distinct times
+>= d + 1, condition <= its limit).  A centre failing them is refitted by
+`fit_mean_at`, which widens its window or flags it.  A centre reads only
+its own segment, so it fits the same whatever other centres share the call.
 """
 
 from __future__ import annotations
@@ -27,6 +35,12 @@ WIDEN_FACTOR = 1.5
 MAX_WIDEN = 5
 
 _COND_LIMIT = 1e12
+
+# candidate rows of a window reach this many bandwidths from its centre,
+# so rounding in (T - t)/h cannot drop a row the kernel still weights
+_WINDOW_MARGIN = 1.01
+# (centre, row) pairs per block of the batched fit; keeps its working set small
+_PAIR_BLOCK = 1 << 11
 
 
 def solve_wls(
@@ -143,6 +157,87 @@ def fit_mean_at(
     raise SparseWindowError(t)
 
 
+def _solve_cells(M, R, count, expo):
+    """Batched local polynomial solve for each cell from its window sums.
+
+    The basis column (p, q) of `expo` is a^p b^q, so the normal matrix holds
+    M[p + p', q + q'] and the response R[p, q]; a mean fit uses exponents
+    (p, 0).  Applies the checks of `solve_wls` (count of active rows or
+    pairs >= columns, finite condition <= its limit); returns the
+    coefficients in `expo` order and a mask of the cells that passed.
+    """
+    expo = np.asarray(expo)
+    ncols = len(expo)
+    p, q = expo[:, 0], expo[:, 1]
+    A = np.moveaxis(M[p[:, None] + p[None, :], q[:, None] + q[None, :]], (0, 1), (-2, -1))
+    b = np.moveaxis(R[p, q], 0, -1)
+    ok = count >= ncols
+    cond = np.full(count.shape, np.inf)
+    if ok.any():
+        cond[ok] = np.linalg.cond(A[ok])
+    ok &= np.isfinite(cond) & (cond <= _COND_LIMIT)
+    beta = np.full(b.shape, np.nan)
+    if ok.any():
+        beta[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+    return beta, ok
+
+
+def _features(a: np.ndarray, y: np.ndarray, kernel: KernelSpec, d: int) -> np.ndarray:
+    """Stacked rows K(a)a^P (P = 0..2d), K(a)a^p y (p = 0..d) and K(a) > 0 at offsets a."""
+    F = np.empty((3 * d + 3,) + a.shape)
+    F[0] = kernel.values(a)
+    for P in range(1, 2 * d + 1):
+        F[P] = F[P - 1] * a
+    F[2 * d + 1 : 3 * d + 2] = F[: d + 1] * y
+    F[-1] = F[0] > 0
+    return F
+
+
+def fit_mean_points(
+    obs: SparseObservations,
+    centres: np.ndarray,
+    d: int,
+    h_m: float,
+    kernel: KernelSpec = EPANECHNIKOV,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean fits (m_hat, dm_hat, flags) at every centre, batched as described above.
+
+    Flagged centres failed even after widening and hold NaN.
+    """
+    if d < 1:
+        raise ValidationError("need degree >= 1 to report a derivative")
+    if h_m <= 0:
+        raise ValidationError("bandwidth must be positive")
+    h = float(h_m)
+    centres = np.asarray(centres, dtype=float)
+    order = np.argsort(obs.t, kind="stable")
+    T, Y = obs.t[order], obs.y[order]
+    first = np.diff(T, prepend=-np.inf) > 0  # equal times share a window; count each once
+    lo = np.searchsorted(T, centres - _WINDOW_MARGIN * h)
+    size = np.searchsorted(T, centres + _WINDOW_MARGIN * h, "right") - lo
+    sums = np.zeros((3 * d + 3, centres.size))  # `_features`, counting distinct times
+    step = max(1, _PAIR_BLOCK // max(int(size.max(initial=0)), 1))
+    for c0 in range(0, centres.size, step):
+        sz = size[c0 : c0 + step]
+        starts = np.cumsum(sz) - sz
+        rows = np.arange(int(sz.sum())) + np.repeat(lo[c0 : c0 + step] - starts, sz)
+        F = _features((T[rows] - np.repeat(centres[c0 : c0 + step], sz)) / h, Y[rows], kernel, d)
+        F[-1] *= first[rows]
+        nz = np.flatnonzero(sz)  # an empty segment keeps its zeros
+        if nz.size:
+            sums[:, c0 + nz] = np.add.reduceat(F, starts[nz], axis=1)
+    M, R = sums[: 2 * d + 1, None], sums[2 * d + 1 : -1, None]
+    beta, ok = _solve_cells(M, R, sums[-1], [(p, 0) for p in range(d + 1)])
+    m, dm = beta[:, 0], beta[:, 1] / h
+    flags = np.zeros(centres.size, dtype=bool)
+    for i in np.flatnonzero(~ok):
+        try:
+            m[i], dm[i] = fit_mean_at(obs, float(centres[i]), d, h, kernel)
+        except SparseWindowError:
+            flags[i] = True
+    return m, dm, flags
+
+
 def fit_mean_curve(
     obs: SparseObservations,
     eval_grid: np.ndarray,
@@ -155,14 +250,7 @@ def fit_mean_curve(
     eval_grid = np.asarray(eval_grid, dtype=float)
     if h_m is None:
         h_m = default_bandwidth_mean(obs, d)
-    m = np.full(eval_grid.size, np.nan)
-    dm = np.full(eval_grid.size, np.nan)
-    flags = np.zeros(eval_grid.size, dtype=bool)
-    for i, t in enumerate(eval_grid):
-        try:
-            m[i], dm[i] = fit_mean_at(obs, float(t), d, h_m, kernel)
-        except SparseWindowError:
-            flags[i] = True
+    m, dm, flags = fit_mean_points(obs, eval_grid, d, h_m, kernel)
     if flags.mean() > max_flagged_frac:
         raise EstimationFailedError(
             f"{int(flags.sum())}/{flags.size} mean fit points failed"

@@ -27,10 +27,12 @@ _STREAM_NOISE = 3
 # bounded re-draw before deterministic tie-breaking in draw_design
 _MAX_REDRAW = 100
 _TIE_EPS = 1e-12
+# curves per block of the interpolation in observe; keeps its temporaries small
+_CURVE_BLOCK = 256
 
 
 class UniformDesign:
-    """Uniform design density on [0, 1]."""
+    """Uniform design density on [0, 1]; `sample(rng, k * r)` is k `sample(rng, r)` calls."""
 
     min_density = 1.0
 
@@ -42,7 +44,8 @@ class ClippedLinearDesign:
     """Density proportional to max(2t, floor) on [0, 1].
 
     The floor keeps the density bounded away from zero, which the theory
-    requires; sampling is by the exact piecewise inverse CDF.
+    requires; sampling is by the exact piecewise inverse CDF of one uniform
+    per point, so `sample(rng, k * r)` is k consecutive `sample(rng, r)` calls.
     """
 
     def __init__(self, floor: float = 0.1):
@@ -125,11 +128,15 @@ class SparseObservations:
             raise ValidationError("observation times must lie in [0, 1]")
         if not np.all(np.isfinite(self.y)):
             raise ValidationError("observation values must be finite")
-        for i, sl in enumerate(self.curve_slices()):
-            if sl.stop - sl.start < 2:
-                raise ValidationError(f"curve {i} has fewer than 2 observations")
-            if np.any(np.diff(self.t[sl]) <= 0):
-                raise ValidationError(f"curve {i} times are not strictly increasing")
+        bounds = self.curve_bounds()
+        short = np.flatnonzero(np.diff(bounds) < 2)
+        # curves holding a row not above the row before it
+        step = np.flatnonzero((np.diff(self.t) <= 0) & (np.diff(self.curve_id) == 0))
+        unsorted = np.searchsorted(bounds, step, "right") - 1
+        if short.size and not (unsorted.size and unsorted[0] < short[0]):
+            raise ValidationError(f"curve {short[0]} has fewer than 2 observations")
+        if unsorted.size:
+            raise ValidationError(f"curve {unsorted[0]} times are not strictly increasing")
 
     def subset(self, curve_ids) -> "SparseObservations":
         """New observation set from the given curves, renumbered 0..k-1.
@@ -174,8 +181,13 @@ def observe(
 ) -> SparseObservations:
     """Sample the observation scheme on every path of the ensemble.
 
-    Normalised design times are mapped affinely onto the path grid's span
-    before interpolating the path values.
+    One `design_law.sample(rng, n * r)` call gives n sorted rows of r times.
+    A design law must return what n consecutive `sample(rng, r)` calls
+    would, so the rows equal the curve-by-curve draws of `draw_design`; a
+    row with a tie rewinds the generator and `draw_design` draws curve by
+    curve instead.  The noise is one draw of n * r values.  Design times are
+    mapped affinely onto the path grid's span, where the paths are
+    interpolated a block of curves at a time with the arithmetic of `np.interp`.
     """
     design_rng = np.random.default_rng(
         np.random.SeedSequence([seed, _STREAM_DESIGN])
@@ -188,24 +200,39 @@ def observe(
         else noise_seed
     )
     g = paths.grid
-    n = paths.n
-    cid = np.repeat(np.arange(n), cfg.r)
-    tt = np.empty(n * cfg.r)
-    yy = np.empty(n * cfg.r)
-    for i in range(n):
-        T = draw_design(cfg.design_law, cfg.r, design_rng)
-        abs_t = g.t0 + (g.t1 - g.t0) * T
-        if abs_t[0] < g.t0 - 1e-12 or abs_t[-1] > g.t1 + 1e-12:
-            raise DesignRangeError(
-                f"design time outside simulated span [{g.t0}, {g.t1}]"
-            )
-        U = _draw_noise(noise_rng, cfg, cfg.r)
-        sl = slice(i * cfg.r, (i + 1) * cfg.r)
-        tt[sl] = T
-        yy[sl] = paths.path_at(i, abs_t) + U
-    obs = SparseObservations(curve_id=cid, t=tt, y=yy)
+    n, r = paths.n, cfg.r
+    state = design_rng.bit_generator.state
+    T = np.sort(cfg.design_law.sample(design_rng, n * r).reshape(n, r), axis=1)
+    if not np.all(np.diff(T, axis=1) > 0):
+        design_rng.bit_generator.state = state
+        T = np.array([draw_design(cfg.design_law, r, design_rng) for _ in range(n)])
+    X = np.empty((n, r))
+    for c0 in range(0, n, _CURVE_BLOCK):
+        rows = slice(c0, c0 + _CURVE_BLOCK)
+        abs_t = g.t0 + (g.t1 - g.t0) * T[rows]
+        if np.any(abs_t < g.t0 - 1e-12) or np.any(abs_t > g.t1 + 1e-12):
+            raise DesignRangeError(f"design time outside simulated span [{g.t0}, {g.t1}]")
+        X[rows] = _interp_rows(abs_t, g.points, paths.values[rows])
+    y = X.ravel()
+    y += _draw_noise(noise_rng, cfg, n * r)
+    obs = SparseObservations(curve_id=np.repeat(np.arange(n), r), t=T.ravel(), y=y)
     obs.validate()
     return obs
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x[i], xp, fp[i]) for every row i, by the same arithmetic.
+
+    Inside segment j the value is slope * (x - xp[j]) + fp[j]; a point on a
+    knot, or beyond either end, takes that knot's value.
+    """
+    last = xp.size - 1
+    j = np.clip(np.searchsorted(xp, x, "right") - 1, 0, last)
+    k = np.minimum(j, last - 1)  # the segment of an interior point; unused on knots
+    y0 = np.take_along_axis(fp, k, axis=1)
+    slope = (np.take_along_axis(fp, k + 1, axis=1) - y0) / (xp[k + 1] - xp[k])
+    knot = (x <= xp[j]) | (j == last)
+    return np.where(knot, np.take_along_axis(fp, j, axis=1), slope * (x - xp[k]) + y0)
 
 
 def _draw_noise(rng: np.random.Generator, cfg: DesignConfig, size: int) -> np.ndarray:

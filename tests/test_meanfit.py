@@ -27,6 +27,7 @@ from sparsesde import (
     solve_wls,
     sinusoid_model,
 )
+from sparsesde.meanfit import fit_mean_points
 
 from conftest import make_obs
 
@@ -226,3 +227,66 @@ def test_mean_fit_error_shrinks_with_n():
     errs_big = np.median([sup_err(200, s) for s in range(7000, 7020)])
     assert errs_big < errs_small
     assert errs_big < 0.12
+
+
+def _half_covered_panel():
+    # curves live on [0, 0.7]: windows past 0.7 widen, those past ~0.93 stay empty
+    rng = np.random.default_rng(12)
+    return make_obs(
+        [(np.sort(rng.random(6)) * 0.7, 1.0 + rng.standard_normal(6)) for _ in range(30)]
+    )
+
+
+def _simulated_panel():
+    paths = simulate_ensemble(
+        sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 200), PointMass(1.0), 150, 8
+    )
+    return observe(paths, DesignConfig(r=6, noise_sd=0.1), seed=8)
+
+
+def _cond_at(obs, t, d, h, kernel):
+    """Condition number of the normal matrix of `fit_mean_at` at t and bandwidth h."""
+    u = (obs.t - t) / h
+    w = kernel.values(u)
+    if np.unique(obs.t[w > 0]).size < d + 1:
+        return np.inf
+    basis = np.vander(u[w > 0], d + 1, increasing=True)
+    return np.linalg.cond((basis * w[w > 0, None]).T @ basis)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN_TRUNCATED])
+@pytest.mark.parametrize("panel", ["simulated", "half-covered"])
+def test_mean_curve_matches_per_point_fits(panel, kernel, d):
+    obs = {"simulated": _simulated_panel, "half-covered": _half_covered_panel}[panel]()
+    h = None if panel == "simulated" else 0.03
+    grid = np.linspace(0.0, 1.0, 51)
+    est = fit_mean_curve(obs, grid, d, h, kernel)
+    ref = np.full((grid.size, 2), np.nan)
+    for i, t in enumerate(grid):
+        try:
+            ref[i] = fit_mean_at(obs, float(t), d, est.bandwidth, kernel)
+        except SparseWindowError:
+            pass
+    npt.assert_array_equal(est.flags, np.isnan(ref[:, 0]))
+    # the two routes form the normal matrix in different orders, and a solve
+    # amplifies that rounding by the matrix's condition; windows that fail at
+    # h go to fit_mean_at in both and agree exactly
+    cond = np.array([_cond_at(obs, t, d, est.bandwidth, kernel) for t in grid])
+    rtol = np.where(cond <= 1e12, np.maximum(1e-10, 1e-15 * cond), 0.0)
+    for got, want in ((est.m_hat, ref[:, 0]), (est.dm_hat, ref[:, 1])):
+        dev = np.abs(got - want) / np.abs(want)
+        assert np.all((dev <= rtol) | (np.isnan(got) & np.isnan(want))), np.nanmax(dev / rtol)
+    # the half-covered panel has windows that widen and points that stay flagged
+    distinct = [np.unique(obs.t[np.abs(obs.t - t) < est.bandwidth]).size for t in grid]
+    assert (min(distinct) < d + 1) == (panel == "half-covered")
+    assert est.flags.any() == (panel == "half-covered")
+
+
+def test_mean_points_do_not_depend_on_other_centres():
+    obs = _simulated_panel()
+    grid = np.linspace(0.0, 1.0, 51)
+    m, dm, _ = fit_mean_points(obs, grid, 2, 0.1)
+    for i in (0, 20, 50):
+        one = fit_mean_points(obs, grid[i : i + 1], 2, 0.1)
+        assert (one[0][0], one[1][0]) == (m[i], dm[i])

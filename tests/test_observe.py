@@ -25,6 +25,7 @@ from sparsesde import (
     simulate_ensemble,
     sinusoid_model,
 )
+from sparsesde.observe import _CURVE_BLOCK, _STREAM_DESIGN, _STREAM_NOISE
 
 from conftest import make_obs
 
@@ -270,3 +271,88 @@ def test_ingest_rejects_nan_time(tmp_path):
     f.write_text("curve_id,t,y\n0,0.1,1.0\n0,nan,2.0\n0,0.5,1.5\n")
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         ingest_csv(f)
+
+
+def test_validate_names_lowest_failing_curve():
+    ok = ([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+    short = ([0.4], [1.0])
+    unsorted = ([0.1, 0.3, 0.2], [1.0, 2.0, 3.0])
+
+    def message(curves, ids=None):
+        cid = np.concatenate([np.full(len(t), i) for i, (t, _) in enumerate(curves)])
+        obs = SparseObservations(
+            curve_id=cid if ids is None else np.asarray(ids)[cid],
+            t=np.concatenate([t for t, _ in curves]),
+            y=np.concatenate([y for _, y in curves]),
+        )
+        with pytest.raises(ValidationError) as exc:
+            obs.validate()
+        return str(exc.value)
+
+    assert message([ok, short, unsorted]) == "curve 1 has fewer than 2 observations"
+    assert message([ok, unsorted, short]) == "curve 1 times are not strictly increasing"
+    assert message([ok, ok, unsorted, ok, short]) == "curve 2 times are not strictly increasing"
+    assert message([ok, ok, ok, short, unsorted]) == "curve 3 has fewer than 2 observations"
+    # the index counts curve groups, not curve ids
+    assert message([ok, short, unsorted], ids=[3, 8, 9]) == "curve 1 has fewer than 2 observations"
+    # equal times inside one curve are out of order too
+    assert message([ok, ([0.2, 0.2], [1.0, 1.0])]) == "curve 1 times are not strictly increasing"
+
+
+class _LatticeDesign:
+    """Uniform draws rounded to a 1/32 lattice, so some curves draw tied times."""
+
+    min_density = 1.0
+
+    def sample(self, rng, r):
+        return np.round(rng.random(r) * 32.0) / 32.0
+
+
+def _observe_per_curve(paths, cfg, seed):
+    """Reference observation scheme: one curve at a time, each path through np.interp."""
+    design_rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DESIGN]))
+    noise_rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_NOISE]))
+    g = paths.grid
+    tt, yy = [], []
+    for i in range(paths.n):
+        T = draw_design(cfg.design_law, cfg.r, design_rng)
+        if cfg.noise_sd == 0:
+            U = np.zeros(cfg.r)
+        elif cfg.noise_law == "gaussian":
+            U = cfg.noise_sd * noise_rng.standard_normal(cfg.r)
+        else:
+            U = cfg.noise_sd * noise_rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), cfg.r)
+        tt.append(T)
+        yy.append(np.interp(g.t0 + (g.t1 - g.t0) * T, g.points, paths.values[i]) + U)
+    return np.repeat(np.arange(paths.n), cfg.r), np.concatenate(tt), np.concatenate(yy)
+
+
+@pytest.mark.parametrize(
+    "law, noise_law, noise_sd, span",
+    [
+        (UniformDesign(), "gaussian", 0.2, (0.0, 1.0)),
+        (UniformDesign(), "uniform", 0.2, (0.0, 2.0)),
+        (ClippedLinearDesign(0.3), "gaussian", 0.0, (0.0, 1.0)),
+        (ClippedLinearDesign(0.1), "uniform", 0.5, (0.0, 2.0)),
+        (_LatticeDesign(), "gaussian", 0.2, (0.0, 1.0)),
+    ],
+)
+def test_observe_matches_per_curve_reference(law, noise_law, noise_sd, span):
+    n, r, seed = _CURVE_BLOCK + 44, 3, 4  # more curves than one interpolation block
+    paths = simulate_ensemble(
+        sinusoid_model(span), LevyConfig(1.0), PathGrid(*span, 60), PointMass(1.0), n, 9
+    )
+    cfg = DesignConfig(r=r, noise_sd=noise_sd, design_law=law, noise_law=noise_law)
+    obs = observe(paths, cfg, seed)
+    cid, t, y = _observe_per_curve(paths, cfg, seed)
+    for got, ref in ((obs.curve_id, cid), (obs.t, t), (obs.y, y)):
+        assert got.dtype == ref.dtype
+        npt.assert_array_equal(got, ref)
+    if isinstance(law, _LatticeDesign):
+        # the one-shot draw ties on a later curve, so observe re-draws curve by curve
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DESIGN]))
+        rows = np.sort(law.sample(rng, n * r).reshape(n, r), axis=1)
+        tied = np.any(np.diff(rows, axis=1) <= 0, axis=1)
+        assert not tied[0] and tied.any()
+        # quarter points are path grid knots, where np.interp returns the knot value
+        assert np.isin(obs.t, [0.25, 0.5, 0.75]).any() and (obs.t == 1.0).any()
