@@ -14,12 +14,16 @@ Reproducibility: an ensemble derives one uint64 seed per path from the
 master seed via SeedSequence, plus a separate stream for initial values, so
 any single path can be regenerated bit-for-bit in isolation and workers in a
 parallel setting may own disjoint blocks of paths without sharing generator
-state.
+state.  Path i draws its normals straight into row i of the (n, steps+1)
+result, then its Poisson counts, of which only the nonzero ones are kept;
+the recursion then runs in place through that one array (see _euler_core).
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ from .model import CoefficientSet, LevyConfig
 # child-stream tags under the master seed
 _STREAM_PATHS = 0
 _STREAM_X0 = 1
+_BLOCK = 64  # steps per block of the in-place recursion (see _euler_core)
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,12 @@ class PathGrid:
     steps: int
 
     def __post_init__(self):
+        ends = (self.t0, self.t1)
+        if not all(isinstance(t, numbers.Real) and math.isfinite(t) for t in ends):
+            raise ValidationError(f"need finite t0, t1, got [{self.t0}, {self.t1}]")
         if not self.t1 > self.t0:
             raise ValidationError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if self.steps < 1:
-            raise ValidationError("need at least one step")
+        _check_count("steps", self.steps)
 
     @property
     def dt(self) -> float:
@@ -74,65 +81,74 @@ class SamplePathSet:
 
 
 def _euler_core(
-    coeffs: CoefficientSet,
-    levy: LevyConfig,
-    grid: PathGrid,
-    x0: np.ndarray,
-    Z: np.ndarray,
-    N: np.ndarray,
+    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0, seeds
 ) -> np.ndarray:
-    """Shared recursion; Z, N have shape (steps, m), x0 shape (m,).
+    """Paths from default_rng(seed) per seed; returns shape (len(seeds), steps+1).
 
-    Returns values with shape (m, steps+1).  The loop is over time, with all
-    paths advanced at once: per-element arithmetic is identical whether m is
-    1 or 10^4, so single-path and ensemble runs agree bitwise.
+    Time is walked in blocks of _BLOCK steps: the block's normals are copied
+    out transposed and scaled by sigma(t_k) sqrt(dt), its jump increments
+    xi(t_k) (N_k - nu_K dt) are built from the sparse counts, all paths step
+    ahead, and the states overwrite the normals they used.  Each element sees
+    ((x + mu x dt) + sigma sqrt(dt) Z) + xi (N - nu_K dt) in that order for
+    any number of paths, so single-path and ensemble runs agree bitwise.
     """
-    dt = grid.dt
-    sqrt_dt = np.sqrt(dt)
-    tk = grid.points[:-1]
-    mu_k = coeffs.mu(tk)
-    sig_k = coeffs.sigma(tk)
-    xi_k = coeffs.xi(tk)
+    m, dt = len(seeds), grid.dt
     comp = levy.nu_K * dt
+    values = np.empty((m, grid.steps + 1))
+    values[:, 0] = x0
+    steps, counts = [], []
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=values[i, 1:])
+        N = rng.poisson(comp, grid.steps)
+        steps.append(np.flatnonzero(N))
+        counts.append(N[steps[-1]])
+    paths = np.repeat(np.arange(m), [k.size for k in steps])
+    steps, counts = np.concatenate(steps), np.concatenate(counts)
+    order = np.argsort(steps, kind="stable")
+    jump_step, jump_path = steps[order], paths[order]
 
-    m = x0.shape[0]
-    out = np.empty((grid.steps + 1, m))
-    out[0] = x0
-    x = x0.astype(float, copy=True)
-    for k in range(grid.steps):
-        x = x + mu_k[k] * x * dt + sig_k[k] * sqrt_dt * Z[k] + xi_k[k] * (N[k] - comp)
-        out[k + 1] = x
+    tk = grid.points[:-1]
+    mu_k, sigma_k, xi_k = coeffs.mu(tk), coeffs.sigma(tk), coeffs.xi(tk)
+    scale = sigma_k * np.sqrt(dt)
+    no_jump = xi_k * (0.0 - comp)
+    jump_inc = xi_k[jump_step] * (counts[order] - comp)
+    bounds = np.searchsorted(jump_step, np.arange(0, grid.steps + _BLOCK, _BLOCK))
+    x = values[:, 0]
+    tmp = np.empty(m)
+    for b, k0 in enumerate(range(0, grid.steps, _BLOCK)):
+        k1 = min(k0 + _BLOCK, grid.steps)
+        inc = values[:, k0 + 1 : k1 + 1].T.copy()
+        inc *= scale[k0:k1, None]
+        jump = np.repeat(no_jump[k0:k1, None], m, axis=1)
+        hit = slice(bounds[b], bounds[b + 1])
+        jump[jump_step[hit] - k0, jump_path[hit]] = jump_inc[hit]
+        for j in range(k1 - k0):
+            np.multiply(mu_k[k0 + j], x, out=tmp)
+            tmp *= dt
+            tmp += x
+            x = inc[j]
+            np.add(tmp, x, out=x)
+            x += jump[j]
+        values[:, k0 + 1 : k1 + 1] = inc.T
 
     if not np.isfinite(x).all():
-        ok = np.isfinite(out).all(axis=1)
-        step = int(np.argmin(ok))
-        path = int(np.argmin(np.isfinite(out[step])))
-        raise SimulationDivergedError(step=step, path=path)
-    return np.ascontiguousarray(out.T)
+        bad = ~np.isfinite(values)
+        step = int(np.argmax(bad.any(axis=0)))
+        raise SimulationDivergedError(step=step, path=int(np.argmax(bad[:, step])))
+    return values
 
 
 def simulate_path(
-    coeffs: CoefficientSet,
-    levy: LevyConfig,
-    grid: PathGrid,
-    x0: float,
-    seed: int,
+    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0: float, seed: int
 ) -> np.ndarray:
     """One path on the grid; returns steps+1 values starting at x0."""
     _check_span(coeffs, grid)
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((grid.steps, 1))
-    N = rng.poisson(levy.nu_K * grid.dt, (grid.steps, 1)).astype(float)
-    return _euler_core(coeffs, levy, grid, np.array([float(x0)]), Z, N)[0]
+    return _euler_core(coeffs, levy, grid, float(x0), [seed])[0]
 
 
 def simulate_ensemble(
-    coeffs: CoefficientSet,
-    levy: LevyConfig,
-    grid: PathGrid,
-    x0_law,
-    n: int,
-    master_seed: int,
+    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0_law, n: int, master_seed: int
 ) -> SamplePathSet:
     """n independent paths with per-path child seeds.
 
@@ -140,24 +156,18 @@ def simulate_ensemble(
     values come from SeedSequence([master_seed, 1]) so that swapping the
     initial law never disturbs the driving noise.
     """
-    if n < 1:
-        raise ValidationError("need n >= 1 paths")
+    _check_count("n", n)
     _check_span(coeffs, grid)
-    seeds = np.random.SeedSequence([master_seed, _STREAM_PATHS]).generate_state(
-        n, dtype=np.uint64
-    )
+    seeds = np.random.SeedSequence([master_seed, _STREAM_PATHS]).generate_state(n, np.uint64)
     x0_rng = np.random.default_rng(np.random.SeedSequence([master_seed, _STREAM_X0]))
     x0 = np.asarray(x0_law.sample(x0_rng, n), dtype=float)
-
-    lam = levy.nu_K * grid.dt
-    Z = np.empty((grid.steps, n))
-    N = np.empty((grid.steps, n))
-    for i in range(n):
-        rng = np.random.default_rng(int(seeds[i]))
-        Z[:, i] = rng.standard_normal(grid.steps)
-        N[:, i] = rng.poisson(lam, grid.steps)
-    values = _euler_core(coeffs, levy, grid, x0, Z, N)
+    values = _euler_core(coeffs, levy, grid, x0, seeds.tolist())
     return SamplePathSet(grid=grid, values=values, seeds=seeds, coeff_id=coeffs.coeff_id)
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_span(coeffs: CoefficientSet, grid: PathGrid) -> None:

@@ -2,6 +2,7 @@
 bitwise reproducibility contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +23,79 @@ from sparsesde import (
 from sparsesde.simulate import export_paths_csv
 
 LEVY1 = LevyConfig(nu_K=1.0)
+
+
+def _reference_rows(coeffs, levy, grid, x0, seeds):
+    """Column-layout scheme kept as an oracle: path i's draws from
+    default_rng(seeds[i]) fill column i of (steps, n) arrays, then one
+    recursion over time builds the states.
+
+    Returns (rows, counts); rows is (steps+1, n), the transpose of the
+    ensemble's layout, exactly as the recursion produced it.
+    """
+    n = len(seeds)
+    lam = levy.nu_K * grid.dt
+    Z = np.empty((grid.steps, n))
+    N = np.empty((grid.steps, n))
+    for i in range(n):
+        rng = np.random.default_rng(int(seeds[i]))
+        Z[:, i] = rng.standard_normal(grid.steps)
+        N[:, i] = rng.poisson(lam, grid.steps)
+
+    dt = grid.dt
+    sqrt_dt = np.sqrt(dt)
+    tk = grid.points[:-1]
+    mu_k, sig_k, xi_k = coeffs.mu(tk), coeffs.sigma(tk), coeffs.xi(tk)
+    comp = levy.nu_K * dt
+    rows = np.empty((grid.steps + 1, n))
+    rows[0] = x0
+    x = np.asarray(x0, dtype=float).copy()
+    for k in range(grid.steps):
+        x = x + mu_k[k] * x * dt + sig_k[k] * sqrt_dt * Z[k] + xi_k[k] * (N[k] - comp)
+        rows[k + 1] = x
+    return rows, N
+
+
+def _reference_ensemble(coeffs, levy, grid, x0_law, n, master_seed):
+    """The ensemble's seed contract over the oracle: returns (rows, seeds, counts)."""
+    seeds = np.random.SeedSequence([master_seed, 0]).generate_state(n, dtype=np.uint64)
+    x0_rng = np.random.default_rng(np.random.SeedSequence([master_seed, 1]))
+    x0 = np.asarray(x0_law.sample(x0_rng, n), dtype=float)
+    rows, counts = _reference_rows(coeffs, levy, grid, x0, seeds)
+    return rows, seeds, counts
+
+
+@pytest.mark.parametrize("n", [1, 400])
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("law", [PointMass(1.0), GaussianInitial(0.5, 0.3)], ids=["point", "gauss"])
+@pytest.mark.parametrize("nu_K", [1.0, 500.0], ids=["sparse", "jumpy"])
+def test_ensemble_matches_column_layout_oracle(n, steps, law, nu_K):
+    # partial, single and many blocks; at nu_K = 500 counts >= 2 occur and
+    # most steps of a 400-path ensemble carry a jump
+    c = sinusoid_model()
+    levy = LevyConfig(nu_K)
+    grid = PathGrid(0.0, 1.0, steps)
+    ens = simulate_ensemble(c, levy, grid, law, n, master_seed=41)
+    rows, seeds, counts = _reference_ensemble(c, levy, grid, law, n, 41)
+    assert np.array_equal(ens.values, rows.T)
+    assert np.array_equal(ens.seeds, seeds)
+    if nu_K == 500.0 and n == 400:
+        assert counts.max() >= 2
+        assert np.mean(counts.any(axis=1)) > 0.9
+    x = simulate_path(c, levy, grid, float(rows[0, 0]), seed=int(seeds[0]))
+    assert np.array_equal(x, rows[:, 0])
+
+
+def test_ensemble_peak_memory_is_near_result_size():
+    # the result is the only (n, steps)-sized array an ensemble allocates
+    c = sinusoid_model()
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(c, LEVY1, PathGrid(0.0, 1.0, 1000), PointMass(1.0), 400, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ens.values.nbytes
 
 
 def test_noiseless_ode_limit():
@@ -117,12 +191,36 @@ def test_ensemble_moments_match_ode():
     assert pts[300] == pytest.approx(0.3)
 
 
+def _first_nonfinite(rows):
+    bad = ~np.isfinite(rows)
+    step = int(np.argmax(bad.any(axis=1)))
+    return step, int(np.argmax(bad[step]))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_reports_step():
     c = constant_model(1e4, 0.0, 0.0)
     with pytest.raises(SimulationDivergedError) as exc:
         simulate_path(c, LEVY1, PathGrid(0.0, 1.0, 1000), 1.0, seed=29)
-    assert exc.value.step >= 0
+    rows, _ = _reference_rows(c, LEVY1, PathGrid(0.0, 1.0, 1000), np.array([1.0]), [29])
+    assert (exc.value.step, exc.value.path) == _first_nonfinite(rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_reports_first_step_and_path_of_ensemble():
+    # x0 ~ N(0, 1) under mu = 1e4 grows ~11x per step, so paths overflow
+    # near step 300 (past the first block), each at a step set by its |x0|
+    c = constant_model(1e4, 1.0, 1.0)
+    grid = PathGrid(0.0, 1.0, 1000)
+    law = GaussianInitial(0.0, 1.0)
+    rows, _, _ = _reference_ensemble(c, LEVY1, grid, law, 50, 31)
+    bad = ~np.isfinite(rows)
+    assert len(set(np.argmax(bad, axis=0))) > 1
+    step, path = _first_nonfinite(rows)
+    assert step > 64 and path > 0
+    with pytest.raises(SimulationDivergedError) as exc:
+        simulate_ensemble(c, LEVY1, grid, law, 50, 31)
+    assert (exc.value.step, exc.value.path) == (step, path)
 
 
 def test_span_mismatch_rejected():
@@ -149,3 +247,31 @@ def test_export_paths_csv(tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0] == "path_id,t,x"
     assert len(lines) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PathGrid(0.0, 1.0, 10.0),
+        lambda: PathGrid(0.0, 1.0, True),
+        lambda: PathGrid(0.0, math.inf, 10),
+        lambda: PathGrid(math.nan, 1.0, 10),
+        lambda: PathGrid(0.0, "1", 10),
+    ],
+    ids=["float-steps", "bool-steps", "inf-end", "nan-start", "str-end"],
+)
+def test_malformed_grid_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize("n", [5.0, True, "5", 0])
+def test_malformed_path_count_rejected(n):
+    with pytest.raises(ValidationError):
+        simulate_ensemble(sinusoid_model(), LEVY1, PathGrid(0.0, 1.0, 10), PointMass(1.0), n, 1)
+
+
+def test_numpy_integer_counts_accepted():
+    grid = PathGrid(np.float64(0.0), 1, np.int64(10))
+    ens = simulate_ensemble(sinusoid_model(), LEVY1, grid, PointMass(1.0), np.int64(3), 1)
+    assert ens.values.shape == (3, 11)
