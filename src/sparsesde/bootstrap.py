@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .covfit import DIAG_EPS_FACTOR, _monomial_exponents, _window_features, fit_diag, pair_scatter
+from .covfit import DIAG_EPS_FACTOR, _monomial_exponents, fit_diag, pair_scatter
 from .errors import EstimationFailedError, SparseWindowError
-from .meanfit import _solve_cells, fit_mean_points
+from .meanfit import _features, _solve_cells, fit_mean_points
 from .recover import separate
 
 KEYS = ("mu", "sigma2", "xi2")
@@ -46,6 +46,16 @@ def point_estimates(data, t_star: float, st, thr: float) -> tuple[float, float, 
     s_val = max(dD - 2.0 * mu * D, 0.0)
     sigma2, xi2, _ = separate(np.asarray([t_star]), np.asarray([s_val]), st.policy, st.nu_K)
     return float(mu), float(sigma2[0]), float(xi2[0])
+
+
+def _window_features(obs, lo: int, hi: int, centres, h, kernel, d):
+    """`meanfit._features` of rows lo:hi at each centre c, with a = (T - c)/h.
+
+    Returns its moments, responses and window indicator, each stacked as
+    (power, centre, observation).
+    """
+    F = _features((obs.t[None, lo:hi] - centres[:, None]) / h, obs.y[lo:hi], kernel, d)
+    return F[: 2 * d + 1], F[2 * d + 1 : -1], F[-1:]
 
 
 def _curve_pair_sums(obs, h, kernel, d, s_pts, t_pts):

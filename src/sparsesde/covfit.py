@@ -20,7 +20,11 @@ normal-matrix and response entry at (s, t) is a sum over curves of
 terms, with a = (T - s)/h and b = (T - t)/h.  So the whole grid comes from
 matrix products of per-curve kernel sums, taken over blocks of curves, and
 one batched solve; the offset cells (t - eps, t + eps) behind D' come from
-one more pass that pairs each s with its own t.  A cell whose window at
+one more pass that pairs each s with its own t.  The kernel has compact
+support, so the sums are windowed: an observation is paired only with the
+band of sorted centres within the window margin of `meanfit` around its
+time, and the j = k terms come from chunks of observations in time order,
+each with the run of centres its span reaches.  A cell whose window at
 h_G holds fewer active pairs than basis columns, or whose normal matrix
 fails the condition check of `solve_wls`, is refitted by `fit_cov_at`,
 which widens its window or flags the cell.
@@ -42,6 +46,7 @@ from .kernels import EPANECHNIKOV, KernelSpec
 from .meanfit import (
     MAX_WIDEN,
     WIDEN_FACTOR,
+    _WINDOW_MARGIN,
     _clamped_bandwidth,
     _features,
     _solve_cells,
@@ -53,9 +58,13 @@ from .observe import SparseObservations
 
 # diagonal evaluation offset, as a fraction of the bandwidth
 DIAG_EPS_FACTOR = 1e-3
+# a noise variance estimate within this fraction of the level of Y^2 is rounding
+_NOISE_FLOOR_RTOL = 1e-12
 
-# curves per block of the factorised grid fit; keeps its working set at a few MB
-_CURVE_BLOCK = 64
+# curves per block of the per-curve window sums, and observations per time-ordered
+# chunk of the j = k terms; both keep the pair sums' working set at a few MB
+_CURVE_BLOCK = 256
+_ROW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -201,14 +210,34 @@ def fit_diag(
     return D, dsG + dtG
 
 
-def _window_features(obs: SparseObservations, lo: int, hi: int, centres, h, kernel, d):
-    """`meanfit._features` of rows lo:hi at each centre c, with a = (T - c)/h.
+def _window_runs(sorted_centres, t, h):
+    """Bounds [lo, hi) of the run of sorted centres within `_WINDOW_MARGIN` h of each time."""
+    reach = _WINDOW_MARGIN * h
+    lo = np.searchsorted(sorted_centres, t - reach)
+    return lo, np.searchsorted(sorted_centres, t + reach, "right")
 
-    Returns its moments, responses and window indicator, each stacked as
-    (power, centre, observation).
+
+def _curve_sums(obs, starts, centres, h, kernel, d):
+    """Per-curve sums of `meanfit._features` at each centre, shaped
+    (power, centre, curve), for the curves with row offsets `starts`.
+
+    Each row is paired with a band of consecutive sorted centres, as many
+    as the widest window run of the block and placed to cover the row's
+    own run; the pairs are summed into (centre, curve) bins.
     """
-    F = _features((obs.t[None, lo:hi] - centres[:, None]) / h, obs.y[lo:hi], kernel, d)
-    return F[: 2 * d + 1], F[2 * d + 1 : -1], F[-1:]
+    nb = starts.size - 1
+    rows = slice(starts[0], starts[-1])
+    t, y = obs.t[rows, None], obs.y[rows, None]
+    order = np.argsort(centres, kind="stable")
+    lo, hi = _window_runs(centres[order], t[:, 0], h)
+    width = int((hi - lo).max(initial=0))
+    band = order[np.minimum(lo, centres.size - width)[:, None] + np.arange(width)]
+    F = _features((t - centres[band]) / h, y, kernel, d)
+    key = (band * nb + np.repeat(np.arange(nb), np.diff(starts))[:, None]).ravel()
+    sums = np.empty((F.shape[0], centres.size * nb))
+    for out, f in zip(sums, F):
+        out[:] = np.bincount(key, f.ravel(), out.size)
+    return sums.reshape(-1, centres.size, nb)
 
 
 def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
@@ -222,26 +251,48 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
     them per curve), so the trailing axes come from products summed over
     curves: (i, j) for the cells (s_pts[i], s_pts[j]), or, given t_pts, one
     axis c for the cells (s_pts[c], t_pts[c]).
+
+    Only (centre, observation) pairs near a kernel window are formed: the
+    feature sums come from `_curve_sums`, a block of curves at a time, and
+    the j = k terms from chunks of observations in time order, each taken
+    on the run of sorted s_pts within `_WINDOW_MARGIN` h of its time span.
     """
-    if t_pts is None:
+    grid = t_pts is None
+    s_pts = np.asarray(s_pts, dtype=float)
+    if grid:
+        t_pts = s_pts
+
         def contract(x, y):
             xy = x.reshape(-1, x.shape[-1]) @ y.reshape(-1, y.shape[-1]).T
             return xy.reshape(x.shape[:2] + y.shape[:2]).swapaxes(1, 2)
     else:
+        t_pts = np.asarray(t_pts, dtype=float)
+
         def contract(x, y):
             return np.einsum("pcn,qcn->pqc", x, y)
 
+    nf = 3 * d + 3
+    kinds = (slice(0, 2 * d + 1), slice(2 * d + 1, nf - 1), slice(nf - 1, nf))
     bounds = obs.curve_bounds()
     sums = [0.0, 0.0, 0.0]
     for c0 in range(0, bounds.size - 1, _CURVE_BLOCK):
         starts = bounds[c0 : c0 + _CURVE_BLOCK + 1]
-        lo, hi = int(starts[0]), int(starts[-1])
-        left = _window_features(obs, lo, hi, s_pts, h, kernel, d)
-        right = left if t_pts is None else _window_features(obs, lo, hi, t_pts, h, kernel, d)
-        for k, (x, y) in enumerate(zip(left, right)):
-            cx = np.add.reduceat(x, starts[:-1] - lo, axis=-1)
-            cy = cx if y is x else np.add.reduceat(y, starts[:-1] - lo, axis=-1)
-            sums[k] = sums[k] + contract(cx, cy) - contract(x, y)
+        cx = _curve_sums(obs, starts, s_pts, h, kernel, d)
+        cy = cx if grid else _curve_sums(obs, starts, t_pts, h, kernel, d)
+        sums = [total + contract(cx[k], cy[k]) for total, k in zip(sums, kinds)]
+
+    order = np.argsort(s_pts, kind="stable")
+    by_time = np.argsort(obs.t, kind="stable")
+    for r0 in range(0, obs.total, _ROW_CHUNK):
+        rows = by_time[r0 : r0 + _ROW_CHUNK]
+        t = obs.t[rows]
+        lo, hi = _window_runs(s_pts[order], t[[0, -1]], h)
+        run = order[lo[0] : hi[1]]
+        x = _features((t - s_pts[run, None]) / h, obs.y[rows], kernel, d)
+        y = x if grid else _features((t - t_pts[run, None]) / h, obs.y[rows], kernel, d)
+        cells = np.ix_(run, run) if grid else (run,)
+        for total, k in zip(sums, kinds):
+            total[(...,) + cells] -= contract(x[k], y[k])
     M, R, count = sums
     return M, R, count[0, 0]
 
@@ -369,8 +420,10 @@ def noise_variance_estimate(
 
     E[Y^2 | T = t] = D(t) + rho^2, so the average gap between the
     diagonal-inclusive smooth of Y^2 and the diagonal-excluding D_hat,
-    taken over all observation times, estimates rho^2.  Negative averages
-    are floored at zero and flagged.
+    taken over all observation times, estimates rho^2.  Averages that are
+    negative, or no larger than the rounding of the two smooths
+    (`_NOISE_FLOOR_RTOL` times their mean level), are floored at zero and
+    flagged: noiseless data land there with either sign.
     """
     grid = cov_est.eval_times
     ok = ~cov_est.diag_flags
@@ -380,6 +433,6 @@ def noise_variance_estimate(
     V_at = np.interp(obs.t, grid, V)
     D_at = np.interp(obs.t, grid[ok], cov_est.D_hat[ok])
     rho2 = float(np.mean(V_at - D_at))
-    if rho2 < 0:
+    if rho2 <= _NOISE_FLOOR_RTOL * float(np.mean(np.abs(V_at))):
         return 0.0, True
     return rho2, False

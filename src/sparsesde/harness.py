@@ -828,6 +828,8 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
@@ -864,7 +866,9 @@ def write_manifest(
 
 def write_table(dest, header: list[str], rows) -> None:
     """Write one CSV artifact: the header, then the rows with every number
-    formatted by `_fmt` (ints as ints, floats by repr so they round-trip)."""
+    formatted by `_fmt` (ints as ints, floats by repr so they round-trip).
+    Array columns go in as `.tolist()` values, the plain Python numbers
+    `_fmt` formats first."""
     with open(dest, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -872,21 +876,23 @@ def write_table(dest, header: list[str], rows) -> None:
 
 
 def export_mean_csv(mean_est: MeanEstimate, dest) -> None:
-    rows = zip(mean_est.eval_grid, mean_est.m_hat, mean_est.dm_hat, mean_est.flags.astype(int))
-    write_table(dest, ["t", "m_hat", "dm_hat", "flag"], rows)
+    cols = (mean_est.eval_grid, mean_est.m_hat, mean_est.dm_hat, mean_est.flags.astype(int))
+    write_table(dest, ["t", "m_hat", "dm_hat", "flag"], zip(*map(np.ndarray.tolist, cols)))
 
 
 def export_surface_csv(cov_est: CovEstimate, dest) -> None:
     iu = np.triu_indices(cov_est.eval_times.size)
     s, t = cov_est.eval_times[iu[0]], cov_est.eval_times[iu[1]]
     flags = cov_est.pair_flags[iu].astype(int)
-    rows = zip(s, t, cov_est.G2[iu], cov_est.ds2[iu], cov_est.dt2[iu], flags)
-    write_table(dest, ["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"], rows)
+    cols = (s, t, cov_est.G2[iu], cov_est.ds2[iu], cov_est.dt2[iu], flags)
+    write_table(
+        dest, ["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"], zip(*map(np.ndarray.tolist, cols))
+    )
 
 
 def export_surface_diag_csv(cov_est: CovEstimate, dest) -> None:
-    rows = zip(cov_est.eval_times, cov_est.D_hat, cov_est.dD_hat)
-    write_table(dest, ["t", "D_hat", "dD_hat"], rows)
+    cols = (cov_est.eval_times, cov_est.D_hat, cov_est.dD_hat)
+    write_table(dest, ["t", "D_hat", "dD_hat"], zip(*map(np.ndarray.tolist, cols)))
 
 
 def export_coefficients_csv(est: CoefficientEstimate, dest) -> None:
@@ -898,12 +904,13 @@ def export_coefficients_csv(est: CoefficientEstimate, dest) -> None:
         "|".join(name for name in flag_names if est.flags[name][i])
         for i in range(est.eval_grid.size)
     )
-    rows = zip(est.eval_grid, est.mu_hat, est.s_diag, est.s_tri, sigma2, xi2, tokens)
+    cols = (est.eval_grid, est.mu_hat, est.s_diag, est.s_tri, sigma2, xi2)
+    rows = zip(*map(np.ndarray.tolist, cols), tokens)
     write_table(dest, ["t", "mu_hat", "s_diag", "s_tri", "sigma2_hat", "xi2_hat", "flags"], rows)
 
 
 def export_oracle_csvs(sol: MomentSolution, dest_dir: Path, grid_step: float = 0.05) -> None:
-    pts = np.round(np.arange(0.0, 1.0 + 1e-9, grid_step), 10)
+    pts = np.round(np.arange(0.0, 1.0 + 1e-9, grid_step), 10).tolist()
     rows = ([t, float(sol.mean_at(t)), float(sol.second_moment_at(t))] for t in pts)
     write_table(dest_dir / "oracle_m_D.csv", ["t", "m", "D"], rows)
     rows = ([s, t, float(cov_value(sol, s, t))] for i, s in enumerate(pts) for t in pts[i:])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,6 +254,10 @@ def export_observations_csv(obs: SparseObservations, dest) -> None:
             writer.writerow([int(c), repr(float(t)), repr(float(y))])
 
 
+# one data row of a long-format file
+_CSV_ROW = np.dtype([("curve_id", np.int64), ("t", float), ("y", float)])
+
+
 def ingest_csv(source, time_span=None) -> SparseObservations:
     """Read long-format curve_id,t,y observations.
 
@@ -260,8 +265,11 @@ def ingest_csv(source, time_span=None) -> SparseObservations:
     CsvParseError with the 1-based line number.  Files whose times live on
     some other interval [t0, t1] are supported by passing time_span=(t0, t1);
     the times are mapped affinely onto [0, 1] before validation.
+
+    The rows are parsed in one `np.loadtxt` pass.  If that fails, or finds
+    no rows, they are read again one `csv` record at a time, which parses
+    what the pass could not (quoted cells, say) or names the bad line.
     """
-    rows = []
     with open(source, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -270,6 +278,37 @@ def ingest_csv(source, time_span=None) -> SparseObservations:
             raise CsvParseError(1, "empty file") from None
         if [h.strip() for h in header] != ["curve_id", "t", "y"]:
             raise CsvParseError(1, f"expected header curve_id,t,y got {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # no rows: the record loop reports it
+                data = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            data = np.empty(0, dtype=_CSV_ROW)
+    if data.size == 0:
+        data = _read_records(source)
+    order = np.lexsort((data["t"], data["curve_id"]))
+    ids = data["curve_id"][order]
+    cid = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # each row's id rank
+    tt = data["t"][order]
+    if time_span is not None:
+        t0, t1 = float(time_span[0]), float(time_span[1])
+        if not t1 > t0:
+            raise ValidationError(f"time span needs t1 > t0, got [{t0}, {t1}]")
+        tt = (tt - t0) / (t1 - t0)
+    obs = SparseObservations(curve_id=cid, t=tt, y=data["y"][order])
+    obs.validate()
+    return obs
+
+
+def _read_records(source) -> np.ndarray:
+    """The data rows of a long-format file, one `csv` record at a time.
+
+    Curve ids are replaced by their ranks, so ids beyond int64 keep their order.
+    """
+    rows = []
+    with open(source, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -281,20 +320,8 @@ def ingest_csv(source, time_span=None) -> SparseObservations:
                 raise CsvParseError(lineno, str(exc)) from None
     if not rows:
         raise CsvParseError(2, "no data rows")
-    raw_ids = sorted({r[0] for r in rows})
-    remap = {old: new for new, old in enumerate(raw_ids)}
-    rows.sort(key=lambda r: (remap[r[0]], r[1]))
-    cid = np.array([remap[r[0]] for r in rows], dtype=int)
-    tt = np.array([r[1] for r in rows])
-    yy = np.array([r[2] for r in rows])
-    if time_span is not None:
-        t0, t1 = float(time_span[0]), float(time_span[1])
-        if not t1 > t0:
-            raise ValidationError(f"time span needs t1 > t0, got [{t0}, {t1}]")
-        tt = (tt - t0) / (t1 - t0)
-    obs = SparseObservations(curve_id=cid, t=tt, y=yy)
-    obs.validate()
-    return obs
+    rank = {old: new for new, old in enumerate(sorted({r[0] for r in rows}))}
+    return np.array([(rank[c], t, y) for c, t, y in rows], dtype=_CSV_ROW)
 
 
 def ingest_wide_csv(source) -> SparseObservations:

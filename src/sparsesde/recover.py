@@ -136,6 +136,24 @@ def _cumulative_mu(grid: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
     return cumulative_trapezoid(mu_hat, grid, initial=0.0)
 
 
+def _tri_node(grid, C, mu_hat, cov_est, i, t) -> float:
+    """Triangular estimate of s at grid node i, from the cumulative drift C.
+
+    Raises SparseQuadratureError, reported at time t, when the node's
+    diagonal fit failed or fewer than two usable nodes tau > t remain.
+    """
+    if cov_est.diag_flags[i]:
+        raise SparseQuadratureError(t, 0)
+    later = slice(i + 1, None)
+    j = i + 1 + np.flatnonzero(~cov_est.pair_flags[i, later] & np.isfinite(cov_est.ds2[i, later]))
+    if j.size < 2:
+        raise SparseQuadratureError(t, j.size)
+    taus = grid[j]
+    vals = np.exp(-(C[j] - C[i])) * cov_est.ds2[i, j]
+    avg = float(np.trapezoid(vals, taus) / (taus[-1] - taus[0]))
+    return avg - float(mu_hat[i]) * float(cov_est.D_hat[i])
+
+
 def estimate_H(
     grid: np.ndarray,
     mu_hat: np.ndarray,
@@ -157,26 +175,10 @@ def estimate_H(
     t = float(t)
     if t > 1.0 - epsilon + 1e-12:
         raise ValidationError(f"t={t} violates t <= 1 - epsilon = {1 - epsilon}")
-    idx = int(np.flatnonzero(np.isclose(grid, t, atol=1e-10))[0]) if np.any(
-        np.isclose(grid, t, atol=1e-10)
-    ) else -1
-    if idx < 0:
+    near = np.flatnonzero(np.isclose(grid, t, atol=1e-10))
+    if near.size == 0:
         raise ValidationError(f"t={t} is not a grid node")
-    if cov_est.diag_flags[idx]:
-        raise SparseQuadratureError(t, 0)
-    C = _cumulative_mu(grid, mu_hat)
-    taus, vals = [], []
-    for j in range(idx + 1, grid.size):
-        if cov_est.pair_flags[idx, j] or not np.isfinite(cov_est.ds2[idx, j]):
-            continue
-        taus.append(grid[j])
-        vals.append(np.exp(-(C[j] - C[idx])) * cov_est.ds2[idx, j])
-    if len(taus) < 2:
-        raise SparseQuadratureError(t, len(taus))
-    taus = np.asarray(taus)
-    vals = np.asarray(vals)
-    avg = float(np.trapezoid(vals, taus) / (taus[-1] - taus[0]))
-    return avg - float(mu_hat[idx]) * float(cov_est.D_hat[idx])
+    return _tri_node(grid, _cumulative_mu(grid, mu_hat), mu_hat, cov_est, int(near[0]), t)
 
 
 def estimate_total_noise(
@@ -189,7 +191,8 @@ def estimate_total_noise(
 
     Returns (s_diag, s_tri, flags).  s_diag covers the full grid; s_tri is
     NaN beyond 1 - epsilon (flagged 'trimmed') and at nodes whose
-    quadrature failed.
+    quadrature failed.  Each node's s_tri is the quadrature of `estimate_H`,
+    all from one cumulative drift integral.
     """
     grid = np.asarray(grid, dtype=float)
     nt = grid.size
@@ -209,9 +212,10 @@ def estimate_total_noise(
 
     if not np.array_equal(grid, cov_est.eval_times):
         raise ValidationError("drift grid and surface grid must coincide")
+    C = _cumulative_mu(grid, mu_hat)
     for i in np.flatnonzero(~trimmed):
         try:
-            val = estimate_H(grid, mu_hat, cov_est, float(grid[i]), epsilon)
+            val = _tri_node(grid, C, mu_hat, cov_est, i, float(grid[i]))
         except SparseQuadratureError:
             failed_tri[i] = True
             continue

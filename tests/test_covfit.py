@@ -1,5 +1,7 @@
 """Second-moment surface fit from within-curve pair products."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -32,7 +34,8 @@ from sparsesde import (
     sinusoid_model,
 )
 from sparsesde.bootstrap import _curve_pair_sums
-from sparsesde.covfit import _pair_sums, replace_responses
+from sparsesde.covfit import _CURVE_BLOCK, _ROW_CHUNK, _pair_sums, replace_responses
+from sparsesde.meanfit import _features
 
 from conftest import make_obs
 
@@ -424,3 +427,109 @@ def test_grid_fit_matches_per_cell_fits(d, kernel, panel):
     else:
         assert 0 < est.fallback_cells < n_cells
         assert est.pair_flags.any()
+
+
+def _dense_pair_sums(obs, h, kernel, d, s_pts, t_pts=None, block=64):
+    """Oracle: the dense block sums the windowed `_pair_sums` replaced.
+
+    Features at every (centre, observation) pair of a block of curves;
+    per-curve sums by `reduceat` and the j = k terms as a dense product.
+    """
+    if t_pts is None:
+        def contract(x, y):
+            xy = x.reshape(-1, x.shape[-1]) @ y.reshape(-1, y.shape[-1]).T
+            return xy.reshape(x.shape[:2] + y.shape[:2]).swapaxes(1, 2)
+    else:
+        def contract(x, y):
+            return np.einsum("pcn,qcn->pqc", x, y)
+
+    def features(lo, hi, centres):
+        F = _features((obs.t[None, lo:hi] - centres[:, None]) / h, obs.y[lo:hi], kernel, d)
+        return F[: 2 * d + 1], F[2 * d + 1 : -1], F[-1:]
+
+    bounds = obs.curve_bounds()
+    sums = [0.0, 0.0, 0.0]
+    for c0 in range(0, bounds.size - 1, block):
+        starts = bounds[c0 : c0 + block + 1]
+        lo, hi = int(starts[0]), int(starts[-1])
+        left = features(lo, hi, s_pts)
+        right = left if t_pts is None else features(lo, hi, t_pts)
+        for k, (x, y) in enumerate(zip(left, right)):
+            cx = np.add.reduceat(x, starts[:-1] - lo, axis=-1)
+            cy = cx if y is x else np.add.reduceat(y, starts[:-1] - lo, axis=-1)
+            sums[k] = sums[k] + contract(cx, cy) - contract(x, y)
+    M, R, count = sums
+    return M, R, count[0, 0]
+
+
+def _multi_block_panel():
+    # more curves than one block of `_CURVE_BLOCK` and rows for several `_ROW_CHUNK`s
+    n = _CURVE_BLOCK + 44
+    r = 2 * _ROW_CHUNK // n + 2
+    paths = simulate_ensemble(
+        sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 100), PointMass(1.0), n, 12
+    )
+    return observe(paths, DesignConfig(r=r, noise_sd=0.1), seed=12)
+
+
+_WINDOWED_PANELS = {
+    # panel -> (observations, bandwidth, centres); the common grid's times sit
+    # on the centres and at exactly one bandwidth from them, the half-covered
+    # panel and the centres outside [0, 1] leave windows empty, and the
+    # multi-block centres are unsorted with a repeat
+    "simulated": (_simulated_panel, None, np.linspace(0.0, 1.0, 11)),
+    "multi-block": (_multi_block_panel, None, np.array([0.5, 0.1, 0.9, 0.0, 0.5, 1.0, 0.3])),
+    "half-covered": (_half_covered_panel, 0.05, np.linspace(0.0, 1.0, 11)),
+    "common-grid": (_common_grid_panel, 0.1, np.linspace(0.0, 1.0, 21)),
+    "empty-windows": (_half_covered_panel, 0.05, np.array([-0.4, 0.2, 0.8, 0.95, 1.6])),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN_TRUNCATED])
+@pytest.mark.parametrize("panel", list(_WINDOWED_PANELS))
+def test_windowed_pair_sums_match_dense_oracle(d, kernel, panel):
+    make, h, centres = _WINDOWED_PANELS[panel]
+    obs = make()
+    h = default_bandwidth_cov(obs, d) if h is None else h
+    eps = 1e-3 * h
+    forms = [
+        (centres,),
+        (np.maximum(centres - eps, 0.0), np.minimum(centres + eps, 1.0)),  # fit_cov_grid's offsets
+        (centres, centres[::-1] + 0.5 * h),  # unrelated s and t
+    ]
+    for form in forms:
+        got = _pair_sums(obs, h, kernel, d, *form)
+        ref = _dense_pair_sums(obs, h, kernel, d, *form)
+        for g, r in zip(got[:2], ref[:2]):
+            assert g.shape == r.shape
+            npt.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r), initial=1.0))
+        npt.assert_array_equal(got[2], ref[2])
+    if panel == "empty-windows":
+        assert (got[2] == 0).any() and (ref[0][0, 0] == 0).any()
+
+
+# tracemalloc peaks of fit_cov_grid on `_peak_panel` with the dense block sums
+# `_dense_pair_sums` (numpy 2.4, Python 3.11)
+_DENSE_PEAK_BYTES = {1: 7_501_156, 2: 11_341_252}
+
+
+def _peak_panel():
+    paths = simulate_ensemble(
+        sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 100), PointMass(1.0), 1600, 7
+    )
+    return observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=7)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_fit_peak_memory_within_dense_peak(d):
+    obs = _peak_panel()
+    grid = np.linspace(0.0, 1.0, 51)
+    fit_cov_grid(obs, grid, d)
+    tracemalloc.start()
+    try:
+        fit_cov_grid(obs, grid, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _DENSE_PEAK_BYTES[d]

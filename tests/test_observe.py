@@ -356,3 +356,110 @@ def test_observe_matches_per_curve_reference(law, noise_law, noise_sd, span):
         assert not tied[0] and tied.any()
         # quarter points are path grid knots, where np.interp returns the knot value
         assert np.isin(obs.t, [0.25, 0.5, 0.75]).any() and (obs.t == 1.0).any()
+
+
+def _record_ingest(source, time_span=None) -> SparseObservations:
+    """Oracle: `ingest_csv` as it read one `csv` record at a time."""
+    import csv
+
+    rows = []
+    with open(source, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvParseError(1, "empty file") from None
+        if [h.strip() for h in header] != ["curve_id", "t", "y"]:
+            raise CsvParseError(1, f"expected header curve_id,t,y got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise CsvParseError(lineno, f"expected 3 columns, got {len(row)}")
+            try:
+                rows.append((int(row[0]), float(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise CsvParseError(lineno, str(exc)) from None
+    if not rows:
+        raise CsvParseError(2, "no data rows")
+    raw_ids = sorted({r[0] for r in rows})
+    remap = {old: new for new, old in enumerate(raw_ids)}
+    rows.sort(key=lambda r: (remap[r[0]], r[1]))
+    cid = np.array([remap[r[0]] for r in rows], dtype=int)
+    tt = np.array([r[1] for r in rows])
+    yy = np.array([r[2] for r in rows])
+    if time_span is not None:
+        t0, t1 = float(time_span[0]), float(time_span[1])
+        if not t1 > t0:
+            raise ValidationError(f"time span needs t1 > t0, got [{t0}, {t1}]")
+        tt = (tt - t0) / (t1 - t0)
+    obs = SparseObservations(curve_id=cid, t=tt, y=yy)
+    obs.validate()
+    return obs
+
+
+def _long_csv(style: str) -> tuple[str, tuple | None]:
+    """A simulated panel as long-format CSV text in the given style."""
+    obs = observe(make_paths(n=30), DesignConfig(r=5, noise_sd=0.1), seed=21)
+    rng = np.random.default_rng(8)
+    ids = rng.permutation([-12, -3, 0, 1, 4, 9, 17, 250, 1001, 65536] + list(range(30, 50)))
+    span = (10.0, 375.0) if style in ("time-span", "all") else None
+    t = obs.t * (span[1] - span[0]) + span[0] if span else obs.t
+    cells = [
+        [str(ids[c]), repr(float(tv)), repr(float(yv))] for c, tv, yv in zip(obs.curve_id, t, obs.y)
+    ]
+    if style != "sorted":
+        cells = [cells[i] for i in rng.permutation(len(cells))]
+    if style in ("zero-padded", "all"):
+        for row in cells:
+            row[0] = f"{int(row[0]):06d}"
+    if style in ("spaces", "all"):
+        cells = [[f"  {v} " for v in row] for row in cells]
+    if style == "quoted":
+        cells = [[f'"{v}"' for v in row] for row in cells]
+    lines = ["curve_id,t,y"] + [",".join(row) for row in cells]
+    if style in ("blank-lines", "all"):
+        lines = [part for i, line in enumerate(lines) for part in [line] + [""] * (i % 7 == 3)]
+    end = "\r\n" if style in ("crlf", "all") else "\n"
+    return end.join(lines) + end, span
+
+
+@pytest.mark.parametrize(
+    "style",
+    ["sorted", "shuffled", "zero-padded", "spaces", "blank-lines", "crlf", "time-span", "quoted", "all"],
+)
+def test_ingest_matches_record_parser_bitwise(tmp_path, style):
+    text, span = _long_csv(style)
+    f = tmp_path / "panel.csv"
+    f.write_bytes(text.encode())
+    got, ref = ingest_csv(f, time_span=span), _record_ingest(f, time_span=span)
+    for name in ("curve_id", "t", "y"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        npt.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,0.1,1.0\n0,0.2\n0,0.3,1.0\n",  # ragged row
+        "0,0.1,1.0\n3.0,0.2,1.0\n",  # float id
+        "0,0.1,1.0\n0,0.2,abc\n",  # bad value
+        "0,0.1,1.0\n# comment\n0,0.2,1.0\n",  # comment line
+        "0,0.1,1.0\n   \n0,0.2,1.0\n",  # whitespace-only line
+        "0,0.1,1.0\n\n0,0.2,1.0,\n",  # trailing cell after a blank line
+        "",  # header only
+        "\n\n",  # blank lines only
+        "0,0.1,1.0\n0,0.1,2.0\n",  # duplicate time
+    ],
+)
+def test_ingest_malformed_rows_keep_error_and_line(tmp_path, body):
+    f = tmp_path / "bad.csv"
+    f.write_text("curve_id,t,y\n" + body)
+    with pytest.raises(Exception) as ref:
+        _record_ingest(f)
+    with pytest.raises(type(ref.value)) as got:
+        ingest_csv(f)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert getattr(got.value, "line", None) == getattr(ref.value, "line", None)

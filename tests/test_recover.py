@@ -359,3 +359,62 @@ def test_drift_sup_error_shrinks_with_n():
     med_small = np.median([sup_err(100, s) for s in range(1100, 1120)])
     med_big = np.median([sup_err(400, s) for s in range(1100, 1120)])
     assert med_big < med_small
+
+
+def _per_node_total_noise(grid, mu, cov_est, epsilon=0.1):
+    """Oracle: s_tri and its flags from one `estimate_H` call per grid node."""
+    s_tri = np.full(grid.size, np.nan)
+    floored = np.zeros(grid.size, dtype=bool)
+    failed = np.zeros(grid.size, dtype=bool)
+    for i in np.flatnonzero(grid <= 1.0 - epsilon + 1e-12):
+        try:
+            val = estimate_H(grid, mu, cov_est, float(grid[i]), epsilon)
+        except SparseQuadratureError:
+            failed[i] = True
+            continue
+        floored[i] = val < 0
+        s_tri[i] = max(val, 0.0)
+    return s_tri, floored, failed
+
+
+def _holey_surface():
+    """Oracle surface with flagged cells, NaN partials, a failed diagonal fit,
+    a row left with one usable node and a row pushed negative."""
+    sol = ref_solution()
+    cov_est = cov_from_oracle(sol, GRID, REF_S)
+    rng = np.random.default_rng(4)
+    iu = np.triu_indices(GRID.size, 1)
+    poke = rng.random(iu[0].size)
+    cov_est.pair_flags[iu[0][poke < 0.15], iu[1][poke < 0.15]] = True
+    cov_est.ds2[iu[0][poke > 0.9], iu[1][poke > 0.9]] = np.nan
+    cov_est.diag_flags[4] = True
+    cov_est.pair_flags[7, 9:] = True
+    cov_est.ds2[12, 13:] -= 5.0
+    return cov_est
+
+
+def _half_covered_fit():
+    # curves on [0, 0.55] only: cells past it widen or fail, whole rows among them
+    from conftest import make_obs
+
+    rng = np.random.default_rng(31)
+    obs = make_obs(
+        [(np.sort(rng.uniform(0.0, 0.55, 6)), rng.standard_normal(6) + 1.0) for _ in range(40)]
+    )
+    return fit_cov_grid(obs, GRID, 1, 0.05, max_flagged_frac=1.0)
+
+
+@pytest.mark.parametrize("surface", ["holey-oracle", "half-covered-fit"])
+def test_total_noise_matches_per_node_estimate_H(surface):
+    cov_est = _holey_surface() if surface == "holey-oracle" else _half_covered_fit()
+    mu = np.sin(3.0 * GRID) - 0.5
+    s_diag, s_tri, flags = estimate_total_noise(GRID, mu, cov_est)
+    ref, floored, failed = _per_node_total_noise(GRID, mu, cov_est)
+    npt.assert_array_equal(s_tri.view(np.int64), ref.view(np.int64))
+    npt.assert_array_equal(flags["floored_tri"], floored)
+    npt.assert_array_equal(flags["failed_tri"], failed)
+    npt.assert_array_equal(flags["trimmed"], GRID > 0.9 + 1e-12)
+    npt.assert_array_equal(flags["failed_diag"], cov_est.diag_flags)
+    assert failed.any() and (~failed & ~flags["trimmed"]).any()
+    if surface == "holey-oracle":
+        assert failed[4] and failed[7] and floored[12]
