@@ -5,10 +5,11 @@ fit, separation) reads only window sums, and each window sum is a sum over
 curves: the mean fit's kernel moments and responses directly, the surface
 fit's pair sums because a curve's sum over its pairs j != k is the product
 of its two feature sums minus its j = k terms.  So one n x k table of
-per-curve sums at the original bandwidths gives every resample's sums by
-adding up the rows of its drawn curves, and all resamples are solved in
-one batch.  A resample whose window fails a check there goes to the
-pointwise chain `point_estimates`, which widens the window or fails.
+per-curve sums gives every resample's sums by adding up the rows of its
+drawn curves, and all resamples are solved in one batch.  Each fit that
+fails a check is solved again at 1.5x its bandwidth, up to `MAX_WIDEN`
+times, from the table rebuilt there and gathered for the failing resamples
+only, as the pointwise chain `point_estimates` widens it.
 
 `harness.run_bootstrap` loads this module on its first call, so the other
 commands do not compile it.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .covfit import DIAG_EPS_FACTOR, _monomial_exponents, fit_diag, pair_scatter
 from .errors import EstimationFailedError, SparseWindowError
-from .meanfit import _features, _solve_cells, fit_mean_points
+from .meanfit import MAX_WIDEN, WIDEN_FACTOR, _features, _solve_cells, fit_mean_points
 from .recover import separate
 
 KEYS = ("mu", "sigma2", "xi2")
@@ -48,13 +49,13 @@ def point_estimates(data, t_star: float, st, thr: float) -> tuple[float, float, 
     return float(mu), float(sigma2[0]), float(xi2[0])
 
 
-def _window_features(obs, lo: int, hi: int, centres, h, kernel, d):
-    """`meanfit._features` of rows lo:hi at each centre c, with a = (T - c)/h.
+def _window_features(obs, centres, h, kernel, d):
+    """`meanfit._features` of every observation at each centre c, with a = (T - c)/h.
 
     Returns its moments, responses and window indicator, each stacked as
     (power, centre, observation).
     """
-    F = _features((obs.t[None, lo:hi] - centres[:, None]) / h, obs.y[lo:hi], kernel, d)
+    F = _features((obs.t[None] - centres[:, None]) / h, obs.y, kernel, d)
     return F[: 2 * d + 1], F[2 * d + 1 : -1], F[-1:]
 
 
@@ -67,8 +68,8 @@ def _curve_pair_sums(obs, h, kernel, d, s_pts, t_pts):
     summed over the curves they are `_pair_sums(obs, h, kernel, d, s_pts, t_pts)`.
     """
     starts = obs.curve_bounds()[:-1]
-    left = _window_features(obs, 0, obs.total, s_pts, h, kernel, d)
-    right = _window_features(obs, 0, obs.total, t_pts, h, kernel, d)
+    left = _window_features(obs, s_pts, h, kernel, d)
+    right = _window_features(obs, t_pts, h, kernel, d)
     out = []
     for x, y in zip(left, right):
         cx = np.add.reduceat(x, starts, axis=-1)
@@ -78,91 +79,96 @@ def _curve_pair_sums(obs, h, kernel, d, s_pts, t_pts):
     return out
 
 
-def _curve_statistics(obs, t_star: float, st):
-    """Per-curve sums behind the fits of `point_estimates` at h_m and h_G.
+def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
+    """Per-curve sums behind the fits of `point_estimates` at bandwidths h_m and h_G.
 
-    Returns (table, shapes, own, shared).  Row i of the (n, k) table holds
-    curve i's mean-fit sums K(u)u^P and K(u)u^p Y at t_star, then its pair
-    sums and active-pair counts at the cells (t*, t*) and
-    (t* - eps, t* + eps) of `fit_diag`; `shapes` gives the leading shape of
-    each block.  The distinct design times in the mean window, which
-    `fit_mean_at` counts, are own[i] times held by curve i alone plus the
-    columns of the (n, S) presence matrix `shared` for times held by several
-    curves.  The common factors 1/h and 1/h^2 of the weights cancel in the
-    solves and are left out.
+    Returns (table, shapes, own, shared).  Row i of the (n, k) table holds curve
+    i's mean-fit sums K(u)u^P and K(u)u^p Y at t_star, then its pair sums and
+    active-pair counts at the cells (t*, t*) and (t* - eps, t* + eps) of
+    `fit_diag`, eps = DIAG_EPS_FACTOR * st.h_G; `shapes` gives each block's
+    leading shape.  `fit_mean_at` counts the distinct design times in the mean
+    window: own[i] times held by curve i alone, plus the columns of the (n, S)
+    presence matrix `shared` for times held by several observations.  The
+    weights' common factors 1/h and 1/h^2 cancel in the solves and are left out.
     """
     bounds = obs.curve_bounds()
     n = bounds.size - 1
-    centre = np.asarray([t_star])
-    mom, resp, ind = _window_features(obs, 0, obs.total, centre, st.h_m, st.kernel, st.d_mean)
+    mom, resp, ind = _window_features(obs, np.asarray([t_star]), h_m, st.kernel, st.d_mean)
     # the single centre axis stands for the exponent q = 0 of `_solve_cells`
     mean_M = np.add.reduceat(mom, bounds[:-1], axis=-1)
     mean_R = np.add.reduceat(resp, bounds[:-1], axis=-1)
     eps = DIAG_EPS_FACTOR * st.h_G
     cells = np.asarray([[t_star, max(t_star - eps, 0.0)], [t_star, min(t_star + eps, 1.0)]])
-    M, R, count = _curve_pair_sums(obs, st.h_G, st.kernel, st.d_cov, *cells)
+    M, R, count = _curve_pair_sums(obs, h_G, st.kernel, st.d_cov, *cells)
     parts = [mean_M, mean_R, M, R, count[0, 0]]
     table = np.concatenate([p.reshape(-1, n) for p in parts]).T.copy()
 
     active = np.flatnonzero(ind[0, 0])
     curve = np.repeat(np.arange(n), np.diff(bounds))[active]
-    _, which = np.unique(obs.t[active], return_inverse=True)
-    holders = np.bincount(which)[which]
-    own = np.bincount(curve[holders == 1], minlength=n)
-    multi = holders > 1
-    times, col = np.unique(which[multi], return_inverse=True)
-    shared = np.zeros((n, times.size), dtype=bool)
-    shared[curve[multi], col] = True
+    _, which, holders = np.unique(obs.t[active], return_inverse=True, return_counts=True)
+    present = np.zeros((n, holders.size), dtype=bool)
+    present[curve, which] = True
+    own, shared = present[:, holders == 1].sum(axis=1), present[:, holders > 1]
     return table, [p.shape[:-1] for p in parts], own, shared
 
 
 def _resample_sums(table, own, shared, draws):
-    """Table sums and distinct mean-window times of the identity and each draw row.
+    """Table sums and distinct mean-window times of each row of draws.
 
-    One draw position at a time keeps the working set at one (B + 1) x k
-    slab.  The identity resample, which draws curve j at position j, rides
-    along as row 0, so it is reduced in the same order as the others.
+    One draw position at a time keeps the working set at one slab of
+    rows x k.  A curve's own times count once however often it is drawn.
     """
-    n_rows, n = draws.shape[0] + 1, table.shape[0]
+    n_rows = draws.shape[0]
     sums = np.zeros((n_rows, table.shape[1]))
-    distinct = np.zeros(n_rows, dtype=int)
-    drawn = np.zeros((n_rows, n), dtype=bool)
+    drawn = np.zeros((n_rows, table.shape[0]), dtype=bool)
     rows = np.arange(n_rows)
-    for j in range(n):
-        c = np.concatenate(([j], draws[:, j]))
+    for c in draws.T:
         sums += table[c]
-        distinct += np.where(drawn[rows, c], 0, own[c])  # a curve's own times count once
         drawn[rows, c] = True
-    return sums, distinct + (drawn @ shared).sum(axis=1)
+    return sums, np.einsum("rn,n->r", drawn, own) + (drawn @ shared).sum(axis=1)
 
 
 def gathered_estimates(obs, t_star: float, st, thr: float, draws: np.ndarray):
-    """Batched estimates of the identity resample (row 0) and each row of draws.
+    """Batched estimates of each resample, a row of curve indices in draws.
 
-    Returns (est, solved, chain), est being (B + 1, 3).  Solved rows passed
-    the checks of `solve_wls` and `fit_mean_at` at h_m and h_G and the drift
-    threshold; chain rows failed a check and need the widening of
-    `point_estimates`; the rest fell below the threshold.
+    Returns (est, used, fallback), est being (rows, 3).  Each of a row's
+    fits, the mean (checks of `fit_mean_at`) and the cells (t*, t*) and
+    (t* - eps, t* + eps) (checks of `solve_wls`), keeps the first of the
+    bandwidths h, 1.5h, ... at which it passes; a row stops widening once its
+    mean falls below the drift threshold.  Used rows passed all three and
+    the threshold; fallback rows failed a check at h_m or h_G and widened.
     """
-    table, shapes, own, shared = _curve_statistics(obs, t_star, st)
-    sums, distinct = _resample_sums(table, own, shared, draws)
-    n_rows = sums.shape[0]
-    sizes = [math.prod(shape) for shape in shapes]
-    blocks = np.split(sums.T, np.cumsum(sizes)[:-1])
-    mean_M, mean_R, M, R, count = (
-        b.reshape(shape + (n_rows,)) for b, shape in zip(blocks, shapes)
-    )
+    n_rows = draws.shape[0]
+    fit = np.full((4, n_rows), np.nan)  # m, dm, D, dD
+    ok = np.zeros((3, n_rows), dtype=bool)  # mean, (t*, t*) cell, offset cell
+    rows = slice(None)  # the first pass reads every row of draws without a copy
+    mean_expo, cell_expo = [(p, 0) for p in range(st.d_mean + 1)], _monomial_exponents(st.d_cov)
+    h_m, h_G = st.h_m, st.h_G
+    for k in range(MAX_WIDEN + 1):
+        table, shapes, own, shared = _curve_statistics(obs, t_star, st, h_m, h_G)
+        sums, distinct = _resample_sums(table, own, shared, draws[rows])
+        blocks = np.split(sums.T, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+        mean_M, mean_R, M, R, count = (b.reshape(sh + (-1,)) for b, sh in zip(blocks, shapes))
+        mean_beta, mean_ok = _solve_cells(mean_M, mean_R, distinct, mean_expo)
+        beta, cell_ok = _solve_cells(M, R, count, cell_expo)
+        dD = beta[1, :, 1] / h_G + beta[1, :, 2] / h_G
+        now = np.stack((mean_beta[:, 0], mean_beta[:, 1] / h_m, beta[0, :, 0], dD))
+        passed = np.stack((mean_ok, *cell_ok)) & ~ok[:, rows]  # each fit keeps its first pass
+        fit[:, rows] = np.where(passed[[0, 0, 1, 2]], now, fit[:, rows])
+        ok[:, rows] |= passed
+        retry = ~ok[0] | ((np.abs(fit[0]) >= thr) & ~ok[1:].all(axis=0))
+        if k == 0:
+            fallback = retry
+        rows = np.flatnonzero(retry)
+        if not rows.size:
+            break
+        h_m, h_G = h_m * WIDEN_FACTOR, h_G * WIDEN_FACTOR
 
-    beta, mean_ok = _solve_cells(mean_M, mean_R, distinct, [(p, 0) for p in range(st.d_mean + 1)])
-    m, dm = beta[:, 0], beta[:, 1] / st.h_m
-    above = mean_ok & (np.abs(m) >= thr)
-    beta, cell_ok = _solve_cells(M, R, count, _monomial_exponents(st.d_cov))
-    D = beta[0, :, 0]
-    dD = beta[1, :, 1] / st.h_G + beta[1, :, 2] / st.h_G
-    solved = above & cell_ok.all(axis=0)
+    m, dm, D, dD = fit
+    used = ok.all(axis=0) & (np.abs(m) >= thr)
     est = np.full((n_rows, len(KEYS)), np.nan)
-    mu = dm[solved] / m[solved]
-    s_val = np.maximum(dD[solved] - 2.0 * mu * D[solved], 0.0)
+    mu = dm[used] / m[used]
+    s_val = np.maximum(dD[used] - 2.0 * mu * D[used], 0.0)
     sigma2, xi2, _ = separate(np.asarray([t_star]), s_val, st.policy, st.nu_K)
-    est[solved] = np.stack((mu, sigma2, xi2), axis=1)
-    return est, solved, ~mean_ok | (above & ~solved)
+    est[used] = np.stack((mu, sigma2, xi2), axis=1)
+    return est, used, fallback

@@ -28,7 +28,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -139,10 +139,14 @@ _DEFAULTS = {
 }
 
 
-def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
-    unknown = set(given) - set(defaults)
+def _reject_unknown(where: str, given, allowed) -> None:
+    unknown = set(given) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
+    _reject_unknown(f"'{section}'", given, defaults)
     out = dict(defaults)
     out.update(given)
     return out
@@ -172,9 +176,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    unknown = set(data) - {"schema_version", *_DEFAULTS}
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    _reject_unknown("the top level", data, {"schema_version", *_DEFAULTS})
     sections = {}
     for name, defaults in _DEFAULTS.items():
         given = data.get(name, {})
@@ -215,9 +217,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("model.params must be an object")
     constant = m["kind"] == "builtin" and m["name"] == "constant"
     # only the constant model reads params; any other key is a typo
-    unknown = set(p) - ({"mu", "sigma2", "xi2"} if constant else set())
-    if unknown:
-        raise ConfigError(f"unknown keys in 'model.params': {sorted(unknown)}")
+    _reject_unknown("'model.params'", p, {"mu", "sigma2", "xi2"} if constant else ())
     if constant:
         missing = {"mu", "sigma2", "xi2"} - set(p)
         if missing:
@@ -241,12 +241,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("model.nu_K must be a positive number")
     if not (_is_real(m["driver_variance_scale"]) and m["driver_variance_scale"] > 0):
         raise ConfigError("model.driver_variance_scale must be positive")
+    if not isinstance(m["jump_size_law"], str):
+        raise ConfigError("model.jump_size_law must be a string")
     x0 = m["x0"]
     if not isinstance(x0, dict) or x0.get("kind") not in ("point", "normal"):
         raise ConfigError("model.x0 must have kind point|normal")
-    unknown = set(x0) - ({"kind", "value"} if x0["kind"] == "point" else {"kind", "mean", "sd"})
-    if unknown:
-        raise ConfigError(f"unknown keys in 'model.x0' ({x0['kind']}): {sorted(unknown)}")
+    allowed = {"kind", "value"} if x0["kind"] == "point" else {"kind", "mean", "sd"}
+    _reject_unknown(f"'model.x0' ({x0['kind']})", x0, allowed)
     if x0["kind"] == "point" and not _is_real(x0.get("value")):
         raise ConfigError("model.x0 point needs a numeric value")
     if x0["kind"] == "normal" and not (
@@ -302,6 +303,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("estimation.policy.kind must be a known separation kind")
         if not isinstance(pol.get("expr"), str):
             raise ConfigError("estimation.policy.expr (in t) is required")
+        _reject_unknown("'estimation.policy'", pol, {"kind", "expr"})
 
     x = cfg.experiment
     if not (_is_int(x["master_seed"]) and x["master_seed"] >= 0):
@@ -326,6 +328,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"experiment.track entries unknown: {sorted(bad)}")
     if "xi2" in track and cfg.estimation["policy"] is None:
         raise ConfigError("tracking xi2 requires estimation.policy")
+    if not isinstance(cfg.output["directory"], str):
+        raise ConfigError("output.directory must be a string")
 
 
 @dataclass
@@ -363,12 +367,9 @@ def build_model(cfg: ExperimentConfig) -> ModelBundle:
     scale = float(m["driver_variance_scale"])
     if scale != 1.0:
         root = math.sqrt(scale)
-        base_sigma = base.sigma
-        base = CoefficientSet(
-            mu=base.mu,
-            sigma=lambda t, _f=base_sigma: root * _f(t),
-            xi=base.xi,
-            span=base.span,
+        base = replace(
+            base,
+            sigma=lambda t, _f=base.sigma: root * _f(t),
             coeff_id=base.coeff_id + f"*driver{scale:g}",
         )
         notes.append(
@@ -407,14 +408,10 @@ def build_design(cfg: ExperimentConfig) -> DesignConfig:
     d = cfg.design
     law_cfg = d["design_law"]
     if law_cfg["kind"] == "uniform":
-        extra = set(law_cfg) - {"kind"}
-        if extra:
-            raise ConfigError(f"uniform design law takes no keys {sorted(extra)}")
+        _reject_unknown("'design.design_law' (uniform)", law_cfg, {"kind"})
         law = UniformDesign()
     else:
-        extra = set(law_cfg) - {"kind", "floor"}
-        if extra:
-            raise ConfigError(f"unknown design law keys {sorted(extra)}")
+        _reject_unknown("'design.design_law' (clipped-linear)", law_cfg, {"kind", "floor"})
         law = ClippedLinearDesign(float(law_cfg.get("floor", 0.1)))
     return DesignConfig(
         r=d["r"], noise_sd=float(d["noise_sd"]), design_law=law, noise_law=d["noise_law"]
@@ -656,7 +653,7 @@ class BootstrapResult:
     point: dict[str, float]
     bmse: dict[str, float]
     used: np.ndarray        # bool per resample: produced estimates
-    fallback: int           # resamples refitted by the per-resample chain
+    fallback: int           # resamples whose windows widened past h_m or h_G
 
 
 def run_bootstrap(
@@ -673,13 +670,13 @@ def run_bootstrap(
     its drawn curves, so all resamples come from one per-curve table
     gathered along the draws and batched solves
     (`bootstrap.gathered_estimates`).  A resample whose mean or surface
-    window fails a check at h_m or h_G is refitted by the pointwise chain
-    `bootstrap.point_estimates`, which widens the window or fails the
-    resample; one whose |m_hat| falls below the drift threshold is skipped.
-    The reported point estimate comes from the same chain on the original
-    data.  The centre q_0 is the identity resample (all curves once)
-    reduced along with the others, so equal resamples give exactly zero
-    BMSE.  Requires at least 80% of resamples to succeed.
+    window fails a check at h_m or h_G is solved again in the same batch at
+    widened bandwidths, as `bootstrap.point_estimates` widens them, or
+    fails; one whose |m_hat| falls below the drift threshold is skipped.
+    The reported point estimate comes from `point_estimates` on the
+    original data.  The centre q_0 is the identity resample (all curves
+    once), row 0 of the gathered draws, so equal resamples give exactly
+    zero BMSE.  Requires at least 80% of resamples to succeed.
     """
     from . import bootstrap  # the batched route, compiled only when a bootstrap runs
 
@@ -699,17 +696,11 @@ def run_bootstrap(
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.experiment["master_seed"], _STREAM_BOOTSTRAP])
     )
-    draws = rng.integers(0, obs.n, size=(B, obs.n))
-    est, used, chain = bootstrap.gathered_estimates(obs, t_star, st, thr_used, draws)
+    draws = np.vstack((np.arange(obs.n), rng.integers(0, obs.n, size=(B, obs.n))))
+    est, used, fallback = bootstrap.gathered_estimates(obs, t_star, st, thr_used, draws)
     if not used[0]:
-        # the identity resample is the original data, whose chain gave the point
+        # the identity resample is the original data, which gave the point
         est[0] = [point[key] for key in bootstrap.KEYS]
-    for b in np.flatnonzero(chain[1:]) + 1:
-        try:
-            est[b] = bootstrap.point_estimates(obs.subset(draws[b - 1]), t_star, st, thr_used)
-        except SparseSdeError:
-            continue
-        used[b] = True
     n_success = int(used[1:].sum())
     if n_success < 0.8 * B:
         raise EstimationFailedError(
@@ -724,7 +715,7 @@ def run_bootstrap(
         point=point,
         bmse=bmse,
         used=used[1:],
-        fallback=int(chain[1:].sum()),
+        fallback=int(fallback[1:].sum()),
     )
 
 

@@ -35,6 +35,7 @@ from .model import CoefficientSet, LevyConfig
 _STREAM_PATHS = 0
 _STREAM_X0 = 1
 _BLOCK = 64  # steps per block of the in-place recursion (see _euler_core)
+_POISSON_LAM_MAX = 2.0**63 - 10.0 * 2.0**31.5  # largest rate `Generator.poisson` accepts
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,8 @@ def _euler_core(
     """
     m, dt = len(seeds), grid.dt
     comp = levy.nu_K * dt
+    if not comp <= _POISSON_LAM_MAX:
+        raise ValidationError(f"nu_K*dt = {comp:.3g} exceeds the Poisson sampler's limit")
     values = np.empty((m, grid.steps + 1))
     values[:, 0] = x0
     steps, counts = [], []

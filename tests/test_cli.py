@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsesde import ingest_csv
+from sparsesde import ConfigError, ingest_csv, load_config
 from sparsesde.cli import main
 
 CONSTANT_MODEL = {
@@ -366,3 +366,38 @@ def test_version_flag_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("estimation", {"policy": {"kind": "known-sigma", "expr": "0.1", "exprr": 1}}),
+        ("model", {"jump_size_law": 42}),
+        ("output", {"directory": 5}),
+    ],
+)
+def test_config_hole_rejected_at_parse_time(tmp_path, monkeypatch, capsys, section, values):
+    cfg = write_cfg(tmp_path, **{section: values})
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    monkeypatch.chdir(tmp_path)  # no --out: output.directory is read
+    assert main(["estimate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, model",
+    [
+        ("simulate", {"nu_K": 1e30}),
+        ("oracle-check", {"nu_K": 1e30}),
+        ("simulate", {"span": [0.0, 1e308]}),
+    ],
+)
+def test_poisson_rate_beyond_sampler_limit_exits_2(tmp_path, capsys, command, model):
+    cfg = write_cfg(
+        tmp_path, model=model, design={"n": 3}, experiment={"sim_steps": 20, "mc_paths": 10}
+    )
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nu_K*dt" in err

@@ -26,7 +26,8 @@ from sparsesde import (
     simulate_ensemble,
     sinusoid_model,
 )
-from sparsesde.bootstrap import point_estimates
+from sparsesde import bootstrap
+from sparsesde.bootstrap import gathered_estimates, point_estimates
 from sparsesde.errors import SparseSdeError
 from sparsesde.harness import (
     _STREAM_BOOTSTRAP,
@@ -40,6 +41,7 @@ from sparsesde.harness import (
     unit_truth,
     write_manifest,
 )
+from sparsesde.observe import SparseObservations
 
 from conftest import make_obs
 
@@ -444,6 +446,55 @@ def test_bootstrap_matches_per_resample_chain(panel, d_mean, d_cov):
         assert result.fallback == 0
     if panel == "low-mean":
         assert result.n_success < 60
+
+
+def _gap_config(d_mean, d_cov, B):
+    est = {"d_mean": d_mean, "d_cov": d_cov, "eval_points": 21, "h_m": 0.1, "h_G": 0.1}
+    est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
+    return parse_config(cfg_dict(estimation=est, experiment={"B": B}))
+
+
+@pytest.mark.parametrize("d_mean, d_cov", [(1, 1), (2, 2), (2, 1), (1, 2)])
+def test_widened_resamples_match_pointwise_chain(d_mean, d_cov):
+    # rows failing a check at h_m or h_G are widened inside the batch
+    cfg = _gap_config(d_mean, d_cov, 400)
+    obs = _gap_panel()
+    st = _resolve_settings(cfg, obs)
+    thr = _drift_stage(obs, st)[3]
+    t_star = cfg.experiment["t_star"]
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.experiment["master_seed"], _STREAM_BOOTSTRAP])
+    )
+    draws = rng.integers(0, obs.n, size=(400, obs.n))
+    est, used, fallback = gathered_estimates(obs, t_star, st, thr, draws)
+    widened = np.flatnonzero(fallback)
+    assert widened.size > 0
+    ref_used = np.zeros(widened.size, dtype=bool)
+    for i, b in enumerate(widened):
+        try:
+            ref = point_estimates(obs.subset(draws[b]), t_star, st, thr)
+        except SparseSdeError:
+            continue
+        ref_used[i] = True
+        npt.assert_allclose(est[b], ref, rtol=1e-12, atol=0.0)
+    npt.assert_array_equal(used[widened], ref_used)
+
+
+def test_bootstrap_widens_without_pointwise_refits(monkeypatch):
+    def no_subset(self, curve_ids):
+        raise AssertionError("a resample was refitted from its own observation set")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return point_estimates(*args)
+
+    monkeypatch.setattr(SparseObservations, "subset", no_subset)
+    monkeypatch.setattr(bootstrap, "point_estimates", counted)
+    result = run_bootstrap(_gap_config(2, 2, 200), _gap_panel())
+    assert result.fallback > 0
+    assert len(calls) == 1
 
 
 def test_emse_rows_match_estimate_on_regenerated_panels():
