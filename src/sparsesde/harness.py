@@ -269,6 +269,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     law = d["design_law"]
     if not isinstance(law, dict) or law.get("kind") not in ("uniform", "clipped-linear"):
         raise ConfigError("design.design_law.kind must be uniform|clipped-linear")
+    allowed = {"kind"} if law["kind"] == "uniform" else {"kind", "floor"}
+    _reject_unknown(f"'design.design_law' ({law['kind']})", law, allowed)
     if not _is_real(law.get("floor", 0.1)):
         raise ConfigError("design.design_law.floor must be a number")
     if d["noise_law"] not in ("gaussian", "uniform"):

@@ -121,9 +121,11 @@ def solve_moments(
     if grid is None:
         grid = _uniform_grid(coeffs.span[0], coeffs.span[1], step)
     grid = np.asarray(grid, dtype=float)
-    m = solve_mean(coeffs, m0, grid)
-    D = solve_second_moment(coeffs, nu_K, D0, grid)
-    M = _drift_integral(coeffs, grid)
+    # an overflowing solution is caught by validate() below, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = solve_mean(coeffs, m0, grid)
+        D = solve_second_moment(coeffs, nu_K, D0, grid)
+        M = _drift_integral(coeffs, grid)
     sol = MomentSolution(
         grid=grid, m=m, D=D, M=M, coeffs=coeffs, nu_K=nu_K, m0=m0, D0=D0
     )

@@ -11,12 +11,16 @@ matters and the Poisson counts are an exact representation of the small-jump
 integral increment.
 
 Reproducibility: an ensemble derives one uint64 seed per path from the
-master seed via SeedSequence, plus a separate stream for initial values, so
-any single path can be regenerated bit-for-bit in isolation and workers in a
+master seed via SeedSequence, plus a separate stream for initial values.
+Path i draws exactly what np.random.default_rng(seed_i) would draw, so any
+single path can be regenerated bit-for-bit in isolation and workers in a
 parallel setting may own disjoint blocks of paths without sharing generator
-state.  Path i draws its normals straight into row i of the (n, steps+1)
-result, then its Poisson counts, of which only the nonzero ones are kept;
-the recursion then runs in place through that one array (see _euler_core).
+state.  The generators themselves are never built one by one: the PCG64
+states of all seeds are derived in one vectorised pass (_path_states) and
+loaded in turn into one reused generator.  Path i draws its normals straight
+into row i of the (n, steps+1) result, then its Poisson counts, of which
+only the nonzero ones are kept; the recursion then runs in place through
+that one array (see _euler_core).
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ _STREAM_PATHS = 0
 _STREAM_X0 = 1
 _BLOCK = 64  # steps per block of the in-place recursion (see _euler_core)
 _POISSON_LAM_MAX = 2.0**63 - 10.0 * 2.0**31.5  # largest rate `Generator.poisson` accepts
+# SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,54 @@ class SamplePathSet:
         return np.interp(times, self.grid.points, self.values[i])
 
 
+def _hash_round(value, const: int, mult: int):
+    """One SeedSequence hashmix round on uint32 words; returns (value, next const)."""
+    value = value ^ const
+    const = const * mult & 0xFFFFFFFF
+    value = value * const
+    return value ^ (value >> 16), const
+
+
+def _path_states(seeds) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) pairs exactly as np.random.default_rng(seed) sets them.
+
+    SeedSequence(seed).generate_state(4, uint64) runs for all seeds at once
+    in uint32 array arithmetic: a seed below 2**32 pools the same as its
+    zero-padded two-word form, so every seed enters as [low, high].  Then
+    pcg64_set_seed turns each path's four words into (state, inc).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.size, dtype=np.uint32)
+    words = [seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+    pool, const = [], _INIT_A
+    for word in words:
+        word, const = _hash_round(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hash_round(pool[src], const, _MULT_A)
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+                pool[dst] = mixed ^ (mixed >> 16)
+    out, const = [], _INIT_B
+    for i in range(8):
+        word, const = _hash_round(pool[i % 4], const, _MULT_B)
+        out.append(word.astype(np.uint64))
+    val = [(out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*val):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _euler_core(
     coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0, seeds
 ) -> np.ndarray:
-    """Paths from default_rng(seed) per seed; returns shape (len(seeds), steps+1).
+    """Paths drawn as default_rng(seed) would per seed; returns (len(seeds), steps+1).
+
+    One PCG64 generator is reused: each path loads its state from
+    _path_states and draws its normals, then its Poisson counts.
 
     Time is walked in blocks of _BLOCK steps: the block's normals are copied
     out transposed and scaled by sigma(t_k) sqrt(dt), its jump increments
@@ -100,8 +152,10 @@ def _euler_core(
     values = np.empty((m, grid.steps + 1))
     values[:, 0] = x0
     steps, counts = [], []
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(0))
+    fresh = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for i, (state, inc) in enumerate(_path_states(seeds)):
+        rng.bit_generator.state = {**fresh, "state": {"state": state, "inc": inc}}
         rng.standard_normal(out=values[i, 1:])
         N = rng.poisson(comp, grid.steps)
         steps.append(np.flatnonzero(N))
@@ -145,7 +199,12 @@ def _euler_core(
 def simulate_path(
     coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0: float, seed: int
 ) -> np.ndarray:
-    """One path on the grid; returns steps+1 values starting at x0."""
+    """One path on the grid; returns steps+1 values starting at x0.
+
+    seed is an integer in [0, 2**64), the same word an ensemble gives a path.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     _check_span(coeffs, grid)
     return _euler_core(coeffs, levy, grid, float(x0), [seed])[0]
 
@@ -164,7 +223,7 @@ def simulate_ensemble(
     seeds = np.random.SeedSequence([master_seed, _STREAM_PATHS]).generate_state(n, np.uint64)
     x0_rng = np.random.default_rng(np.random.SeedSequence([master_seed, _STREAM_X0]))
     x0 = np.asarray(x0_law.sample(x0_rng, n), dtype=float)
-    values = _euler_core(coeffs, levy, grid, x0, seeds.tolist())
+    values = _euler_core(coeffs, levy, grid, x0, seeds)
     return SamplePathSet(grid=grid, values=values, seeds=seeds, coeff_id=coeffs.coeff_id)
 
 

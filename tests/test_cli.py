@@ -401,3 +401,26 @@ def test_poisson_rate_beyond_sampler_limit_exits_2(tmp_path, capsys, command, mo
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nu_K*dt" in err
+
+
+def test_simulate_rejects_unknown_design_law_key(tmp_path, capsys):
+    # simulate never builds the design, so the law's keys are checked at parse time
+    law = {"kind": "uniform", "flor": 0.2}
+    cfg = write_cfg(tmp_path, design={"n": 3, "design_law": law}, experiment={"sim_steps": 20})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "flor" in err
+    assert not (tmp_path / "out" / "paths.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_check_overflowing_moments_exit_2_without_warnings(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        model={"span": [0.0, 1e308]},
+        design={"n": 3},
+        experiment={"sim_steps": 20, "mc_paths": 10},
+    )
+    assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: moment solution contains non-finite values\n"

@@ -20,7 +20,7 @@ from sparsesde import (
     simulate_path,
     sinusoid_model,
 )
-from sparsesde.simulate import export_paths_csv
+from sparsesde.simulate import _path_states, export_paths_csv
 
 LEVY1 = LevyConfig(nu_K=1.0)
 
@@ -84,6 +84,41 @@ def test_ensemble_matches_column_layout_oracle(n, steps, law, nu_K):
         assert np.mean(counts.any(axis=1)) > 0.9
     x = simulate_path(c, levy, grid, float(rows[0, 0]), seed=int(seeds[0]))
     assert np.array_equal(x, rows[:, 0])
+
+
+def test_path_states_match_default_rng():
+    # word-boundary seeds, then the words an ensemble actually hands its paths
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    words = np.random.SeedSequence([97, 0]).generate_state(2000, np.uint64)
+    seeds = edges + words.tolist()
+    for seed, (state, inc) in zip(seeds, _path_states(seeds)):
+        ref = np.random.default_rng(seed).bit_generator.state["state"]
+        assert (state, inc) == (ref["state"], ref["inc"]), seed
+    rng = np.random.Generator(np.random.PCG64(0))
+    for seed, (state, inc) in zip(seeds[:8], _path_states(seeds[:8])):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(rng.standard_normal(300), ref.standard_normal(300))
+        assert np.array_equal(rng.poisson(0.7, 300), ref.poisson(0.7, 300))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
+def test_malformed_path_seed_rejected(seed):
+    with pytest.raises(ValidationError):
+        simulate_path(sinusoid_model(), LEVY1, PathGrid(0.0, 1.0, 10), 1.0, seed=seed)
+
+
+def test_path_seed_range_ends_accepted():
+    grid = PathGrid(0.0, 1.0, 10)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        x = simulate_path(sinusoid_model(), LEVY1, grid, 1.0, seed=seed)
+        ref, _ = _reference_rows(sinusoid_model(), LEVY1, grid, np.array([1.0]), [seed])
+        assert np.array_equal(x, ref[:, 0])
 
 
 def test_ensemble_peak_memory_is_near_result_size():
