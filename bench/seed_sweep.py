@@ -2,11 +2,12 @@
 
 Runs the `convergence_study` of tests/test_acceptance.py (n = 50, 100, 200,
 400; r = 10; 20 replications; known-sigma policy; tracking mu and xi2) at
-each master seed.  The replications are those of `run_emse`: the same
-seeds through the same pipeline stages, scored here so that the script can
-also say where the errors sit.  Per seed it prints the median EMSE(mu) at
-every n, the n = 400 / n = 100 ratio of the median sup |xi2_hat - xi2| on
-[0, 0.8], and whether each criterion passes, with its margin:
+each master seed.  The replications are those of `run_emse`, run through
+the same `harness.replications` (forked lanes, one per CPU) and scored
+here so that the script can also say where the errors sit.  Per seed it
+prints the median EMSE(mu) at every n, the n = 400 / n = 100 ratio of the
+median sup |xi2_hat - xi2| on [0, 0.8], and whether each criterion
+passes, with its margin:
 
   criterion 5  medians strictly decreasing; margin 1 - the largest ratio
                of a median to the one before it
@@ -28,8 +29,8 @@ import time
 
 import numpy as np
 
-from sparsesde import harness, observe, parse_config
-from sparsesde.errors import ConfigError, EstimationFailedError, PolicyError, SparseSdeError
+from sparsesde import harness, parse_config
+from sparsesde.errors import EstimationFailedError
 
 N_VALUES = [50, 100, 200, 400]
 REPLICATIONS = 20
@@ -76,22 +77,10 @@ def score(cfg, obs, mu_true, xi2_true) -> dict[str, float]:
 def study(seed: int) -> dict[int, dict[str, float]]:
     """Medians over the successful replications of every score, per n."""
     cfg = study_config(seed)
-    bundle = harness.build_model(cfg)
-    design = harness.build_design(cfg)
-    mu_true, _, xi2_true, _ = harness.unit_truth(bundle)
+    mu_true, _, xi2_true, _ = harness.unit_truth(harness.build_model(cfg))
     medians = {}
-    for ni, n in enumerate(N_VALUES):
-        rows = []
-        for rep in range(REPLICATIONS):
-            state = np.random.SeedSequence([seed, harness._STREAM_REPLICATION, ni, rep])
-            rep_seed = int(state.generate_state(1)[0])
-            try:
-                paths = harness.simulate_paths(cfg, bundle, rep_seed, n)
-                rows.append(score(cfg, observe(paths, design, rep_seed), mu_true, xi2_true))
-            except (ConfigError, PolicyError):
-                raise
-            except SparseSdeError:
-                continue
+    for n, outcomes in harness.replications(cfg, lambda obs: score(cfg, obs, mu_true, xi2_true)):
+        rows = [out for out in outcomes if isinstance(out, dict)]
         if not rows:
             raise EstimationFailedError(f"every replication failed at n={n}")
         medians[n] = {key: float(np.median([r[key] for r in rows])) for key in rows[0]}

@@ -1,8 +1,17 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class SparseSdeError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Every subclass pickles: it is rebuilt from its `args` and attributes
+    without calling `__init__`, whose signature may differ from `args`.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(SparseSdeError):

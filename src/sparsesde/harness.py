@@ -44,7 +44,6 @@ from .covfit import (
 from .errors import (
     ConfigError,
     EstimationFailedError,
-    PolicyError,
     SparseSdeError,
     ValidationError,
 )
@@ -566,6 +565,47 @@ def unit_truth(bundle: ModelBundle):
     return mu, sigma2, xi2, s
 
 
+def replications(cfg: ExperimentConfig, score):
+    """The replicated study of `cfg`, one sample size at a time.
+
+    Replication `rep` at the `ni`-th sample size n simulates n paths and
+    observes them under its own seed, SeedSequence([master_seed,
+    _STREAM_REPLICATION, ni, rep]), and returns `score(obs)`.  Yields
+    (n, outcomes) for each n in config order, where outcomes holds per
+    replication the score or the `SparseSdeError` that failed it.  A
+    ConfigError, a PolicyError or an error from outside the package ends
+    the study: the first one in (n, replication) order raises when its n is
+    reached.  The replications run in forked lanes, one per CPU of this
+    process (`lanes.fan_out`); every one of them is run before the first
+    yield, and the outcomes are those of running them here in order.
+    """
+    from . import lanes  # the process fan-out, compiled only when a study runs
+
+    n_cfg = cfg.design["n"]
+    n_values = n_cfg if isinstance(n_cfg, list) else [n_cfg]
+    reps = cfg.experiment["replications"]
+    master = cfg.experiment["master_seed"]
+    bundle = build_model(cfg)
+    design = build_design(cfg)
+
+    def replicate(task: tuple[int, int]) -> dict:
+        ni, rep = task
+        seq = np.random.SeedSequence([master, _STREAM_REPLICATION, ni, rep])
+        seed = int(seq.generate_state(1)[0])
+        return score(observe(simulate_paths(cfg, bundle, seed, n_values[ni]), design, seed))
+
+    tasks = [(ni, rep) for ni in range(len(n_values)) for rep in range(reps)]
+    found = lanes.fan_out(tasks, lambda task: n_values[task[0]], replicate)
+    for ni, n in enumerate(n_values):
+        outcomes = []
+        for rep in range(reps):  # a lane stops at its first such error: raise it in order
+            out = found[ni, rep]
+            if isinstance(out, BaseException) and lanes.ends_run(out):
+                raise out
+            outcomes.append(out)
+        yield n, outcomes
+
+
 @dataclass
 class EmseResult:
     n_values: list[int]
@@ -580,16 +620,12 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
     Each replication scores the drift; the surface stage runs only when
     "s" or "xi2" is tracked.  Per-replication failures are recorded and
     skipped; a sample size whose failure share exceeds one half aborts the
-    study.
+    study.  The replications run through `replications`, so the result
+    does not depend on the number of CPUs.
     """
-    n_cfg = cfg.design["n"]
-    n_values = n_cfg if isinstance(n_cfg, list) else [n_cfg]
     reps = cfg.experiment["replications"]
     track = cfg.experiment["track"]
-    master = cfg.experiment["master_seed"]
-    bundle = build_model(cfg)
-    design = build_design(cfg)
-    mu_true, _, xi2_true, s_true = unit_truth(bundle)
+    mu_true, _, xi2_true, s_true = unit_truth(build_model(cfg))
 
     def score(obs: SparseObservations) -> dict:
         st = _resolve_settings(cfg, obs)
@@ -614,25 +650,20 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
             out["sup_xi2"] = float(np.max(np.abs(noise.xi2[sel] - xi2_true(grid[sel]))))
         return out
 
+    n_values: list[int] = []
     rows: list[dict] = []
     medians: dict[int, dict] = {}
     failures: dict[int, int] = {}
-    for ni, n in enumerate(n_values):
+    for n, outcomes in replications(cfg, score):
+        n_values.append(n)
         ok_rows = []
-        for rep in range(reps):
-            seed = int(
-                np.random.SeedSequence([master, _STREAM_REPLICATION, ni, rep]).generate_state(1)[0]
-            )
+        for rep, out in enumerate(outcomes):
             row = {"n": n, "replication": rep, "status": "ok"}
-            try:
-                paths = simulate_paths(cfg, bundle, seed, n)
-                obs = observe(paths, design, seed)
-                row.update(score(obs))
+            if isinstance(out, SparseSdeError):
+                row["status"] = f"failed: {type(out).__name__}"
+            else:
+                row.update(out)
                 ok_rows.append(row)
-            except (ConfigError, PolicyError):
-                raise  # the same in every replication: a config fault, not a failed fit
-            except SparseSdeError as exc:
-                row["status"] = f"failed: {type(exc).__name__}"
             rows.append(row)
         failures[n] = reps - len(ok_rows)
         if failures[n] > 0.5 * reps:

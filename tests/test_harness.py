@@ -1,7 +1,9 @@
 """Config schema, model building, and the replicated study drivers."""
 
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -26,9 +28,9 @@ from sparsesde import (
     simulate_ensemble,
     sinusoid_model,
 )
-from sparsesde import bootstrap
+from sparsesde import bootstrap, harness, lanes
 from sparsesde.bootstrap import gathered_estimates, point_estimates
-from sparsesde.errors import SparseSdeError
+from sparsesde.errors import EstimationFailedError, SimulationDivergedError, SparseSdeError
 from sparsesde.harness import (
     _STREAM_BOOTSTRAP,
     _STREAM_REPLICATION,
@@ -547,3 +549,173 @@ def test_oracle_report_negative_control():
     by_name = {name: ok for name, _, _, ok in control.checks}
     assert not by_name["identity web web_vs_target sup on [0,0.9]"]
     assert by_name["identity web diag_vs_tri sup on [0,0.9]"]
+
+
+# ------------------------------------------------------- forked study lanes
+
+
+def _lane_config(**experiment):
+    return parse_config(
+        cfg_dict(
+            design={"n": [30, 60], "r": 8},
+            estimation={"eval_points": 11},
+            experiment={"replications": 4, "sim_steps": 100, **experiment},
+        )
+    )
+
+
+def _child_tasks(cfg) -> set:
+    """The (n index, replication) tasks that run in the forked lane of two."""
+    n_values = cfg.design["n"]
+    reps = cfg.experiment["replications"]
+    tasks = [(ni, rep) for ni in range(len(n_values)) for rep in range(reps)]
+    return set(lanes.split_lanes(tasks, lambda task: n_values[task[0]], 2)[1])
+
+
+def _no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs in the affinity set, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _raise_in_children(monkeypatch, action):
+    """Make `simulate_paths` call `action()` in forked lanes only."""
+    parent = os.getpid()
+    real = harness.simulate_paths
+
+    def simulate(*args):
+        if os.getpid() != parent:
+            action()
+        return real(*args)
+
+    monkeypatch.setattr(harness, "simulate_paths", simulate)
+
+
+def test_split_lanes_is_greedy_longest_first():
+    tasks = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+    cost = {0: 1, 1: 4}
+    assert lanes.split_lanes(tasks, lambda t: cost[t[0]], 2) == [
+        [(1, 0), (1, 2)],
+        [(0, 0), (0, 1), (1, 1)],
+    ]
+    assert lanes.split_lanes(tasks, lambda t: 1, 8) == [[t] for t in tasks]
+    assert lanes.split_lanes(tasks, lambda t: 1, 1) == [tasks]
+
+
+def test_forked_study_equals_in_process_study(monkeypatch):
+    cfg = _lane_config(track=["mu", "s"])
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = run_emse(cfg)
+    assert len(forks) == 1
+    _no_process_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = run_emse(cfg)
+    assert len(forks) == 1  # one CPU: nothing forks
+    assert forked.rows == serial.rows
+    assert forked.medians == serial.medians
+    assert forked.failures == serial.failures
+
+
+def test_failed_fit_in_child_lane_is_a_failed_row(two_cpus, monkeypatch):
+    cfg = _lane_config()
+    clean = run_emse(cfg)
+
+    def diverge():
+        raise SimulationDivergedError(5, 2)
+
+    _raise_in_children(monkeypatch, diverge)
+    result = run_emse(cfg)
+    _no_process_left()
+    child = _child_tasks(cfg)
+    assert result.failures == {30: 2, 60: 2}
+    for row, ref in zip(result.rows, clean.rows):
+        task = (cfg.design["n"].index(row["n"]), row["replication"])
+        if task in child:
+            assert row["status"] == "failed: SimulationDivergedError"
+        else:
+            assert row == ref
+
+
+@pytest.mark.parametrize("exc", [ConfigError("bad key"), RuntimeError("boom")])
+def test_fatal_error_in_child_lane_reaches_the_parent(two_cpus, monkeypatch, exc):
+    def fail():
+        raise exc
+
+    _raise_in_children(monkeypatch, fail)
+    with pytest.raises(type(exc), match=str(exc)):
+        run_emse(_lane_config())
+    _no_process_left()
+
+
+def test_study_failing_in_every_lane_leaves_no_process(two_cpus, monkeypatch):
+    def diverge(*args):
+        raise SimulationDivergedError(1, 0)
+
+    monkeypatch.setattr(harness, "simulate_paths", diverge)
+    with pytest.raises(EstimationFailedError, match="4/4 replications failed at n=30"):
+        run_emse(_lane_config())
+    _no_process_left()
+
+
+def test_failed_fork_runs_the_lane_in_process(two_cpus, monkeypatch):
+    cfg = _lane_config()
+    forked = run_emse(cfg)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_emse(cfg).rows == forked.rows
+
+
+def test_lane_whose_child_dies_runs_in_process(two_cpus, monkeypatch):
+    cfg = _lane_config()
+    clean = run_emse(cfg)
+    _raise_in_children(monkeypatch, lambda: os._exit(3))
+    assert run_emse(cfg).rows == clean.rows
+    _no_process_left()
+
+
+def test_lane_stops_at_its_first_fatal_error(two_cpus, monkeypatch):
+    calls = []
+
+    def bad_config(*args):
+        calls.append(os.getpid())
+        raise ConfigError("bad key")
+
+    monkeypatch.setattr(harness, "simulate_paths", bad_config)
+    with pytest.raises(ConfigError, match="bad key"):
+        run_emse(_lane_config())
+    assert calls == [os.getpid()]  # this process's lane ran one of its four tasks
+    _no_process_left()
+
+
+def test_blas_runs_one_thread_per_lane_and_is_restored(two_cpus, monkeypatch):
+    def threads():
+        return [get() for get, _ in lanes._blas_thread_controls()]
+
+    before = threads()
+    seen = []
+    real = harness.simulate_paths
+
+    def simulate(*args):
+        seen.append(threads())
+        return real(*args)
+
+    monkeypatch.setattr(harness, "simulate_paths", simulate)
+    run_emse(_lane_config())
+    assert len(seen) == 4 and all(t == [1] * len(before) for t in seen)
+    assert threads() == before
