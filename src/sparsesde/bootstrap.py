@@ -137,6 +137,8 @@ def gathered_estimates(obs, t_star: float, st, thr: float, draws: np.ndarray):
     bandwidths h, 1.5h, ... at which it passes; a row stops widening once its
     mean falls below the drift threshold.  Used rows passed all three and
     the threshold; fallback rows failed a check at h_m or h_G and widened.
+    The condition checks decide as `solve_wls` does, with the SVD taken only
+    of the normal matrices a determinant-trace bound does not clear.
     """
     n_rows = draws.shape[0]
     fit = np.full((4, n_rows), np.nan)  # m, dm, D, dD

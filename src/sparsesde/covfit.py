@@ -27,7 +27,9 @@ time, and the j = k terms come from chunks of observations in time order,
 each with the run of centres its span reaches.  A cell whose window at
 h_G holds fewer active pairs than basis columns, or whose normal matrix
 fails the condition check of `solve_wls`, is refitted by `fit_cov_at`,
-which widens its window or flags the cell.
+which widens its window or flags the cell.  The batch decides that check
+exactly as `solve_wls` does, but takes the SVD only of the normal matrices
+that a determinant-trace bound does not clear (`meanfit._cond_screen`).
 """
 
 from __future__ import annotations

@@ -253,6 +253,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         _is_real(x0.get("mean")) and _is_real(x0.get("sd")) and x0["sd"] >= 0
     ):
         raise ConfigError("model.x0 normal needs a numeric mean and sd >= 0")
+    if x0["kind"] == "normal" and not math.isfinite(
+        float(x0["mean"]) * x0["mean"] + float(x0["sd"]) * x0["sd"]
+    ):
+        raise ConfigError("model.x0 normal needs a finite second moment mean^2 + sd^2")
 
     d = cfg.design
     n = d["n"]

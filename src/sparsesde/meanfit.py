@@ -10,9 +10,12 @@ the default so the first derivative is not bias-limited at curve ends.
 centre's window is one segment of rows; one `np.add.reduceat` per block of
 centres sums its kernel moments, responses and distinct active times, and
 one batched solve applies the checks of `fit_mean_at` (distinct times
->= d + 1, condition <= its limit).  A centre failing them is refitted by
-`fit_mean_at`, which widens its window or flags it.  A centre reads only
-its own segment, so it fits the same whatever other centres share the call.
+>= d + 1, condition <= its limit).  The batch decides the condition check
+exactly as `solve_wls` does, but takes the SVD only of the normal matrices
+that a determinant-trace bound does not clear (`_cond_screen`).  A centre
+failing the checks is refitted by `fit_mean_at`, which widens its window or
+flags it.  A centre reads only its own segment, so it fits the same
+whatever other centres share the call.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ WIDEN_FACTOR = 1.5
 MAX_WIDEN = 5
 
 _COND_LIMIT = 1e12
+# a batched condition check takes the SVD only of the matrices whose
+# det-trace bound exceeds _COND_SCREEN.  On a matrix the bound clears, det and
+# the SVD each round by about p * eps * cond < 1e-5 relative: _SCREEN_ROUNDING
+# covers that, and the factor 1e3 below the limit dwarfs it
+_COND_SCREEN = 1e-3 * _COND_LIMIT
+_SCREEN_ROUNDING = 1.0 + 1e-3
 
 # candidate rows of a window reach this many bandwidths from its centre,
 # so rounding in (T - t)/h cannot drop a row the kernel still weights
@@ -157,14 +166,37 @@ def fit_mean_at(
     raise SparseWindowError(t)
 
 
+def _cond_screen(A: np.ndarray) -> np.ndarray:
+    """Condition number of each PSD matrix in A, or an upper bound where that clears.
+
+    A PSD p x p matrix has lambda_max <= tr and, by AM-GM on the other
+    p - 1 eigenvalues, lambda_min >= det / (tr / (p - 1))^(p - 1).  Where
+    this bound on the condition is positive and <= `_COND_SCREEN` it is
+    returned, raised by `_SCREEN_ROUNDING` so that it stays >= the
+    computed `np.linalg.cond`; the remaining matrices get that exact cond
+    (NaN where an entry is NaN).  So the pass/fail decision against
+    `_COND_LIMIT` is the one `solve_wls` makes.
+    """
+    p = A.shape[-1]
+    tr = np.trace(A, axis1=-2, axis2=-1)
+    with np.errstate(all="ignore"):
+        cond = _SCREEN_ROUNDING * tr * (tr / (p - 1)) ** (p - 1) / np.linalg.det(A)
+    exact = ~((cond > 0) & (cond <= _COND_SCREEN))
+    exact[exact] = ~np.isnan(A[exact]).any(axis=(-2, -1))  # the SVD raises on NaN
+    cond[exact] = np.linalg.cond(A[exact])
+    return cond
+
+
 def _solve_cells(M, R, count, expo):
     """Batched local polynomial solve for each cell from its window sums.
 
     The basis column (p, q) of `expo` is a^p b^q, so the normal matrix holds
     M[p + p', q + q'] and the response R[p, q]; a mean fit uses exponents
     (p, 0).  Applies the checks of `solve_wls` (count of active rows or
-    pairs >= columns, finite condition <= its limit); returns the
-    coefficients in `expo` order and a mask of the cells that passed.
+    pairs >= columns, finite condition <= its limit) and decides them as it
+    does, but takes the SVD only of the matrices `_cond_screen` does not
+    clear; returns the coefficients in `expo` order and a mask of the cells
+    that passed.
     """
     expo = np.asarray(expo)
     ncols = len(expo)
@@ -174,7 +206,7 @@ def _solve_cells(M, R, count, expo):
     ok = count >= ncols
     cond = np.full(count.shape, np.inf)
     if ok.any():
-        cond[ok] = np.linalg.cond(A[ok])
+        cond[ok] = _cond_screen(A[ok])
     ok &= np.isfinite(cond) & (cond <= _COND_LIMIT)
     beta = np.full(b.shape, np.nan)
     if ok.any():

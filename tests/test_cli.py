@@ -424,3 +424,15 @@ def test_oracle_check_overflowing_moments_exit_2_without_warnings(tmp_path, caps
     assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == "error: moment solution contains non-finite values\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+@pytest.mark.parametrize(
+    "x0", [{"mean": 0.0, "sd": 1e300}, {"mean": -1e300, "sd": 1.0}, {"mean": 1e154, "sd": 1e154}]
+)
+def test_normal_x0_with_overflowing_second_moment_exits_2(tmp_path, capsys, command, x0):
+    model = {"x0": {"kind": "normal", **x0}}
+    cfg = write_cfg(tmp_path, model=model, design={"n": 3}, experiment={"sim_steps": 20})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: model.x0 normal needs a finite second moment mean^2 + sd^2\n"

@@ -27,7 +27,13 @@ from sparsesde import (
     solve_wls,
     sinusoid_model,
 )
-from sparsesde.meanfit import fit_mean_points
+from sparsesde.meanfit import (
+    _COND_LIMIT,
+    _COND_SCREEN,
+    _SCREEN_ROUNDING,
+    _cond_screen,
+    fit_mean_points,
+)
 
 from conftest import make_obs
 
@@ -290,3 +296,59 @@ def test_mean_points_do_not_depend_on_other_centres():
     for i in (0, 20, 50):
         one = fit_mean_points(obs, grid[i : i + 1], 2, 0.1)
         assert (one[0][0], one[1][0]) == (m[i], dm[i])
+
+
+def _psd_batch(rng, p, kappa):
+    """Symmetric PSD p x p matrices of condition kappa, random eigenvectors and scale."""
+    Q, _ = np.linalg.qr(rng.standard_normal((kappa.size, p, p)))
+    lam = np.exp(rng.uniform(-np.log(kappa)[:, None], 0.0, (kappa.size, p)))
+    lam[:, 0], lam[:, -1] = 1.0, 1.0 / kappa
+    lam *= 10.0 ** rng.uniform(-4, 6, (kappa.size, 1))
+    A = np.einsum("nij,nj,nkj->nik", Q, lam, Q)
+    return (A + np.swapaxes(A, -1, -2)) / 2
+
+
+def _exact_cond(A):
+    """np.linalg.cond of each matrix, NaN where the SVD raises on a NaN entry."""
+    c = np.full(A.shape[0], np.nan)
+    for i, a in enumerate(A):
+        try:
+            c[i] = np.linalg.cond(a)
+        except np.linalg.LinAlgError:
+            assert np.isnan(a).any()
+    return c
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_cond_screen_decides_as_exact_cond(rng, p):
+    kappa = np.concatenate([10.0 ** rng.uniform(0, 14, 300), 10.0 ** rng.uniform(9, 15, 300)])
+    B = rng.standard_normal((100, p, p - 1))
+    nonfinite = _psd_batch(rng, p, np.full(4, 10.0))
+    for k, bad in enumerate((np.inf, -np.inf, np.nan, np.nan)):
+        nonfinite[k, 0, k % p] = nonfinite[k, k % p, 0] = bad
+    A = np.concatenate([
+        _psd_batch(rng, p, kappa),
+        np.zeros((1, p, p)),
+        np.ones((1, p, p)),
+        np.diag(np.r_[1.0, np.zeros(p - 1)])[None],
+        B @ np.swapaxes(B, -1, -2),  # rank p - 1, so rounding decides the sign of det
+        nonfinite,
+    ])
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(A)
+        tr = np.trace(A, axis1=-2, axis2=-1)
+        bound = _SCREEN_ROUNDING * tr * (tr / (p - 1)) ** (p - 1) / det
+    cleared = (bound > 0) & (bound <= _COND_SCREEN)
+    c = _exact_cond(A)
+    got = _cond_screen(A)
+    npt.assert_array_equal(
+        np.isfinite(got) & (got <= _COND_LIMIT), np.isfinite(c) & (c <= _COND_LIMIT)
+    )
+    assert np.all(got[~np.isnan(c)] >= c[~np.isnan(c)])
+    npt.assert_array_equal(got[~cleared], c[~cleared])
+    npt.assert_array_equal(got[cleared], bound[cleared])
+    # every kind of matrix is present: cleared, exact on both sides of the
+    # limit, rounded to a negative det, and NaN
+    assert cleared.sum() > 50 and np.isnan(got).sum() == 2 and (det[-104:-4] < 0).any()
+    near = ~cleared & (c > 1e-3 * _COND_LIMIT) & (c < 1e3 * _COND_LIMIT)
+    assert (near & (c <= _COND_LIMIT)).sum() > 50 and (near & (c > _COND_LIMIT)).sum() > 50
