@@ -8,10 +8,10 @@ the root of the repository.  The record also holds the `env` line of the
 runs (machine and library versions) and whether every run was `correct`.
 The script only calls the benchmark; it changes nothing under perfbench/.
 
-    python3 bench/perf_record.py --label NAME [--seeds 1 2 3] [--seconds S]
+    python3 bench/perf_record.py --label NAME
 
-`--seconds` defaults to BENCHMARK.json's `run_seconds`.  A full record at
-three seeds takes 18 runs, about ten minutes at 30 s a run.
+Each run lasts BENCHMARK.json's `run_seconds`, at seeds 1, 2 and 3, so a
+record takes 18 runs, about ten minutes at 30 s a run.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEEDS = (1, 2, 3)
 
 
-def bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def bench(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """(env, result) of one perfbench run; raises if the run does not finish."""
     argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     done = subprocess.run(argv, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -42,16 +43,16 @@ def bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, d
     return env, result
 
 
-def record(workloads: list[str], seeds: list[int], seconds: float) -> dict:
+def record(workloads: list[str]) -> dict:
     envs: list[dict] = []
     out: dict = {}
     for name in workloads:
         values: dict[str, list[float]] = {}
         units: dict[str, str] = {}
         correct, problems = True, []
-        for seed in seeds:
+        for seed in SEEDS:
             for trace in (0, 1):
-                env, result = bench(name, seed, seconds, trace)
+                env, result = bench(name, seed, trace)
                 envs.append(env)
                 correct &= bool(result["correct"])
                 problems += [f"seed {seed} trace {trace}: {p}" for p in result["problems"]]
@@ -70,8 +71,8 @@ def record(workloads: list[str], seeds: list[int], seconds: float) -> dict:
     return {
         "env": envs[0],
         "env_same_in_every_run": all(e == envs[0] for e in envs),
-        "seeds": seeds,
-        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "seconds": SPEC["run_seconds"],
         "workloads": out,
     }
 
@@ -79,12 +80,8 @@ def record(workloads: list[str], seeds: list[int], seconds: float) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float, default=float(SPEC["run_seconds"]))
     args = ap.parse_args(argv)
-    if len(args.seeds) < 3:
-        ap.error("medians need at least three seeds")
-    rec = record([w["name"] for w in SPEC["workloads"]], args.seeds, args.seconds)
+    rec = record([w["name"] for w in SPEC["workloads"]])
     dest = ROOT / f"BENCH_{args.label}.json"
     dest.write_text(json.dumps(rec, indent=1) + "\n")
     for name, wl in rec["workloads"].items():

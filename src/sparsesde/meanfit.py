@@ -173,16 +173,15 @@ def _cond_screen(A: np.ndarray) -> np.ndarray:
     p - 1 eigenvalues, lambda_min >= det / (tr / (p - 1))^(p - 1).  Where
     this bound on the condition is positive and <= `_COND_SCREEN` it is
     returned, raised by `_SCREEN_ROUNDING` so that it stays >= the
-    computed `np.linalg.cond`; the remaining matrices get that exact cond
-    (NaN where an entry is NaN).  So the pass/fail decision against
-    `_COND_LIMIT` is the one `solve_wls` makes.
+    computed `np.linalg.cond`; the remaining matrices get that exact cond.
+    So the pass/fail decision against `_COND_LIMIT` is the one `solve_wls`
+    makes.
     """
     p = A.shape[-1]
     tr = np.trace(A, axis1=-2, axis2=-1)
     with np.errstate(all="ignore"):
         cond = _SCREEN_ROUNDING * tr * (tr / (p - 1)) ** (p - 1) / np.linalg.det(A)
     exact = ~((cond > 0) & (cond <= _COND_SCREEN))
-    exact[exact] = ~np.isnan(A[exact]).any(axis=(-2, -1))  # the SVD raises on NaN
     cond[exact] = np.linalg.cond(A[exact])
     return cond
 

@@ -308,47 +308,42 @@ def _psd_batch(rng, p, kappa):
     return (A + np.swapaxes(A, -1, -2)) / 2
 
 
-def _exact_cond(A):
-    """np.linalg.cond of each matrix, NaN where the SVD raises on a NaN entry."""
-    c = np.full(A.shape[0], np.nan)
-    for i, a in enumerate(A):
-        try:
-            c[i] = np.linalg.cond(a)
-        except np.linalg.LinAlgError:
-            assert np.isnan(a).any()
-    return c
-
-
 @pytest.mark.parametrize("p", [2, 3, 6])
 def test_cond_screen_decides_as_exact_cond(rng, p):
     kappa = np.concatenate([10.0 ** rng.uniform(0, 14, 300), 10.0 ** rng.uniform(9, 15, 300)])
     B = rng.standard_normal((100, p, p - 1))
-    nonfinite = _psd_batch(rng, p, np.full(4, 10.0))
-    for k, bad in enumerate((np.inf, -np.inf, np.nan, np.nan)):
-        nonfinite[k, 0, k % p] = nonfinite[k, k % p, 0] = bad
+    infinite = _psd_batch(rng, p, np.full(2, 10.0))
+    infinite[0, 0, 1 % p] = infinite[0, 1 % p, 0] = np.inf
+    infinite[1, 0, 0] = -np.inf
+    gram = B @ np.swapaxes(B, -1, -2)  # rank p - 1, so rounding decides the sign of det
     A = np.concatenate([
         _psd_batch(rng, p, kappa),
         np.zeros((1, p, p)),
         np.ones((1, p, p)),
         np.diag(np.r_[1.0, np.zeros(p - 1)])[None],
-        B @ np.swapaxes(B, -1, -2),  # rank p - 1, so rounding decides the sign of det
-        nonfinite,
+        gram,
+        infinite,
     ])
-    with np.errstate(all="ignore"):
-        det = np.linalg.det(A)
-        tr = np.trace(A, axis1=-2, axis2=-1)
-        bound = _SCREEN_ROUNDING * tr * (tr / (p - 1)) ** (p - 1) / det
-    cleared = (bound > 0) & (bound <= _COND_SCREEN)
-    c = _exact_cond(A)
+    c = np.linalg.cond(A)
     got = _cond_screen(A)
     npt.assert_array_equal(
         np.isfinite(got) & (got <= _COND_LIMIT), np.isfinite(c) & (c <= _COND_LIMIT)
     )
-    assert np.all(got[~np.isnan(c)] >= c[~np.isnan(c)])
-    npt.assert_array_equal(got[~cleared], c[~cleared])
-    npt.assert_array_equal(got[cleared], bound[cleared])
-    # every kind of matrix is present: cleared, exact on both sides of the
-    # limit, rounded to a negative det, and NaN
-    assert cleared.sum() > 50 and np.isnan(got).sum() == 2 and (det[-104:-4] < 0).any()
-    near = ~cleared & (c > 1e-3 * _COND_LIMIT) & (c < 1e3 * _COND_LIMIT)
+    assert np.all(got >= c)
+    # a value above what the screen can clear is the exact cond
+    above = got > _COND_SCREEN * _SCREEN_ROUNDING
+    npt.assert_array_equal(got[above], c[above])
+    # every kind of matrix is present: cleared by the bound, exact on both
+    # sides of the limit, and rounded to a negative det
+    assert (got != c).sum() > 50 and (np.linalg.det(gram) < 0).any()
+    near = (c > 1e-3 * _COND_LIMIT) & (c < 1e3 * _COND_LIMIT)
     assert (near & (c <= _COND_LIMIT)).sum() > 50 and (near & (c > _COND_LIMIT)).sum() > 50
+
+
+def test_cond_screen_raises_on_nan_entry_as_exact_cond(rng):
+    A = _psd_batch(rng, 3, np.full(3, 10.0))
+    A[1, 0, 2] = A[1, 2, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cond(A)
+    with pytest.raises(np.linalg.LinAlgError):
+        _cond_screen(A)
