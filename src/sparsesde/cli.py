@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, harness
 from .errors import SparseSdeError
-from .observe import ingest_csv, ingest_wide_csv, observe
+from .observe import export_observations_csv, ingest_csv, ingest_wide_csv, observe
 from .simulate import export_paths_csv
 
 
@@ -78,8 +78,7 @@ def _prepare(args) -> tuple[harness.ExperimentConfig, int, Path]:
 
 def _load_obs(args, cfg, bundle, seed):
     if args.obs_csv is None:
-        n = harness._single_n(cfg)
-        paths = harness.simulate_paths(cfg, bundle, seed, n)
+        paths = harness.simulate_paths(cfg, bundle, seed, harness._single_n(cfg))
         return observe(paths, harness.build_design(cfg), seed), ["observations simulated"]
     if args.wide:
         if args.rescale_time is not None:
@@ -100,8 +99,11 @@ def _load_obs(args, cfg, bundle, seed):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    from .lanes import _one_blas_thread  # compiled on the first call, not at import
+
     try:
-        return _dispatch(args)
+        with _one_blas_thread():
+            return _dispatch(args)
     except (SparseSdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -112,19 +114,15 @@ def _dispatch(args) -> int:
     bundle = harness.build_model(cfg)
 
     if args.command == "simulate":
-        n = harness._single_n(cfg)
-        paths = harness.simulate_paths(cfg, bundle, seed, n)
+        paths = harness.simulate_paths(cfg, bundle, seed, harness._single_n(cfg))
         export_paths_csv(paths, out / "paths.csv")
         harness.write_manifest(out, "simulate", cfg, seed, bundle.notes)
-        print(f"wrote {out / 'paths.csv'} ({n} paths, {paths.grid.steps} steps)")
+        print(f"wrote {out / 'paths.csv'} ({paths.n} paths, {paths.grid.steps} steps)")
         return 0
 
     if args.command == "observe":
-        n = harness._single_n(cfg)
-        paths = harness.simulate_paths(cfg, bundle, seed, n)
+        paths = harness.simulate_paths(cfg, bundle, seed, harness._single_n(cfg))
         obs = observe(paths, harness.build_design(cfg), seed)
-        from .observe import export_observations_csv
-
         export_observations_csv(obs, out / "observations.csv")
         harness.write_manifest(out, "observe", cfg, seed, bundle.notes)
         print(f"wrote {out / 'observations.csv'} ({obs.total} rows, {obs.n} curves)")

@@ -284,7 +284,7 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
         sums = [total + contract(cx[k], cy[k]) for total, k in zip(sums, kinds)]
 
     order = np.argsort(s_pts, kind="stable")
-    by_time = np.argsort(obs.t, kind="stable")
+    by_time = obs.time_order
     for r0 in range(0, obs.total, _ROW_CHUNK):
         rows = by_time[r0 : r0 + _ROW_CHUNK]
         t = obs.t[rows]
@@ -410,7 +410,10 @@ def fit_diagonal_inclusive(
 
 
 def replace_responses(obs: SparseObservations, new_y: np.ndarray) -> SparseObservations:
-    return replace(obs, y=np.asarray(new_y, dtype=float))
+    """`obs` with responses `new_y`; it shares `obs.t`, and so its time order."""
+    out = replace(obs, y=np.asarray(new_y, dtype=float))
+    out.time_order = obs.time_order
+    return out
 
 
 def noise_variance_estimate(

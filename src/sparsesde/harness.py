@@ -24,10 +24,11 @@ manifest notes the equivalence when c != 1.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -77,6 +78,7 @@ from .observe import (
     observe,
 )
 from .recover import (
+    _POLICY_KINDS,
     CoefficientEstimate,
     SeparationPolicy,
     estimate_drift,
@@ -90,6 +92,9 @@ SCHEMA_VERSION = 1
 # SeedSequence tags reserved by the harness (simulate/observe use 0..3)
 _STREAM_REPLICATION = 10
 _STREAM_BOOTSTRAP = 20
+_TABLE_BLOCK = 1 << 10  # rows of a CSV artifact turned into text at a time: its text stays small
+# characters that make `csv.writer` quote a field
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 _DEFAULTS = {
     "model": {
@@ -202,7 +207,8 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # an int beyond float range is not one; math.isfinite would raise on it
+    return _is_int(v) and abs(v) <= sys.float_info.max or isinstance(v, float) and math.isfinite(v)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -283,9 +289,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not all(_is_int(e[key]) and e[key] >= 1 for key in ("d_mean", "d_cov")):
         raise ConfigError("polynomial degrees must be integers >= 1")
     for key in ("h_m", "h_G"):
-        v = e[key]
-        ok = v == "auto" or (_is_real(v) and v > 0)
-        if not ok:
+        if not (e[key] == "auto" or (_is_real(e[key]) and e[key] > 0)):
             raise ConfigError(f"estimation.{key} must be 'auto' or a positive number")
     if not (_is_real(e["epsilon"]) and 0 < e["epsilon"] < 1):
         raise ConfigError("estimation.epsilon must lie in (0, 1)")
@@ -300,11 +304,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("estimation.separation_source must be tri|diag")
     pol = e["policy"]
     if pol is not None:
-        if not isinstance(pol, dict) or pol.get("kind") not in (
-            "known-sigma",
-            "known-xi",
-            "known-fraction",
-        ):
+        if not isinstance(pol, dict) or pol.get("kind") not in _POLICY_KINDS:
             raise ConfigError("estimation.policy.kind must be a known separation kind")
         if not isinstance(pol.get("expr"), str):
             raise ConfigError("estimation.policy.expr (in t) is required")
@@ -583,7 +583,7 @@ def replications(cfg: ExperimentConfig, score):
     process (`lanes.fan_out`); every one of them is run before the first
     yield, and the outcomes are those of running them here in order.
     """
-    from . import lanes  # the process fan-out, compiled only when a study runs
+    from . import lanes  # the process fan-out, compiled on first use
 
     n_cfg = cfg.design["n"]
     n_values = n_cfg if isinstance(n_cfg, list) else [n_cfg]
@@ -837,10 +837,13 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
         worst_m = worst_D = 0.0
         for col, u in enumerate(pts):
             xs = X[:, col]
-            se_m = float(xs.std(ddof=1) / math.sqrt(n_mc))
-            se_D = float((xs**2).std(ddof=1) / math.sqrt(n_mc))
-            dev_m = abs(float(xs.mean()) - float(sol.mean_at(u)))
-            dev_D = abs(float(np.mean(xs**2)) - float(sol.second_moment_at(u)))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                se_m = float(xs.std(ddof=1) / math.sqrt(n_mc))
+                se_D = float((xs**2).std(ddof=1) / math.sqrt(n_mc))
+                dev_m = abs(float(xs.mean()) - float(sol.mean_at(u)))
+                dev_D = abs(float(np.mean(xs**2)) - float(sol.second_moment_at(u)))
+            if not all(map(math.isfinite, (se_m, se_D, dev_m, dev_D))):
+                raise ValidationError("Monte Carlo moments contain non-finite values")
             if se_m > 0:
                 worst_m = max(worst_m, dev_m / (4.0 * se_m))
             if se_D > 0:
@@ -853,16 +856,6 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
 
 
 # ---------------------------------------------------------------- exports
-
-
-def _fmt(x) -> str:
-    if type(x) is float:
-        return repr(x)
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 def write_manifest(
@@ -892,83 +885,94 @@ def write_manifest(
         fh.write("\n")
 
 
-def write_table(dest, header: list[str], rows) -> None:
-    """Write one CSV artifact: the header, then the rows with every number
-    formatted by `_fmt` (ints as ints, floats by repr so they round-trip).
-    Array columns go in as `.tolist()` values, the plain Python numbers
-    `_fmt` formats first."""
+def _quoted(cell: str) -> str:
+    """`cell` as `csv.writer` writes it: quoted if it holds a delimiter, quote or line break."""
+    return f'"{cell.replace(chr(34), 2 * chr(34))}"' if _CSV_SPECIAL.search(cell) else cell
+
+
+def _cells(col) -> list[str]:
+    """CSV text of a column: floats by repr, so they round-trip, ints and bools
+    as ints, strings through `_quoted`, also among numbers of one type (empty cells)."""
+    if not isinstance(col, np.ndarray):
+        nums = [v for v in col if not isinstance(v, str)]
+        if len(nums) < len(col):
+            text = iter(_cells(np.asarray(nums)))
+            return [_quoted(v) if isinstance(v, str) else next(text) for v in col]
+        col = np.asarray(col)
+    if col.dtype.kind == "f":  # a float repr holds no ", "
+        return repr(col.tolist())[1:-1].split(", ") if col.size else []
+    return list(map(str, col.astype(int).tolist()))
+
+
+def write_table(dest, header: list[str], cols) -> None:
+    """Write one CSV artifact: the header, then the columns `cols` side by
+    side, each turned into text by `_cells` a block of rows at a time.  The
+    bytes are those `csv.writer` writes for a table of two or more columns."""
+    cols = [c if isinstance(c, np.ndarray) else list(c) for c in cols]
     with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_fmt(x) for x in row] for row in rows)
+        fh.write(",".join(map(_quoted, header)) + "\r\n")
+        for r0 in range(0, len(cols[0]), _TABLE_BLOCK):
+            rows = zip(*(_cells(c[r0 : r0 + _TABLE_BLOCK]) for c in cols))
+            fh.write("".join(",".join(row) + "\r\n" for row in rows))
 
 
 def export_mean_csv(mean_est: MeanEstimate, dest) -> None:
-    cols = (mean_est.eval_grid, mean_est.m_hat, mean_est.dm_hat, mean_est.flags.astype(int))
-    write_table(dest, ["t", "m_hat", "dm_hat", "flag"], zip(*map(np.ndarray.tolist, cols)))
+    cols = (mean_est.eval_grid, mean_est.m_hat, mean_est.dm_hat, mean_est.flags)
+    write_table(dest, ["t", "m_hat", "dm_hat", "flag"], cols)
 
 
 def export_surface_csv(cov_est: CovEstimate, dest) -> None:
     iu = np.triu_indices(cov_est.eval_times.size)
     s, t = cov_est.eval_times[iu[0]], cov_est.eval_times[iu[1]]
-    flags = cov_est.pair_flags[iu].astype(int)
-    cols = (s, t, cov_est.G2[iu], cov_est.ds2[iu], cov_est.dt2[iu], flags)
-    write_table(
-        dest, ["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"], zip(*map(np.ndarray.tolist, cols))
-    )
+    cols = (s, t, cov_est.G2[iu], cov_est.ds2[iu], cov_est.dt2[iu], cov_est.pair_flags[iu])
+    write_table(dest, ["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"], cols)
 
 
 def export_surface_diag_csv(cov_est: CovEstimate, dest) -> None:
     cols = (cov_est.eval_times, cov_est.D_hat, cov_est.dD_hat)
-    write_table(dest, ["t", "D_hat", "dD_hat"], zip(*map(np.ndarray.tolist, cols)))
+    write_table(dest, ["t", "D_hat", "dD_hat"], cols)
 
 
 def export_coefficients_csv(est: CoefficientEstimate, dest) -> None:
     nan = np.full(est.eval_grid.size, np.nan)
     sigma2 = est.sigma2_hat if est.sigma2_hat is not None else nan
     xi2 = est.xi2_hat if est.xi2_hat is not None else nan
-    flag_names = sorted(est.flags)
-    tokens = (
-        "|".join(name for name in flag_names if est.flags[name][i])
-        for i in range(est.eval_grid.size)
-    )
-    cols = (est.eval_grid, est.mu_hat, est.s_diag, est.s_tri, sigma2, xi2)
-    rows = zip(*map(np.ndarray.tolist, cols), tokens)
-    write_table(dest, ["t", "mu_hat", "s_diag", "s_tri", "sigma2_hat", "xi2_hat", "flags"], rows)
+    flags = sorted(est.flags.items())
+    tokens = ["|".join(name for name, on in flags if on[i]) for i in range(est.eval_grid.size)]
+    cols = (est.eval_grid, est.mu_hat, est.s_diag, est.s_tri, sigma2, xi2, tokens)
+    write_table(dest, ["t", "mu_hat", "s_diag", "s_tri", "sigma2_hat", "xi2_hat", "flags"], cols)
 
 
 def export_oracle_csvs(sol: MomentSolution, dest_dir: Path, grid_step: float = 0.05) -> None:
     pts = np.round(np.arange(0.0, 1.0 + 1e-9, grid_step), 10).tolist()
-    rows = ([t, float(sol.mean_at(t)), float(sol.second_moment_at(t))] for t in pts)
-    write_table(dest_dir / "oracle_m_D.csv", ["t", "m", "D"], rows)
-    rows = ([s, t, float(cov_value(sol, s, t))] for i, s in enumerate(pts) for t in pts[i:])
-    write_table(dest_dir / "oracle_G.csv", ["s", "t", "G"], rows)
+    m, D = [float(sol.mean_at(t)) for t in pts], [float(sol.second_moment_at(t)) for t in pts]
+    write_table(dest_dir / "oracle_m_D.csv", ["t", "m", "D"], (pts, m, D))
+    cells = [(s, t) for i, s in enumerate(pts) for t in pts[i:]]
+    cols = (*zip(*cells), [float(cov_value(sol, s, t)) for s, t in cells])
+    write_table(dest_dir / "oracle_G.csv", ["s", "t", "G"], cols)
 
 
 def export_emse_csv(result: EmseResult, dest_dir: Path) -> None:
     metrics = sorted(
         {k for r in result.rows for k in r if k not in ("n", "replication", "status")}
     )
-    rows = (
-        [r["n"], r["replication"], r["status"], *(r.get(k, "") for k in metrics)]
-        for r in result.rows
-    )
-    write_table(dest_dir / "emse.csv", ["n", "replication", "status", *metrics], rows)
-    rows = (
-        [n, result.failures[n], *(result.medians[n].get(k, "") for k in metrics)]
-        for n in result.n_values
-    )
+    cols = [[r.get(k, "") for r in result.rows] for k in ("n", "replication", "status", *metrics)]
+    write_table(dest_dir / "emse.csv", ["n", "replication", "status", *metrics], cols)
+    cols = [
+        result.n_values,
+        [result.failures[n] for n in result.n_values],
+        *([result.medians[n].get(k, "") for n in result.n_values] for k in metrics),
+    ]
     header = ["n", "failures", *[f"median_{k}" for k in metrics]]
-    write_table(dest_dir / "emse_summary.csv", header, rows)
+    write_table(dest_dir / "emse_summary.csv", header, cols)
 
 
 def export_bootstrap_csv(result: BootstrapResult, dest_dir: Path) -> None:
-    rows = (
-        [key, result.point[key], result.bmse[key], result.t_star, result.B, result.n_success]
-        for key in ("mu", "sigma2", "xi2")
-    )
+    keys = ("mu", "sigma2", "xi2")
+    cols = [keys, [result.point[k] for k in keys], [result.bmse[k] for k in keys]]
+    cols += [[v] * len(keys) for v in (result.t_star, result.B, result.n_success)]
     header = ["quantity", "point_estimate", "bmse", "t_star", "B", "resamples_used"]
-    write_table(dest_dir / "bootstrap_summary.csv", header, rows)
+    write_table(dest_dir / "bootstrap_summary.csv", header, cols)
 
 
 def export_oracle_report(report: OracleReport, dest) -> None:

@@ -21,6 +21,7 @@ child: an exception comes back with its type, message and attributes only.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -51,13 +52,14 @@ _BLAS_THREADS = (
 )
 
 
-def _blas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this process."""
+@functools.cache
+def _blas_thread_controls() -> tuple[tuple, ...]:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process, found once."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {ln.split()[-1] for ln in fh if "openblas" in ln.rsplit("/", 1)[-1]}
     except OSError:
-        return []
+        return ()
     found = []
     for path in sorted(p for p in paths if ".so" in p):
         try:
@@ -72,7 +74,7 @@ def _blas_thread_controls() -> list[tuple]:
                 put.argtypes, put.restype = [ctypes.c_int], None
                 found.append((get, put))
                 break
-    return found
+    return tuple(found)
 
 
 @contextmanager

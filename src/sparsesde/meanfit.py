@@ -241,7 +241,7 @@ def fit_mean_points(
         raise ValidationError("bandwidth must be positive")
     h = float(h_m)
     centres = np.asarray(centres, dtype=float)
-    order = np.argsort(obs.t, kind="stable")
+    order = obs.time_order
     T, Y = obs.t[order], obs.y[order]
     first = np.diff(T, prepend=-np.inf) > 0  # equal times share a window; count each once
     lo = np.searchsorted(T, centres - _WINDOW_MARGIN * h)

@@ -16,6 +16,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,11 @@ class SparseObservations:
     @property
     def total(self) -> int:
         return self.t.size
+
+    @cached_property
+    def time_order(self) -> np.ndarray:
+        """Stable argsort of `t`, taken on first use; the fits read rows in this order."""
+        return np.argsort(self.t, kind="stable")
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.curve_id, minlength=self.n)
@@ -247,11 +253,9 @@ def _draw_noise(rng: np.random.Generator, cfg: DesignConfig, size: int) -> np.nd
 
 def export_observations_csv(obs: SparseObservations, dest) -> None:
     """Write long format curve_id,t,y; floats via repr so ingest round-trips."""
-    with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve_id", "t", "y"])
-        for c, t, y in zip(obs.curve_id, obs.t, obs.y):
-            writer.writerow([int(c), repr(float(t)), repr(float(y))])
+    from .harness import write_table
+
+    write_table(dest, ["curve_id", "t", "y"], [obs.curve_id, obs.t, obs.y])
 
 
 # one data row of a long-format file
@@ -261,10 +265,10 @@ _CSV_ROW = np.dtype([("curve_id", np.int64), ("t", float), ("y", float)])
 def ingest_csv(source, time_span=None) -> SparseObservations:
     """Read long-format curve_id,t,y observations.
 
-    Rows are sorted by time within each curve; malformed rows raise
-    CsvParseError with the 1-based line number.  Files whose times live on
-    some other interval [t0, t1] are supported by passing time_span=(t0, t1);
-    the times are mapped affinely onto [0, 1] before validation.
+    Rows are sorted by time within each curve unless already in that order;
+    malformed rows raise CsvParseError with the 1-based line number.  Files
+    whose times live on some other interval [t0, t1] are supported by passing
+    time_span=(t0, t1); they are mapped affinely onto [0, 1] before validation.
 
     The rows are parsed in one `np.loadtxt` pass.  If that fails, or finds
     no rows, they are read again one `csv` record at a time, which parses
@@ -286,16 +290,18 @@ def ingest_csv(source, time_span=None) -> SparseObservations:
             data = np.empty(0, dtype=_CSV_ROW)
     if data.size == 0:
         data = _read_records(source)
-    order = np.lexsort((data["t"], data["curve_id"]))
-    ids = data["curve_id"][order]
+    ids, tt, yy = (np.ascontiguousarray(data[key]) for key in _CSV_ROW.names)
+    # NaN times compare False, so a file holding one is sorted like any other
+    if not np.all((ids[1:] > ids[:-1]) | ((ids[1:] == ids[:-1]) & (tt[1:] >= tt[:-1]))):
+        order = np.lexsort((tt, ids))
+        ids, tt, yy = ids[order], tt[order], yy[order]
     cid = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # each row's id rank
-    tt = data["t"][order]
     if time_span is not None:
         t0, t1 = float(time_span[0]), float(time_span[1])
         if not t1 > t0:
             raise ValidationError(f"time span needs t1 > t0, got [{t0}, {t1}]")
         tt = (tt - t0) / (t1 - t0)
-    obs = SparseObservations(curve_id=cid, t=tt, y=data["y"][order])
+    obs = SparseObservations(curve_id=cid, t=tt, y=yy)
     obs.validate()
     return obs
 
@@ -342,14 +348,11 @@ def ingest_wide_csv(source) -> SparseObservations:
     if not data_rows:
         raise CsvParseError(2, "no data rows")
 
-    def _is_number(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    has_id = not _is_number(data_rows[0][0])
+    try:
+        float(data_rows[0][0])
+        has_id = False
+    except ValueError:
+        has_id = True
     first_col = 1 if has_id else 0
     ncols = len(header) - first_col
     if ncols < 2:

@@ -198,7 +198,6 @@ def estimate_total_noise(
     nt = grid.size
     s_diag = np.full(nt, np.nan)
     s_tri = np.full(nt, np.nan)
-    floored_diag = np.zeros(nt, dtype=bool)
     floored_tri = np.zeros(nt, dtype=bool)
     trimmed = grid > 1.0 - epsilon + 1e-12
     failed_tri = np.zeros(nt, dtype=bool)
@@ -206,9 +205,8 @@ def estimate_total_noise(
     ok_diag = ~cov_est.diag_flags
     raw = cov_est.dD_hat - 2.0 * mu_hat * cov_est.D_hat
     s_diag[ok_diag] = raw[ok_diag]
-    neg = ok_diag & (s_diag < 0)
-    s_diag[neg] = 0.0
-    floored_diag[neg] = True
+    floored_diag = ok_diag & (s_diag < 0)
+    s_diag[floored_diag] = 0.0
 
     if not np.array_equal(grid, cov_est.eval_times):
         raise ValidationError("drift grid and surface grid must coincide")
@@ -219,11 +217,8 @@ def estimate_total_noise(
         except SparseQuadratureError:
             failed_tri[i] = True
             continue
-        if val < 0:
-            s_tri[i] = 0.0
-            floored_tri[i] = True
-        else:
-            s_tri[i] = val
+        s_tri[i] = max(val, 0.0)  # NaN and -0.0 stay as they are
+        floored_tri[i] = val < 0
     flags = {
         "floored_diag": floored_diag,
         "floored_tri": floored_tri,

@@ -25,7 +25,6 @@ that one array (see _euler_core).
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -242,11 +241,8 @@ def _check_span(coeffs: CoefficientSet, grid: PathGrid) -> None:
 
 def export_paths_csv(paths: SamplePathSet, dest) -> None:
     """Write the ensemble in long format: path_id,t,x."""
-    points = paths.grid.points
-    with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t", "x"])
-        for i in range(paths.n):
-            row_vals = paths.values[i]
-            for t, x in zip(points, row_vals):
-                writer.writerow([i, repr(float(t)), repr(float(x))])
+    from .harness import write_table
+
+    t = paths.grid.points
+    ids = np.repeat(np.arange(paths.n), t.size)
+    write_table(dest, ["path_id", "t", "x"], (ids, np.tile(t, paths.n), paths.values.ravel()))

@@ -330,6 +330,10 @@ def test_estimate_manifest_reports_surface_fallback(tmp_path):
         ("model", {"params": 5}),
         ("model", {"x0": {"kind": "point", "value": 1.0, "sd": 3}}),
         ("model", {"x0": {"kind": "normal", "mean": 1.0, "sd": 0.5, "value": 1.0}}),
+        # integers beyond float range
+        ("design", {"noise_sd": 10**400}),
+        ("model", {"nu_K": 10**400}),
+        ("model", {"x0": {"kind": "normal", "mean": 10**400, "sd": 1.0}}),
     ],
 )
 def test_mistyped_config_value_exits_2(tmp_path, capsys, section, values):
@@ -424,6 +428,20 @@ def test_oracle_check_overflowing_moments_exit_2_without_warnings(tmp_path, caps
     assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == "error: moment solution contains non-finite values\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_check_overflowing_monte_carlo_exits_2_without_warnings(tmp_path, capsys):
+    # the second moment 1e200 is finite, but the spread of X^2 overflows
+    cfg = write_cfg(
+        tmp_path,
+        model={"x0": {"kind": "normal", "mean": 0.0, "sd": 1e100}},
+        design={"n": 3},
+        experiment={"sim_steps": 20, "mc_paths": 10},
+    )
+    assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Monte Carlo moments contain non-finite values\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle-check"])

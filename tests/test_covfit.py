@@ -533,3 +533,10 @@ def test_grid_fit_peak_memory_within_dense_peak(d):
     finally:
         tracemalloc.stop()
     assert peak <= _DENSE_PEAK_BYTES[d]
+
+
+def test_squared_response_panel_shares_the_time_order():
+    obs = _simulated_panel()
+    sq = replace_responses(obs, obs.y**2)
+    assert sq.t is obs.t and sq.time_order is obs.time_order
+    npt.assert_array_equal(sq.time_order, np.argsort(obs.t, kind="stable"))

@@ -1,5 +1,6 @@
 """Config schema, model building, and the replicated study drivers."""
 
+import csv
 import errno
 import json
 import math
@@ -42,6 +43,7 @@ from sparsesde.harness import (
     simulate_paths,
     unit_truth,
     write_manifest,
+    write_table,
 )
 from sparsesde.observe import SparseObservations
 
@@ -719,3 +721,69 @@ def test_blas_runs_one_thread_per_lane_and_is_restored(two_cpus, monkeypatch):
     run_emse(_lane_config())
     assert len(seen) == 4 and all(t == [1] * len(before) for t in seen)
     assert threads() == before
+
+
+def _fmt(x) -> str:
+    """The per-cell formatter CSV artifacts were once written with: the oracle."""
+    if type(x) is float:
+        return repr(x)
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _oracle_table(dest, header, cols) -> None:
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in cols]
+    with open(dest, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_fmt(x) for x in row] for row in zip(*cols))
+
+
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1e16, 1e-7, 123456789.125, -2.5e-310,
+]
+
+
+@pytest.mark.parametrize("block", [3, 1 << 14])
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [np.array(_EDGE_FLOATS), np.arange(13, dtype=np.int64), np.arange(13) % 3 == 0],
+        [
+            np.arange(13, dtype=np.int32),
+            ["|".join(["excluded", "floored_tri"][: k % 3]) for k in range(13)],
+            [np.float64(v) for v in _EDGE_FLOATS],
+            _EDGE_FLOATS,
+            [int(v) for v in np.arange(13) * 7],
+        ],
+        [  # numbers with empty cells, as a failed emse replication leaves them
+            ["ok", "failed: EstimationFailedError", "ok", "", "ok"],
+            [1.5, "", -0.0, "", math.nan],
+            [3, "", 0, "", 12],
+            ["", "", "", "", ""],
+        ],
+        [
+            np.array([2.0**-1074 * k for k in range(4)]),
+            np.zeros(4, dtype=bool),
+            ["a b", "", "c", "d"],
+        ],
+        [np.empty(0), np.empty(0, dtype=int), []],
+        [  # cells that csv quotes
+            ["a,b", 'say "hi"', "two\nlines", "cr\r", "plain", ""],
+            [0.5, "x,y", "", '"', 1e-300, "|"],
+        ],
+    ],
+    ids=["arrays", "lists", "holes", "subnormal", "no-rows", "quoted"],
+)
+def test_write_table_matches_per_cell_writer(tmp_path, monkeypatch, cols, block):
+    monkeypatch.setattr(harness, "_TABLE_BLOCK", block)
+    header = [f"c{k}" for k in range(len(cols) - 1)] + ['last, "quoted"']
+    write_table(tmp_path / "got.csv", header, cols)
+    _oracle_table(tmp_path / "want.csv", header, cols)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == want
+    assert want.count(b"\r\n") == 1 + len(cols[0])

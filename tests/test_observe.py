@@ -463,3 +463,38 @@ def test_ingest_malformed_rows_keep_error_and_line(tmp_path, body):
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
     assert getattr(got.value, "line", None) == getattr(ref.value, "line", None)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_time_order_is_the_stable_argsort(tied):
+    # with ties the stable order keeps row order among equal times
+    rng = np.random.default_rng(5)
+    shared = np.sort(rng.choice(np.linspace(0.05, 0.95, 7), size=4, replace=False))
+    curves = [
+        (shared if tied else np.sort(rng.random(4)), rng.standard_normal(4)) for _ in range(30)
+    ]
+    obs = make_obs(curves)
+    assert (np.unique(obs.t).size < obs.total) == tied
+    order = obs.time_order
+    npt.assert_array_equal(order, np.argsort(obs.t, kind="stable"))
+    assert obs.time_order is order  # computed once
+    sub = obs.subset([3, 1, 3, 0])
+    assert "time_order" not in vars(sub)  # a subset builds its own
+    npt.assert_array_equal(sub.time_order, np.argsort(sub.t, kind="stable"))
+
+
+def test_ingest_keeps_ordered_rows_and_sorts_shuffled_ones(tmp_path):
+    obs = make_obs(
+        [(np.sort(np.random.default_rng(i).random(5)), np.arange(5.0) + i) for i in range(40)]
+    )
+    ordered = tmp_path / "ordered.csv"
+    export_observations_csv(obs, ordered)
+    header, *rows = ordered.read_text().splitlines()
+    rows = [rows[k] for k in np.random.default_rng(9).permutation(len(rows))]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header, *rows]) + "\n")
+    for path in (ordered, shuffled):
+        got = ingest_csv(path)
+        for col in ("curve_id", "t", "y"):
+            npt.assert_array_equal(getattr(got, col), getattr(obs, col))
+            assert getattr(got, col).flags.c_contiguous
