@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, harness
-from .errors import SparseSdeError
+from .errors import ConfigError, SparseSdeError
 from .observe import export_observations_csv, ingest_csv, ingest_wide_csv, observe
 from .simulate import export_paths_csv
 
@@ -70,7 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _prepare(args) -> tuple[harness.ExperimentConfig, int, Path]:
     cfg = harness.load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.experiment["master_seed"]
-    cfg.experiment["master_seed"] = seed
+    _, check, what = harness._SCHEMA["experiment"]["master_seed"]
+    if not check(seed):
+        raise ConfigError(f"--seed must be {what}")
+    cfg.experiment["master_seed"] = seed  # cfg.raw, which the manifest hashes, keeps the file's
     out = Path(args.out if args.out is not None else cfg.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     return cfg, seed, out
@@ -104,8 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _one_blas_thread():
             return _dispatch(args)
-    except (SparseSdeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SparseSdeError, OSError, MemoryError) as exc:  # sizes within the caps can still not fit
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -46,7 +46,8 @@ def expression_function(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     """Compile a coefficient expression in the variable ``t``.
 
     Only arithmetic and the whitelisted math names are allowed; anything
-    else raises ConfigError.  The returned callable is vectorised.
+    else raises ConfigError, as does an evaluation that divides by zero,
+    overflows or leaves its domain.  The returned callable is vectorised.
     """
     try:
         code = compile(expr, "<coefficient>", "eval")
@@ -59,7 +60,8 @@ def expression_function(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     def f(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         try:
-            out = eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, "t": t})
+            with np.errstate(divide="raise", over="raise", invalid="raise"):  # not underflow
+                out = eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, "t": t})
             return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsesde import ConfigError, ingest_csv, load_config
+from sparsesde import ConfigError, harness, ingest_csv, load_config
 from sparsesde.cli import main
 
 CONSTANT_MODEL = {
@@ -454,3 +454,100 @@ def test_normal_x0_with_overflowing_second_moment_exits_2(tmp_path, capsys, comm
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == "error: model.x0 normal needs a finite second moment mean^2 + sd^2\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (s, k)
+        for s, table in harness._SCHEMA.items()
+        for k, (_, check, _) in table.items()
+        if isinstance(check, harness._Count)
+    ],
+)
+def test_count_key_past_its_cap_exits_2_before_running(tmp_path, capsys, section, key):
+    sections = {"design": {"n": 3}, "experiment": {"sim_steps": 20}}
+    sections.setdefault(section, {})[key] = 2**70
+    cfg = write_cfg(tmp_path, **sections)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}.{key} must be an integer from ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_seed_override_is_checked_and_leaves_the_config_hash(tmp_path, capsys):
+    experiment = {"sim_steps": 10, "master_seed": 5}
+    cfg = write_cfg(tmp_path, design={"n": 2}, experiment=experiment)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed=-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a nonnegative integer\n"
+    assert not out.exists()
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "777"]) == 0
+    manifest = read_manifest(out)
+    assert manifest["master_seed"] == 777
+    assert manifest["config"]["experiment"]["master_seed"] == 5
+    assert manifest["config_sha256"] == load_config(cfg).sha256()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, sections",
+    [
+        *(
+            ("simulate", {"model": {"kind": "expressions", "mu": mu, "sigma": "0.2", "xi": "0.3"}})
+            for mu in ("1/t", "log(t)", "sqrt(t-2)", "exp(1e5*t)")
+        ),
+        ("estimate", {"estimation": {"policy": {"kind": "known-fraction", "expr": "sqrt(t-2)"}}}),
+    ],
+)
+def test_expression_off_its_domain_exits_2_without_warnings(tmp_path, capsys, command, sections):
+    sections = {"design": {"n": 30, "r": 6}, "experiment": {"sim_steps": 50}, **sections}
+    sections.setdefault("estimation", {})["eval_points"] = 11
+    cfg = write_cfg(tmp_path, **sections)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot evaluate expression ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_expression_may_underflow(tmp_path):
+    model = {"kind": "expressions", "mu": "exp(-1e3*t)", "sigma": "0.2", "xi": "0.3"}
+    cfg = write_cfg(tmp_path, model=model, design={"n": 3}, experiment={"sim_steps": 20})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, track", [("estimate", ["mu"]), ("emse", ["mu", "s"]), ("bootstrap", ["mu"])]
+)
+def test_overflowing_estimate_exits_2_without_warnings(tmp_path, capsys, command, track):
+    # X(0) of sd 1e150 overflows the surface's products; an emse replication then fails
+    cfg = write_cfg(
+        tmp_path,
+        model={"x0": {"kind": "normal", "mean": 0, "sd": 1e150}},
+        design={"n": 30, "r": 6},
+        estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": "0.5"}},
+        experiment={"sim_steps": 50, "replications": 2, "B": 20, "track": track},
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        "error: 2/2 replications" if command == "emse" else "error: estimation overflowed"
+    )
+
+
+@pytest.mark.parametrize(
+    "exc, line", [(MemoryError(), "out of memory"), (MemoryError("big"), "big")]
+)
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, exc, line):
+    def no_room(*args):
+        raise exc
+
+    monkeypatch.setattr(harness, "simulate_paths", no_room)
+    cfg = write_cfg(tmp_path, design={"n": 3}, experiment={"sim_steps": 20})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"

@@ -127,6 +127,57 @@ def test_parse_config_numeric_guards():
             parse_config(data)
 
 
+# one value per schema key whose JSON type the key never takes
+WRONG_TYPE = {
+    "model": {
+        "kind": 1, "name": 1, "params": [], "span": "0,1", "nu_K": "1", "jump_size_law": 1,
+        "driver_variance_scale": "1", "x0": "point", "mu": 1, "sigma": [], "xi": 0.5,
+    },
+    "design": {"n": 1.5, "r": "10", "noise_sd": "0.1", "design_law": "uniform", "noise_law": 1},
+    "estimation": {
+        "d_mean": 2.0, "d_cov": "1", "h_m": [], "h_G": True, "epsilon": "0.1", "kernel": 1,
+        "eval_points": 51.0, "mu_threshold": None, "separation_source": 1, "policy": "x",
+    },
+    "experiment": {
+        "master_seed": 1.0, "sim_steps": "10", "replications": True, "track": "mu", "B": 1e3,
+        "t_star": "0.5", "mc_paths": [10], "negative_control": 0,
+    },
+    "output": {"directory": 5},
+}
+
+
+def test_schema_table_has_a_wrong_type_case_per_key():
+    assert {s: set(t) for s, t in harness._SCHEMA.items()} == {
+        s: set(t) for s, t in WRONG_TYPE.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "section, key", [(s, k) for s, table in harness._SCHEMA.items() for k in table]
+)
+def test_schema_key_rejects_wrong_type_and_sizes_past_its_cap(section, key):
+    def parse(value):
+        return parse_config(cfg_dict(**{section: {key: value}}))
+
+    default, check, _ = harness._SCHEMA[section][key]
+    assert parse(default) is not None
+    with pytest.raises(ConfigError, match=f"^{section}.{key} must be "):
+        parse(WRONG_TYPE[section][key])
+    if isinstance(check, harness._Count):
+        for bad in (check.lo - 1, check.hi + 1, 2**70):
+            with pytest.raises(ConfigError, match=f"^{section}.{key} must be an integer from "):
+                parse(bad)
+        assert parse(check.hi) is not None and parse(check.lo) is not None
+
+
+def test_sample_size_list_entries_are_capped():
+    cap = harness._SCHEMA["design"]["n"][1].hi
+    assert parse_config(cfg_dict(design={"n": [3, cap]})).design["n"] == [3, cap]
+    for bad in ([3, cap + 1], [2**70], []):
+        with pytest.raises(ConfigError, match="^design.n must be"):
+            parse_config(cfg_dict(design={"n": bad}))
+
+
 def test_canonical_hash_ignores_key_order():
     a = parse_config({"schema_version": 1, "design": {"n": 50, "r": 5}})
     b = parse_config({"design": {"r": 5, "n": 50}, "schema_version": 1})
