@@ -8,6 +8,11 @@ the root of the repository.  The record also holds the `env` line of the
 runs (machine and library versions) and whether every run was `correct`.
 The script only calls the benchmark; it changes nothing under perfbench/.
 
+perfbench loads third-party modules before its timed regions, so it cannot
+see the cost of a cold start.  The record therefore also holds the median
+over five fresh interpreters of the wall time of `import sparsesde.cli` and
+of the interpreter's peak resident set size (`ru_maxrss`) after it.
+
     python3 bench/perf_record.py --label NAME
 
 Each run lasts BENCHMARK.json's `run_seconds`, at seeds 1, 2 and 3, so a
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -27,6 +33,13 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEEDS = (1, 2, 3)
+COLD_RUNS = 5
+# one fresh interpreter: seconds to import the CLI, then its peak RSS in MB
+COLD_PROBE = (
+    "import resource, time; t = time.perf_counter(); import sparsesde.cli; "
+    "t = time.perf_counter() - t; "
+    "print(t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+)
 
 
 def bench(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
@@ -41,6 +54,23 @@ def bench(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     result = json.loads(lines[-1])
     result["problems"] = [ln[8:] for ln in lines if ln.startswith("problem ")]
     return env, result
+
+
+def cold_start() -> dict:
+    """Medians over COLD_RUNS fresh interpreters of the import time and peak RSS."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = [
+        subprocess.run([sys.executable, "-c", COLD_PROBE], capture_output=True, text=True,
+                       env=env, check=True).stdout.split()
+        for _ in range(COLD_RUNS)
+    ]
+    return {
+        metric: {"median": statistics.median(v), "unit": unit, "values": v}
+        for metric, unit, v in (
+            ("import_s", "s", [float(r[0]) for r in runs]),
+            ("maxrss_mb", "MB", [float(r[1]) for r in runs]),
+        )
+    }
 
 
 def record(workloads: list[str]) -> dict:
@@ -73,6 +103,7 @@ def record(workloads: list[str]) -> dict:
         "env_same_in_every_run": all(e == envs[0] for e in envs),
         "seeds": list(SEEDS),
         "seconds": SPEC["run_seconds"],
+        "cold_start": cold_start(),
         "workloads": out,
     }
 
@@ -88,6 +119,8 @@ def main(argv: list[str] | None = None) -> int:
         for metric in ("wall_adj_s", "peak_rss_mb", "setup_s"):
             m = wl["metrics"][metric]
             print(f"{name} {metric} median {m['median']:.6g} {m['unit']}")
+    for metric, m in rec["cold_start"].items():
+        print(f"cold start {metric} median {m['median']:.6g} {m['unit']}")
     print(f"wrote {dest.relative_to(ROOT)}")
     return 0 if all(wl["correct"] for wl in rec["workloads"].values()) else 1
 

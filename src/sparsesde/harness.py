@@ -26,6 +26,7 @@ manifest notes the equivalence when c != 1.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -238,13 +239,16 @@ _POLICIES = {kind: {"expr": (_REQUIRED, str, "an expression in t")} for kind in 
 
 
 def _walk(where: str, given: dict, table: dict, label: str = "") -> dict:
-    """`given` with the defaults of `table` filled in; a key that is unknown,
-    missing without a default, or fails its check raises ConfigError."""
+    """`given` with copies of the defaults of `table` filled in; a key that is
+    unknown, missing without a default, or fails its check raises ConfigError."""
     _reject_unknown(f"'{where}'{label}", given, table)
     missing = [key for key, entry in table.items() if entry[0] is _REQUIRED and key not in given]
     if missing:
         raise ConfigError(f"{where}{label} missing {missing}")
-    out = {key: given.get(key, default) for key, (default, _, _) in table.items()}
+    out = {
+        key: given[key] if key in given else copy.deepcopy(default)
+        for key, (default, _, _) in table.items()
+    }
     for key, (_, check, what) in table.items():
         value = out[key]
         if not (isinstance(value, check) if isinstance(check, (type, UnionType)) else check(value)):

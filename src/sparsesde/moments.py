@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ValidationError
 from .model import CoefficientSet, LevyConfig
@@ -84,9 +83,19 @@ class MomentSolution:
             raise ValidationError("second moment fell below squared mean")
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of y over the nodes x, starting at 0.
+
+    The operations and their order are those of scipy's
+    `cumulative_trapezoid(y, x, initial=0)`, so the results agree bitwise.
+    """
+    y, x = np.asarray(y), np.asarray(x)
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _drift_integral(coeffs: CoefficientSet, grid: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral int_{grid[0]}^t mu on the grid."""
-    return cumulative_trapezoid(coeffs.mu(grid), grid, initial=0.0)
+    return cumulative_trapezoid(coeffs.mu(grid), grid)
 
 
 def solve_mean(coeffs: CoefficientSet, m0: float, grid: np.ndarray) -> np.ndarray:
@@ -102,7 +111,7 @@ def solve_second_moment(
     grid = np.asarray(grid, dtype=float)
     M = _drift_integral(coeffs, grid)
     forcing = coeffs.sigma(grid) ** 2 + nu_K * coeffs.xi(grid) ** 2
-    inner = cumulative_trapezoid(np.exp(-2.0 * M) * forcing, grid, initial=0.0)
+    inner = cumulative_trapezoid(np.exp(-2.0 * M) * forcing, grid)
     return np.exp(2.0 * M) * (D0 + inner)
 
 

@@ -221,7 +221,8 @@ def observe(
             raise DesignRangeError(f"design time outside simulated span [{g.t0}, {g.t1}]")
         X[rows] = _interp_rows(abs_t, g.points, paths.values[rows])
     y = X.ravel()
-    y += _draw_noise(noise_rng, cfg, n * r)
+    with np.errstate(over="ignore"):  # an overflow leaves inf, which validate() rejects
+        y += _draw_noise(noise_rng, cfg, n * r)
     obs = SparseObservations(curve_id=np.repeat(np.arange(n), r), t=T.ravel(), y=y)
     obs.validate()
     return obs

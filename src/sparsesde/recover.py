@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .covfit import CovEstimate
 from .errors import (
@@ -34,6 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .meanfit import MeanEstimate
+from .moments import cumulative_trapezoid
 
 DEFAULT_EPSILON = 0.1
 # drift threshold as a fraction of the largest fitted |m|
@@ -132,10 +132,6 @@ def integrate_mu(grid: np.ndarray, mu_hat: np.ndarray, a: float, b: float) -> fl
     return float(np.trapezoid(vals, nodes))
 
 
-def _cumulative_mu(grid: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
-    return cumulative_trapezoid(mu_hat, grid, initial=0.0)
-
-
 def _tri_node(grid, C, mu_hat, cov_est, i, t) -> float:
     """Triangular estimate of s at grid node i, from the cumulative drift C.
 
@@ -178,7 +174,7 @@ def estimate_H(
     near = np.flatnonzero(np.isclose(grid, t, atol=1e-10))
     if near.size == 0:
         raise ValidationError(f"t={t} is not a grid node")
-    return _tri_node(grid, _cumulative_mu(grid, mu_hat), mu_hat, cov_est, int(near[0]), t)
+    return _tri_node(grid, cumulative_trapezoid(mu_hat, grid), mu_hat, cov_est, int(near[0]), t)
 
 
 def estimate_total_noise(
@@ -210,7 +206,7 @@ def estimate_total_noise(
 
     if not np.array_equal(grid, cov_est.eval_times):
         raise ValidationError("drift grid and surface grid must coincide")
-    C = _cumulative_mu(grid, mu_hat)
+    C = cumulative_trapezoid(mu_hat, grid)
     for i in np.flatnonzero(~trimmed):
         try:
             val = _tri_node(grid, C, mu_hat, cov_est, i, float(grid[i]))

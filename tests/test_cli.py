@@ -1,10 +1,15 @@
 """End-to-end runs of the command line entry points."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsesde
 from sparsesde import ConfigError, harness, ingest_csv, load_config
 from sparsesde.cli import main
 
@@ -537,6 +542,62 @@ def test_overflowing_estimate_exits_2_without_warnings(tmp_path, capsys, command
     assert err.count("\n") == 1
     assert err.startswith(
         "error: 2/2 replications" if command == "emse" else "error: estimation overflowed"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["estimate", "emse", "bootstrap"])
+def test_overflowing_noise_exits_2_without_warnings(tmp_path, capsys, command):
+    # noise of sd 1e308 overflows in the draw itself, before any estimate runs
+    cfg = write_cfg(
+        tmp_path,
+        design={"n": 30, "r": 6, "noise_sd": 1e308},
+        estimation={"eval_points": 11},
+        experiment={"sim_steps": 50, "replications": 2, "B": 20},
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        "error: 2/2 replications" if command == "emse" else "error: observation values"
+    )
+
+
+_SCIPY_SUBMODULES = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg")
+
+# imports the CLI, then runs each subcommand at a tiny size, listing after each
+# step the scipy submodules it finds loaded
+_IMPORT_PROBE = """
+import json, sys
+import sparsesde.cli
+
+def loaded():
+    return [m for m in {mods} if m in sys.modules]
+
+found = {{"import": loaded()}}
+for command in ("simulate", "observe", "estimate", "emse", "bootstrap", "oracle-check"):
+    code = sparsesde.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+    found[command] = loaded() if code in (0, 1) else f"exit {{code}}"  # 1: a check failed
+print(json.dumps(found))
+"""
+
+
+def test_no_scipy_submodule_is_loaded(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        design={"n": 30, "r": 6},
+        estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": "0.5"}},
+        experiment={"sim_steps": 50, "replications": 2, "B": 20, "mc_paths": 200},
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sparsesde.__file__).parents[1]))
+    probe = _IMPORT_PROBE.format(mods=_SCIPY_SUBMODULES)
+    done = subprocess.run(
+        [sys.executable, "-c", probe, cfg, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    found = json.loads(done.stdout.splitlines()[-1])
+    assert found == dict.fromkeys(
+        ["import", "simulate", "observe", "estimate", "emse", "bootstrap", "oracle-check"], []
     )
 
 

@@ -74,6 +74,17 @@ def test_parse_config_fills_defaults():
     assert cfg.output["directory"] == "out"
 
 
+def test_parse_config_list_defaults_are_not_shared():
+    first = parse_config(cfg_dict())
+    first.experiment["track"].append("s")
+    first.model["span"].append(2.0)
+    first.model["params"]["mu"] = 1.0
+    again = parse_config(cfg_dict())
+    assert again.experiment["track"] == ["mu"]
+    assert again.model["span"] == [0.0, 1.0]
+    assert again.model["params"] == {}
+
+
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         parse_config(cfg_dict(extra={}))

@@ -22,6 +22,7 @@ from sparsesde import (
     verify_pde_identity,
 )
 from sparsesde.harness import _fd_first  # edge-aware stencil reused below
+from sparsesde.moments import cumulative_trapezoid
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -177,3 +178,29 @@ def test_oracle_surface_values_consistent_with_fd():
     fd_dt = (cov_value(sol, 0.3, 0.7 + fd) - cov_value(sol, 0.3, 0.7 - fd)) / (2 * fd)
     assert abs(float(dsG) - float(fd_ds)) < 1e-4
     assert abs(float(dtG) - float(fd_dt)) < 1e-4
+
+
+_UNEVEN = np.cumsum(np.random.default_rng(5).exponential(0.01, 200))
+
+
+@pytest.mark.parametrize(
+    "y, x",
+    [
+        (np.sin(7.0 * _UNEVEN), _UNEVEN),
+        (np.exp(-_UNEVEN) / 3.0, _UNEVEN - 1.0),
+        (np.array([2.5]), np.array([0.3])),
+        (np.array([2.5, -1.0 / 3.0]), np.array([0.1, 0.7])),
+        (np.array([1.0, np.inf, 2.0, 3.0]), np.array([0.0, 0.2, 0.5, 1.0])),
+        (np.array([1.0, np.inf, -np.inf, 3.0]), np.array([0.0, 0.2, 0.5, 1.0])),
+        (np.array([1.0, 2.0, np.nan, 3.0, 4.0]), np.linspace(0.0, 1.0, 5)),
+        (np.array([1.0, 2.0, 3.0]), np.array([0.0, np.nan, 1.0])),
+        (np.array([1e308, 1e308, 1.0]), np.array([0.0, 0.5, 1.0])),  # the sum overflows
+    ],
+)
+def test_cumulative_trapezoid_matches_scipy_bitwise(y, x):
+    from scipy.integrate import cumulative_trapezoid as reference  # never imported by the package
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = cumulative_trapezoid(y, x), reference(y, x, initial=0.0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
