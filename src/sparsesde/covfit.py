@@ -327,9 +327,14 @@ def fit_cov_grid(
     lo = np.maximum(eval_times - eps, 0.0)
     hi = np.minimum(eval_times + eps, 1.0)
 
-    # grid cells (s_i, t_j), i <= j, then the offset cells (t - eps, t + eps)
-    grid_sums = _pair_sums(obs, h, kernel, d, eval_times)
-    offset_sums = _pair_sums(obs, h, kernel, d, lo, hi)
+    from .lanes import _one_blas_thread  # compiled on the first call, not at import
+
+    # grid cells (s_i, t_j), i <= j, then the offset cells (t - eps, t + eps),
+    # at one BLAS thread: the order in which the matrix products sum, and so
+    # the bytes of the fit, must not depend on the thread count
+    with _one_blas_thread():
+        grid_sums = _pair_sums(obs, h, kernel, d, eval_times)
+        offset_sums = _pair_sums(obs, h, kernel, d, lo, hi)
     M, R, count = (
         np.concatenate((g[..., iu[0], iu[1]], o), axis=-1) for g, o in zip(grid_sums, offset_sums)
     )

@@ -72,6 +72,7 @@ from .model import (
 from .moments import (
     H_value,
     MomentSolution,
+    _fd_first,
     cov_value,
     solve_moments,
 )
@@ -286,7 +287,7 @@ class ExperimentConfig:
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    version = (_REQUIRED, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
+    version = (_REQUIRED, lambda v: _is_int(v) and v == SCHEMA_VERSION, str(SCHEMA_VERSION))
     top = _walk("config", data, {"schema_version": version, **dict.fromkeys(_SCHEMA, _SECTION)})
     sections = {name: _walk(name, top[name], table) for name, table in _SCHEMA.items()}
     m, e = sections["model"], sections["estimation"]
@@ -348,23 +349,18 @@ def build_model(cfg: ExperimentConfig) -> ModelBundle:
             sigma=expression_function(m["sigma"]),
             xi=expression_function(m["xi"]),
             span=span,
-            coeff_id="expr",
         )
     notes: list[str] = []
     scale = float(m["driver_variance_scale"])
     if scale != 1.0:
         root = math.sqrt(scale)
-        base = replace(
-            base,
-            sigma=lambda t, _f=base.sigma: root * _f(t),
-            coeff_id=base.coeff_id + f"*driver{scale:g}",
-        )
+        base = replace(base, sigma=lambda t, _f=base.sigma: root * _f(t))
         notes.append(
             f"gaussian driver with covariance {scale:g}*min(s,t) simulated as "
             f"sqrt({scale:g})-scaled brownian motion (equal in law)"
         )
     base.validate()
-    levy = LevyConfig(nu_K=float(m["nu_K"]), jump_size_law=m["jump_size_law"])
+    levy = LevyConfig(nu_K=float(m["nu_K"]))
     unit_coeffs, unit_levy = rescale_to_unit(base, levy)
     if base.span != (0.0, 1.0):
         L = base.span[1] - base.span[0]
@@ -525,10 +521,7 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
         s_tri=noise.s_tri,
         sigma2_hat=noise.sigma2,
         xi2_hat=noise.xi2,
-        epsilon=st.epsilon,
-        nu_K=st.nu_K,
         flags={"excluded": ~region_A, **noise.flags},
-        policy=st.policy,
         mu_threshold=thr_used,
     )
     rho2, floored = noise_variance_estimate(obs, noise.cov_est, st.kernel)
@@ -760,22 +753,6 @@ class OracleReport:
     @property
     def passed(self) -> bool:
         return all(ok for _, _, _, ok in self.checks)
-
-
-def _fd_first(f, x: float, h: float, lo: float, hi: float, h_edge: float | None = None) -> float:
-    """Second-order first derivative, one-sided at the domain edges.
-
-    One-sided stencils use ``h_edge`` (default ``h``); callers working on a
-    piecewise-linear interpolant should pass a multiple of its cell width
-    so the stencil sees curvature rather than a single linear segment.
-    """
-    if x - h < lo:
-        he = h if h_edge is None else h_edge
-        return (-3.0 * f(x) + 4.0 * f(x + he) - f(x + 2 * he)) / (2.0 * he)
-    if x + h > hi:
-        he = h if h_edge is None else h_edge
-        return (3.0 * f(x) - 4.0 * f(x - he) + f(x - 2 * he)) / (2.0 * he)
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:

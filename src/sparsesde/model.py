@@ -66,7 +66,6 @@ def expression_function(expr: str) -> Callable[[np.ndarray], np.ndarray]:
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
 
-    f.expression = expr  # type: ignore[attr-defined]
     return f
 
 
@@ -92,7 +91,6 @@ class CoefficientSet:
     sigma: Callable[[np.ndarray], np.ndarray]
     xi: Callable[[np.ndarray], np.ndarray]
     span: tuple[float, float] = (0.0, 1.0)
-    coeff_id: str = "custom"
 
     def validate(self) -> None:
         t0, t1 = self.span
@@ -116,12 +114,11 @@ class LevyConfig:
     """Small-jump activity of the driving compensated Poisson measure.
 
     nu_K is the total mass the jump measure puts on the unit ball; it must
-    be finite and positive.  The jump-size law only matters through nu_K
-    for the moment structure, so it is recorded as metadata.
+    be finite and positive.  The jump-size law matters to the moment
+    structure only through nu_K, so it is not represented.
     """
 
     nu_K: float
-    jump_size_law: str = "uniform[-1,1]"
 
     def __post_init__(self):
         if not (math.isfinite(self.nu_K) and self.nu_K > 0):
@@ -158,7 +155,6 @@ def sinusoid_model(span: tuple[float, float] = (0.0, 1.0)) -> CoefficientSet:
         sigma=expression_function("0.5 * sin(t)"),
         xi=expression_function("sin(t)"),
         span=span,
-        coeff_id=f"sinusoid[{span[0]:g},{span[1]:g}]",
     )
 
 
@@ -171,7 +167,6 @@ def constant_model(
         sigma=constant_function(math.sqrt(sigma2)),
         xi=constant_function(math.sqrt(xi2)),
         span=span,
-        coeff_id=f"constant[mu={mu:g},sigma2={sigma2:g},xi2={xi2:g}]",
     )
 
 
@@ -205,11 +200,5 @@ def rescale_to_unit(
     def xi_u(u, _f=coeffs.xi):
         return _f(t0 + L * np.asarray(u, dtype=float))
 
-    rescaled = CoefficientSet(
-        mu=mu_u,
-        sigma=sigma_u,
-        xi=xi_u,
-        span=(0.0, 1.0),
-        coeff_id=coeffs.coeff_id + "@unit",
-    )
-    return rescaled, LevyConfig(nu_K=L * levy.nu_K, jump_size_law=levy.jump_size_law)
+    rescaled = CoefficientSet(mu=mu_u, sigma=sigma_u, xi=xi_u, span=(0.0, 1.0))
+    return rescaled, LevyConfig(nu_K=L * levy.nu_K)

@@ -56,10 +56,6 @@ class MomentSolution:
     m0: float
     D0: float
 
-    @property
-    def coeff_id(self) -> str:
-        return self.coeffs.coeff_id
-
     def mean_at(self, t) -> np.ndarray:
         return np.interp(t, self.grid, self.m)
 
@@ -151,22 +147,21 @@ def cov_value(solution: MomentSolution, s, t) -> np.ndarray:
     return np.exp(solution.drift_integral(s, t)) * solution.second_moment_at(s)
 
 
-def _ds_cov(solution: MomentSolution, s, t, fd_step: float) -> np.ndarray:
-    # central difference in the first argument; stays inside s <= t
-    return (
-        cov_value(solution, s + fd_step, t) - cov_value(solution, s - fd_step, t)
-    ) / (2.0 * fd_step)
+def _fd_first(f, x: float, h: float, lo: float, hi: float, h_edge: float | None = None):
+    """Second-order first derivative of f at x, one-sided at the domain edges.
 
-
-def _ds_cov_forward(solution: MomentSolution, s, t, h: float) -> np.ndarray:
-    # second-order forward stencil for s at the left boundary; h should be
-    # a multiple of the solution grid cell so the stencil lands on nodes
-    # rather than inside one linear interpolation segment
-    return (
-        -3.0 * cov_value(solution, s, t)
-        + 4.0 * cov_value(solution, s + h, t)
-        - cov_value(solution, s + 2.0 * h, t)
-    ) / (2.0 * h)
+    One-sided stencils use ``h_edge`` (default ``h``); callers working on a
+    piecewise-linear interpolant should pass a multiple of its cell width
+    so the stencil sees curvature rather than a single linear segment.
+    f may return an array, which is differenced elementwise.
+    """
+    if x - h < lo:
+        he = h if h_edge is None else h_edge
+        return (-3.0 * f(x) + 4.0 * f(x + he) - f(x + 2 * he)) / (2.0 * he)
+    if x + h > hi:
+        he = h if h_edge is None else h_edge
+        return (3.0 * f(x) - 4.0 * f(x - he) + f(x - 2 * he)) / (2.0 * he)
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def H_value(
@@ -191,11 +186,10 @@ def H_value(
     t1 = grid[-1]
     if not grid[0] <= t < t1:
         raise ValidationError(f"t={t} outside [{grid[0]}, {t1})")
-    cell = grid[1] - grid[0]
-    at_left_edge = t - fd_step < grid[0]
     # one-sided stencils must span whole interpolation cells to see the
     # solution's curvature rather than one linear segment
-    h = max(fd_step, 2.0 * cell) if at_left_edge else fd_step
+    h_edge = max(fd_step, 2.0 * (grid[1] - grid[0]))
+    h = h_edge if t - fd_step < grid[0] else fd_step
     lo = t + 2.0 * h + 1e-12
     if lo >= t1:
         raise ValidationError(f"t={t} too close to {t1} for the averaging stencil")
@@ -203,10 +197,7 @@ def H_value(
     taus = np.concatenate(([lo], taus)) if taus.size else np.array([lo, t1])
     if taus.size < 2:
         taus = np.array([lo, 0.5 * (lo + t1), t1])
-    if at_left_edge:
-        ds = _ds_cov_forward(solution, t, taus, h)
-    else:
-        ds = _ds_cov(solution, t, taus, h)
+    ds = _fd_first(lambda x: cov_value(solution, x, taus), t, fd_step, grid[0], t1, h_edge)
     integrand = np.exp(-solution.drift_integral(t, taus)) * ds
     avg = np.trapezoid(integrand, taus) / (taus[-1] - taus[0])
     mu_t = float(solution.coeffs.mu(np.asarray([t]))[0])
@@ -231,20 +222,17 @@ def verify_pde_identity(
     should vanish to quadrature accuracy for a solution produced by
     solve_moments; corrupting D breaks the second residual.
     """
-    s, t = float(s), float(t)
-    if not (solution.grid[0] + fd_step <= s <= t - 2 * fd_step):
+    s, t, grid = float(s), float(t), solution.grid
+    if not (grid[0] + fd_step <= s <= t - 2 * fd_step):
         raise ValidationError("need s in the interior with s < t")
-    if t + fd_step > solution.grid[-1]:
+    if t + fd_step > grid[-1]:
         raise ValidationError("t too close to the right endpoint for the stencil")
     mu_t = float(solution.coeffs.mu(np.asarray([t]))[0])
     mu_s = float(solution.coeffs.mu(np.asarray([s]))[0])
     G = float(cov_value(solution, s, t))
-    dG_dt = float(
-        (cov_value(solution, s, t + fd_step) - cov_value(solution, s, t - fd_step))
-        / (2.0 * fd_step)
-    )
+    dG_dt = float(_fd_first(lambda x: cov_value(solution, s, x), t, fd_step, s, grid[-1]))
     residual_t = dG_dt - mu_t * G
-    dG_ds = float(_ds_cov(solution, s, t, fd_step))
+    dG_ds = float(_fd_first(lambda x: cov_value(solution, x, t), s, fd_step, grid[0], t))
     left = np.exp(-float(solution.drift_integral(s, t))) * dG_ds - mu_s * float(
         solution.second_moment_at(s)
     )

@@ -183,7 +183,6 @@ def observe(
     paths: SamplePathSet,
     cfg: DesignConfig,
     seed: int,
-    design_seed: int | None = None,
     noise_seed: int | None = None,
 ) -> SparseObservations:
     """Sample the observation scheme on every path of the ensemble.
@@ -196,11 +195,7 @@ def observe(
     mapped affinely onto the path grid's span, where the paths are
     interpolated a block of curves at a time with the arithmetic of `np.interp`.
     """
-    design_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _STREAM_DESIGN])
-        if design_seed is None
-        else design_seed
-    )
+    design_rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DESIGN]))
     noise_rng = np.random.default_rng(
         np.random.SeedSequence([seed, _STREAM_NOISE])
         if noise_seed is None

@@ -77,10 +77,7 @@ class CoefficientEstimate:
     s_tri: np.ndarray
     sigma2_hat: np.ndarray | None
     xi2_hat: np.ndarray | None
-    epsilon: float
-    nu_K: float
     flags: dict[str, np.ndarray]
-    policy: SeparationPolicy | None = None
     mu_threshold: float = float("nan")
 
 

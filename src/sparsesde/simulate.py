@@ -77,7 +77,6 @@ class SamplePathSet:
     grid: PathGrid
     values: np.ndarray  # shape (n, steps+1)
     seeds: np.ndarray  # uint64 per path
-    coeff_id: str
 
     @property
     def n(self) -> int:
@@ -223,7 +222,7 @@ def simulate_ensemble(
     x0_rng = np.random.default_rng(np.random.SeedSequence([master_seed, _STREAM_X0]))
     x0 = np.asarray(x0_law.sample(x0_rng, n), dtype=float)
     values = _euler_core(coeffs, levy, grid, x0, seeds)
-    return SamplePathSet(grid=grid, values=values, seeds=seeds, coeff_id=coeffs.coeff_id)
+    return SamplePathSet(grid=grid, values=values, seeds=seeds)
 
 
 def _check_count(name: str, value) -> None:

@@ -612,3 +612,12 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, exc, line):
     cfg = write_cfg(tmp_path, design={"n": 3}, experiment={"sim_steps": 20})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_must_be_the_integer_1(tmp_path, capsys, version):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": version, "design": {"n": 3}}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: config.schema_version must be 1\n"
+    assert not (tmp_path / "out").exists()

@@ -33,6 +33,7 @@ from sparsesde import (
     solve_moments,
     sinusoid_model,
 )
+from sparsesde import lanes
 from sparsesde.bootstrap import _curve_pair_sums
 from sparsesde.covfit import _CURVE_BLOCK, _ROW_CHUNK, _pair_sums, replace_responses
 from sparsesde.meanfit import _features
@@ -540,3 +541,28 @@ def test_squared_response_panel_shares_the_time_order():
     sq = replace_responses(obs, obs.y**2)
     assert sq.t is obs.t and sq.time_order is obs.time_order
     npt.assert_array_equal(sq.time_order, np.argsort(obs.t, kind="stable"))
+
+
+def test_grid_fit_bytes_do_not_depend_on_blas_threads():
+    """The surface fit writes the same bytes at one BLAS thread and at one per
+    CPU, also when called as a library, outside the CLI's one-thread hold.
+    On one CPU both runs use one thread, so the test passes vacuously there."""
+    paths = simulate_ensemble(
+        sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 100), PointMass(1.0), 100, 1
+    )
+    obs = observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=1)
+    grid = np.linspace(0.0, 1.0, 51)
+    controls = lanes._blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    fits = []
+    try:
+        for threads in (1, lanes._cpu_count()):
+            for _, put in controls:
+                put(threads)
+            est = fit_cov_grid(obs, grid, 1)
+            fits.append([a.tobytes() for a in (est.G2, est.ds2, est.dt2, est.D_hat, est.dD_hat)])
+    finally:
+        for (_, put), threads in zip(controls, saved):
+            put(threads)
+    assert [get() for get, _ in controls] == saved
+    assert fits[0] == fits[1]
