@@ -39,7 +39,7 @@ from .moments import (
     solve_second_moment,
     verify_pde_identity,
 )
-from .simulate import PathGrid, SamplePathSet, simulate_ensemble, simulate_path
+from .simulate import PathGrid, SamplePathSet, simulate_blocks, simulate_ensemble, simulate_path
 from .observe import (
     ClippedLinearDesign,
     DesignConfig,
@@ -50,6 +50,7 @@ from .observe import (
     ingest_csv,
     ingest_wide_csv,
     observe,
+    observe_ensemble,
 )
 from .meanfit import (
     MeanEstimate,

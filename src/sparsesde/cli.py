@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, harness
 from .errors import ConfigError, SparseSdeError
-from .observe import export_observations_csv, ingest_csv, ingest_wide_csv, observe
+from .observe import export_observations_csv, ingest_csv, ingest_wide_csv
 from .simulate import export_paths_csv
 
 
@@ -81,8 +81,9 @@ def _prepare(args) -> tuple[harness.ExperimentConfig, int, Path]:
 
 def _load_obs(args, cfg, bundle, seed):
     if args.obs_csv is None:
-        paths = harness.simulate_paths(cfg, bundle, seed, harness._single_n(cfg))
-        return observe(paths, harness.build_design(cfg), seed), ["observations simulated"]
+        n = harness._single_n(cfg)
+        obs = harness.simulate_observations(cfg, bundle, harness.build_design(cfg), seed, n)
+        return obs, ["observations simulated"]
     if args.wide:
         if args.rescale_time is not None:
             raise SparseSdeError(
@@ -124,8 +125,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "observe":
-        paths = harness.simulate_paths(cfg, bundle, seed, harness._single_n(cfg))
-        obs = observe(paths, harness.build_design(cfg), seed)
+        n = harness._single_n(cfg)
+        obs = harness.simulate_observations(cfg, bundle, harness.build_design(cfg), seed, n)
         export_observations_csv(obs, out / "observations.csv")
         harness.write_manifest(out, "observe", cfg, seed, bundle.notes)
         print(f"wrote {out / 'observations.csv'} ({obs.total} rows, {obs.n} curves)")

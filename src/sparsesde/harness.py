@@ -81,7 +81,7 @@ from .observe import (
     DesignConfig,
     SparseObservations,
     UniformDesign,
-    observe,
+    observe_ensemble,
 )
 from .recover import (
     _POLICY_KINDS,
@@ -91,7 +91,7 @@ from .recover import (
     estimate_total_noise,
     separate,
 )
-from .simulate import PathGrid, SamplePathSet, simulate_ensemble
+from .simulate import PathGrid, SamplePathSet, simulate_blocks, simulate_ensemble
 
 SCHEMA_VERSION = 1
 
@@ -298,6 +298,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         if m["kind"] == "expressions" and m[key] is None:
             raise ConfigError(f"model.{key} expression required")
     x0 = m["x0"] = _variant("model.x0", m["x0"], _X0_LAWS)
+    if x0["kind"] == "point" and not math.isfinite(float(x0["value"]) * x0["value"]):
+        raise ConfigError("model.x0 point needs a finite second moment value^2")
     if x0["kind"] == "normal" and not math.isfinite(
         float(x0["mean"]) * x0["mean"] + float(x0["sd"]) * x0["sd"]
     ):
@@ -417,9 +419,23 @@ def _single_n(cfg: ExperimentConfig) -> int:
     return n
 
 
+def _ensemble(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
+    """(coeffs, levy, grid, x0_law): what the config's paths are simulated from."""
+    grid = PathGrid(*bundle.coeffs.span, cfg.experiment["sim_steps"])
+    return bundle.coeffs, bundle.levy, grid, bundle.x0_law
+
+
 def simulate_paths(cfg: ExperimentConfig, bundle: ModelBundle, seed: int, n: int) -> SamplePathSet:
-    grid = PathGrid(bundle.coeffs.span[0], bundle.coeffs.span[1], cfg.experiment["sim_steps"])
-    return simulate_ensemble(bundle.coeffs, bundle.levy, grid, bundle.x0_law, n, seed)
+    """All n paths at once; only `simulate`, which exports every path, needs them."""
+    return simulate_ensemble(*_ensemble(cfg, bundle), n, seed)
+
+
+def simulate_observations(
+    cfg: ExperimentConfig, bundle: ModelBundle, design: DesignConfig, seed: int, n: int
+) -> SparseObservations:
+    """`observe(simulate_paths(cfg, bundle, seed, n), design, seed)`, simulated
+    and observed a block of paths at a time (`observe.observe_ensemble`)."""
+    return observe_ensemble(*_ensemble(cfg, bundle), n, design, seed)
 
 
 class _Settings(NamedTuple):
@@ -561,7 +577,8 @@ def replications(cfg: ExperimentConfig, score):
 
     Replication `rep` at the `ni`-th sample size n simulates n paths and
     observes them under its own seed, SeedSequence([master_seed,
-    _STREAM_REPLICATION, ni, rep]), and returns `score(obs)`.  Yields
+    _STREAM_REPLICATION, ni, rep]), a block of paths at a time
+    (`simulate_observations`), and returns `score(obs)`.  Yields
     (n, outcomes) for each n in config order, where outcomes holds per
     replication the score or the `SparseSdeError` that failed it.  A
     ConfigError, a PolicyError or an error from outside the package ends
@@ -583,7 +600,7 @@ def replications(cfg: ExperimentConfig, score):
         ni, rep = task
         seq = np.random.SeedSequence([master, _STREAM_REPLICATION, ni, rep])
         seed = int(seq.generate_state(1)[0])
-        return score(observe(simulate_paths(cfg, bundle, seed, n_values[ni]), design, seed))
+        return score(simulate_observations(cfg, bundle, design, seed, n_values[ni]))
 
     tasks = [(ni, rep) for ni in range(len(n_values)) for rep in range(reps)]
     found = lanes.fan_out(tasks, lambda task: n_values[task[0]], replicate)
@@ -801,12 +818,15 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
 
     if mc:
         n_mc = int(cfg.experiment["mc_paths"])
-        paths = simulate_paths(cfg, bundle, cfg.experiment["master_seed"], n_mc)
         pts = np.linspace(0.0, 1.0, 11)
-        g = paths.grid
+        model = _ensemble(cfg, bundle)
+        g = model[2]
         abs_t = g.t0 + (g.t1 - g.t0) * pts
         idx = np.rint((abs_t - g.t0) / g.dt).astype(int)
-        X = paths.values[:, idx]
+        X = np.empty((n_mc, pts.size))  # only these columns of the paths are kept
+        for rows, paths in simulate_blocks(*model, n_mc, cfg.experiment["master_seed"]):
+            X[rows] = paths.values[:, idx]
+            del paths
         worst_m = worst_D = 0.0
         for col, u in enumerate(pts):
             xs = X[:, col]

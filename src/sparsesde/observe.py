@@ -7,7 +7,8 @@ the normalised interval [0, 1], contaminated with iid centred noise:
 
 Design times, measurement noise and the driving paths all use disjoint
 child streams of the master seed, so swapping the noise seed perturbs only
-the U contributions.
+the U contributions.  `observe_ensemble` simulates and observes an ensemble
+a block of paths at a time, so that it never holds all of them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CsvParseError, DesignRangeError, ValidationError
-from .simulate import SamplePathSet
+from .errors import CsvParseError, DesignRangeError, SparseSdeError, ValidationError
+from .simulate import PathGrid, SamplePathSet, simulate_blocks
 
 _STREAM_DESIGN = 2
 _STREAM_NOISE = 3
@@ -130,9 +131,7 @@ class SparseObservations:
             raise ValidationError("column lengths differ")
         if np.any(np.diff(self.curve_id) < 0):
             raise ValidationError("curve ids must be grouped in ascending order")
-        # both comparisons are False for NaN, so NaN times fail here
-        if not np.all((self.t >= 0) & (self.t <= 1)):
-            raise ValidationError("observation times must lie in [0, 1]")
+        _check_unit_times(self.t)
         if not np.all(np.isfinite(self.y)):
             raise ValidationError("observation values must be finite")
         bounds = self.curve_bounds()
@@ -179,21 +178,30 @@ def draw_design(design_law, r: int, rng: np.random.Generator) -> np.ndarray:
     return pts
 
 
-def observe(
-    paths: SamplePathSet,
-    cfg: DesignConfig,
-    seed: int,
-    noise_seed: int | None = None,
-) -> SparseObservations:
-    """Sample the observation scheme on every path of the ensemble.
+def _check_unit_times(t: np.ndarray) -> None:
+    # both comparisons are False for NaN, so NaN times fail here
+    if not np.all((t >= 0) & (t <= 1)):
+        raise ValidationError("observation times must lie in [0, 1]")
+
+
+def _check_design_span(T: np.ndarray, g: PathGrid) -> None:
+    """Every design time in T, mapped onto the grid's span, lies on it; an
+    affine map with positive slope keeps order, so the extremes decide."""
+    ends = g.t0 + (g.t1 - g.t0) * np.array([np.fmin.reduce(T, None), np.fmax.reduce(T, None)])
+    if ends[0] < g.t0 - 1e-12 or ends[1] > g.t1 + 1e-12:
+        raise DesignRangeError(f"design time outside simulated span [{g.t0}, {g.t1}]")
+
+
+def design_draws(
+    cfg: DesignConfig, n: int, seed: int, noise_seed: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T, U): the (n, r) design times and noise that `observe` gives n curves.
 
     One `design_law.sample(rng, n * r)` call gives n sorted rows of r times.
     A design law must return what n consecutive `sample(rng, r)` calls
     would, so the rows equal the curve-by-curve draws of `draw_design`; a
     row with a tie rewinds the generator and `draw_design` draws curve by
-    curve instead.  The noise is one draw of n * r values.  Design times are
-    mapped affinely onto the path grid's span, where the paths are
-    interpolated a block of curves at a time with the arithmetic of `np.interp`.
+    curve instead.  The noise is one draw of n * r values.
     """
     design_rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DESIGN]))
     noise_rng = np.random.default_rng(
@@ -201,26 +209,76 @@ def observe(
         if noise_seed is None
         else noise_seed
     )
-    g = paths.grid
-    n, r = paths.n, cfg.r
+    r = cfg.r
     state = design_rng.bit_generator.state
     T = np.sort(cfg.design_law.sample(design_rng, n * r).reshape(n, r), axis=1)
     if not np.all(np.diff(T, axis=1) > 0):
         design_rng.bit_generator.state = state
         T = np.array([draw_design(cfg.design_law, r, design_rng) for _ in range(n)])
+    with np.errstate(over="ignore"):  # an overflow leaves inf, which validate() rejects
+        return T, _draw_noise(noise_rng, cfg, n * r).reshape(n, r)
+
+
+def observe(
+    paths: SamplePathSet,
+    cfg: DesignConfig,
+    seed: int,
+    noise_seed: int | None = None,
+    draws: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SparseObservations:
+    """Sample the observation scheme on every path of the ensemble.
+
+    The design times and noise come from `design_draws`; given `draws`,
+    rows of the (T, U) of a larger ensemble, one for each path, the result
+    holds those curves' rows of observing that ensemble, renumbered from 0.
+    Design times are mapped affinely onto the path grid's span, where the
+    paths are interpolated a block of curves at a time with the arithmetic
+    of `np.interp`.
+    """
+    T, U = design_draws(cfg, paths.n, seed, noise_seed) if draws is None else draws
+    g = paths.grid
+    _check_design_span(T, g)
+    n, r = T.shape
     X = np.empty((n, r))
     for c0 in range(0, n, _CURVE_BLOCK):
         rows = slice(c0, c0 + _CURVE_BLOCK)
-        abs_t = g.t0 + (g.t1 - g.t0) * T[rows]
-        if np.any(abs_t < g.t0 - 1e-12) or np.any(abs_t > g.t1 + 1e-12):
-            raise DesignRangeError(f"design time outside simulated span [{g.t0}, {g.t1}]")
-        X[rows] = _interp_rows(abs_t, g.points, paths.values[rows])
-    y = X.ravel()
+        X[rows] = _interp_rows(g.t0 + (g.t1 - g.t0) * T[rows], g.points, paths.values[rows])
     with np.errstate(over="ignore"):  # an overflow leaves inf, which validate() rejects
-        y += _draw_noise(noise_rng, cfg, n * r)
-    obs = SparseObservations(curve_id=np.repeat(np.arange(n), r), t=T.ravel(), y=y)
+        X += U
+    obs = SparseObservations(curve_id=np.repeat(np.arange(n), r), t=T.ravel(), y=X.ravel())
     obs.validate()
     return obs
+
+
+def observe_ensemble(coeffs, levy, grid: PathGrid, x0_law, n: int, cfg: DesignConfig, seed: int):
+    """`observe(simulate_ensemble(coeffs, levy, grid, x0_law, n, seed), cfg, seed)`,
+    bit for bit, holding one block of paths at a time.
+
+    The design times and noise of all n curves are drawn once; each block
+    of `simulate_blocks` is then observed with its rows of them and dropped.
+    A failure is that of the one-shot call: a simulation error first (every
+    block is simulated), then a fault of the design times, then the first
+    block whose observations fail.
+    """
+    blocks = simulate_blocks(coeffs, levy, grid, x0_law, n, seed)
+    failure = None
+    try:
+        T, U = design_draws(cfg, n, seed)
+        _check_design_span(T, grid)
+        _check_unit_times(T)
+    except SparseSdeError as exc:
+        failure = exc
+    y = np.empty((n, cfg.r))
+    for rows, paths in blocks:
+        if failure is None:
+            try:
+                y[rows] = observe(paths, cfg, seed, draws=(T[rows], U[rows])).y.reshape(-1, cfg.r)
+            except SparseSdeError as exc:
+                failure = exc
+        del paths
+    if failure is not None:
+        raise failure
+    return SparseObservations(curve_id=np.repeat(np.arange(n), cfg.r), t=T.ravel(), y=y.ravel())
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:

@@ -21,6 +21,11 @@ loaded in turn into one reused generator.  Path i draws its normals straight
 into row i of the (n, steps+1) result, then its Poisson counts, of which
 only the nonzero ones are kept; the recursion then runs in place through
 that one array (see _euler_core).
+
+A consumer that reads only part of every path need not hold all of them:
+`simulate_blocks` yields the ensemble a block of rows at a time, each block
+at most _PATH_BLOCK_BYTES of path values, with the rows of the one-shot
+`simulate_ensemble` bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from .model import CoefficientSet, LevyConfig
 _STREAM_PATHS = 0
 _STREAM_X0 = 1
 _BLOCK = 64  # steps per block of the in-place recursion (see _euler_core)
+# path values a block of `simulate_blocks` holds at most: fewer bytes cost one
+# more pass of the step loop per extra block
+_PATH_BLOCK_BYTES = 8 << 20
 _POISSON_LAM_MAX = 2.0**63 - 10.0 * 2.0**31.5  # largest rate `Generator.poisson` accepts
 # SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -171,6 +179,7 @@ def _euler_core(
     bounds = np.searchsorted(jump_step, np.arange(0, grid.steps + _BLOCK, _BLOCK))
     x = values[:, 0]
     tmp = np.empty(m)
+    mu_k, mul, add = mu_k.tolist(), np.multiply, np.add
     for b, k0 in enumerate(range(0, grid.steps, _BLOCK)):
         k1 = min(k0 + _BLOCK, grid.steps)
         inc = values[:, k0 + 1 : k1 + 1].T.copy()
@@ -178,13 +187,15 @@ def _euler_core(
         jump = np.repeat(no_jump[k0:k1, None], m, axis=1)
         hit = slice(bounds[b], bounds[b + 1])
         jump[jump_step[hit] - k0, jump_path[hit]] = jump_inc[hit]
-        for j in range(k1 - k0):
-            np.multiply(mu_k[k0 + j], x, out=tmp)
-            tmp *= dt
-            tmp += x
-            x = inc[j]
-            np.add(tmp, x, out=x)
-            x += jump[j]
+        # positional outputs and row iteration keep the per-step call cost,
+        # paid once per block of `simulate_blocks`, low
+        for mu, x_next, jump_j in zip(mu_k[k0:k1], inc, jump):
+            mul(mu, x, tmp)
+            mul(tmp, dt, tmp)
+            add(tmp, x, tmp)
+            add(tmp, x_next, x_next)
+            add(x_next, jump_j, x_next)
+            x = x_next
         values[:, k0 + 1 : k1 + 1] = inc.T
 
     if not np.isfinite(x).all():
@@ -207,22 +218,78 @@ def simulate_path(
     return _euler_core(coeffs, levy, grid, float(x0), [seed])[0]
 
 
-def simulate_ensemble(
-    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0_law, n: int, master_seed: int
-) -> SamplePathSet:
-    """n independent paths with per-path child seeds.
+def ensemble_draws(x0_law, n: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(seeds, x0) of the n-path ensemble: each path's seed word and initial value.
 
     Path i uses the i-th word of SeedSequence([master_seed, 0]); initial
     values come from SeedSequence([master_seed, 1]) so that swapping the
     initial law never disturbs the driving noise.
     """
-    _check_count("n", n)
-    _check_span(coeffs, grid)
     seeds = np.random.SeedSequence([master_seed, _STREAM_PATHS]).generate_state(n, np.uint64)
     x0_rng = np.random.default_rng(np.random.SeedSequence([master_seed, _STREAM_X0]))
-    x0 = np.asarray(x0_law.sample(x0_rng, n), dtype=float)
-    values = _euler_core(coeffs, levy, grid, x0, seeds)
-    return SamplePathSet(grid=grid, values=values, seeds=seeds)
+    return seeds, np.asarray(x0_law.sample(x0_rng, n), dtype=float)
+
+
+def simulate_ensemble(
+    coeffs: CoefficientSet,
+    levy: LevyConfig,
+    grid: PathGrid,
+    x0_law,
+    n: int,
+    master_seed: int,
+    draws: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SamplePathSet:
+    """n independent paths with per-path child seeds from `ensemble_draws`.
+
+    Given `draws`, n rows of the (seeds, x0) of a larger ensemble, the
+    paths are those rows of that ensemble, bit for bit.
+    """
+    _check_count("n", n)
+    _check_span(coeffs, grid)
+    seeds, x0 = ensemble_draws(x0_law, n, master_seed) if draws is None else draws
+    return SamplePathSet(grid=grid, values=_euler_core(coeffs, levy, grid, x0, seeds), seeds=seeds)
+
+
+def simulate_blocks(
+    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0_law, n: int, master_seed: int
+):
+    """The ensemble of `simulate_ensemble`, one block of paths at a time.
+
+    Checks the arguments and draws every path's seed and initial value now,
+    once; returns an iterator of (rows, paths), where `paths` holds the rows
+    `rows` of the n-path ensemble.  The blocks are near-equal, each holding
+    at most _PATH_BLOCK_BYTES of path values (or one path), and each comes
+    from its own `simulate_ensemble` call.  A consumer should drop a block
+    before taking the next, so that only one is alive.  A block that
+    diverges ends the yields, but the later blocks are still simulated: the
+    SimulationDivergedError raised after the last names the step and path
+    of the one-shot scan, the earliest step over all blocks, then its
+    lowest path.
+    """
+    _check_count("n", n)
+    _check_span(coeffs, grid)
+    seeds, x0 = ensemble_draws(x0_law, n, master_seed)
+    count = -(-n // max(1, _PATH_BLOCK_BYTES // (8 * (grid.steps + 1))))
+
+    def blocks():
+        diverged = None
+        for k in range(count):
+            a, b = n * k // count, n * (k + 1) // count
+            try:
+                paths = simulate_ensemble(
+                    coeffs, levy, grid, x0_law, b - a, master_seed, (seeds[a:b], x0[a:b])
+                )
+            except SimulationDivergedError as exc:
+                if diverged is None or exc.step < diverged.step:
+                    diverged = SimulationDivergedError(step=exc.step, path=a + exc.path)
+                continue
+            if diverged is None:
+                yield slice(a, b), paths
+            del paths
+        if diverged is not None:
+            raise diverged
+
+    return blocks()
 
 
 def _check_count(name: str, value) -> None:

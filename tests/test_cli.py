@@ -463,6 +463,23 @@ def test_normal_x0_with_overflowing_second_moment_exits_2(tmp_path, capsys, comm
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
+    "command", ["simulate", "observe", "estimate", "emse", "bootstrap", "oracle-check"]
+)
+def test_point_x0_with_overflowing_square_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(
+        tmp_path,
+        model={"x0": {"kind": "point", "value": 1e200}},
+        design={"n": 30, "r": 6},
+        estimation={"eval_points": 11, "policy": {"kind": "known-sigma", "expr": "0.01"}},
+        experiment={"sim_steps": 50},
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: model.x0 point needs a finite second moment value^2\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
     "section, key",
     [
         (s, k)

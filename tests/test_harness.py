@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +30,7 @@ from sparsesde import (
     simulate_ensemble,
     sinusoid_model,
 )
-from sparsesde import bootstrap, harness, lanes
+from sparsesde import bootstrap, harness, lanes, simulate
 from sparsesde.bootstrap import gathered_estimates, point_estimates
 from sparsesde.errors import EstimationFailedError, SimulationDivergedError, SparseSdeError
 from sparsesde.harness import (
@@ -648,16 +649,16 @@ def two_cpus(monkeypatch):
 
 
 def _raise_in_children(monkeypatch, action):
-    """Make `simulate_paths` call `action()` in forked lanes only."""
+    """Make `simulate_observations` call `action()` in forked lanes only."""
     parent = os.getpid()
-    real = harness.simulate_paths
+    real = harness.simulate_observations
 
     def simulate(*args):
         if os.getpid() != parent:
             action()
         return real(*args)
 
-    monkeypatch.setattr(harness, "simulate_paths", simulate)
+    monkeypatch.setattr(harness, "simulate_observations", simulate)
 
 
 def test_split_lanes_is_greedy_longest_first():
@@ -728,7 +729,7 @@ def test_study_failing_in_every_lane_leaves_no_process(two_cpus, monkeypatch):
     def diverge(*args):
         raise SimulationDivergedError(1, 0)
 
-    monkeypatch.setattr(harness, "simulate_paths", diverge)
+    monkeypatch.setattr(harness, "simulate_observations", diverge)
     with pytest.raises(EstimationFailedError, match="4/4 replications failed at n=30"):
         run_emse(_lane_config())
     _no_process_left()
@@ -760,7 +761,7 @@ def test_lane_stops_at_its_first_fatal_error(two_cpus, monkeypatch):
         calls.append(os.getpid())
         raise ConfigError("bad key")
 
-    monkeypatch.setattr(harness, "simulate_paths", bad_config)
+    monkeypatch.setattr(harness, "simulate_observations", bad_config)
     with pytest.raises(ConfigError, match="bad key"):
         run_emse(_lane_config())
     assert calls == [os.getpid()]  # this process's lane ran one of its four tasks
@@ -773,13 +774,13 @@ def test_blas_runs_one_thread_per_lane_and_is_restored(two_cpus, monkeypatch):
 
     before = threads()
     seen = []
-    real = harness.simulate_paths
+    real = harness.simulate_observations
 
     def simulate(*args):
         seen.append(threads())
         return real(*args)
 
-    monkeypatch.setattr(harness, "simulate_paths", simulate)
+    monkeypatch.setattr(harness, "simulate_observations", simulate)
     run_emse(_lane_config())
     assert len(seen) == 4 and all(t == [1] * len(before) for t in seen)
     assert threads() == before
@@ -849,3 +850,28 @@ def test_write_table_matches_per_cell_writer(tmp_path, monkeypatch, cols, block)
     want = (tmp_path / "want.csv").read_bytes()
     assert (tmp_path / "got.csv").read_bytes() == want
     assert want.count(b"\r\n") == 1 + len(cols[0])
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_replication_holds_one_block_of_paths():
+    # an emse replication at n = 1600 and 1000 steps simulates and observes
+    # its 12.8 MB of paths in two blocks of 800
+    cfg = parse_config(cfg_dict(design={"n": 1600, "r": 10}, experiment={"sim_steps": 1000}))
+    bundle, design = build_model(cfg), build_design(cfg)
+    peak = _traced_peak(lambda: harness.simulate_observations(cfg, bundle, design, 3, 1600))
+    assert peak < 1.5 * simulate._PATH_BLOCK_BYTES < 1600 * 1001 * 8
+
+
+def test_oracle_monte_carlo_holds_one_block_of_paths():
+    # 2400 paths of 1000 steps are 19.2 MB at once; the check keeps 11 columns
+    cfg = parse_config(cfg_dict(experiment={"mc_paths": 2400, "sim_steps": 1000}))
+    peak = _traced_peak(lambda: run_oracle_check(cfg))
+    assert peak < 1.5 * simulate._PATH_BLOCK_BYTES < 2400 * 1001 * 8

@@ -1,5 +1,6 @@
 """Observation scheme: design laws, noise bookkeeping, CSV round trips."""
 
+import importlib
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from sparsesde import (
     ClippedLinearDesign,
     CsvParseError,
     DesignConfig,
+    GaussianInitial,
     LevyConfig,
     PathGrid,
     PointMass,
+    SimulationDivergedError,
     SparseObservations,
     UniformDesign,
     ValidationError,
@@ -22,12 +25,19 @@ from sparsesde import (
     ingest_csv,
     ingest_wide_csv,
     observe,
+    observe_ensemble,
+    simulate_blocks,
     simulate_ensemble,
     sinusoid_model,
 )
+from sparsesde.errors import DesignRangeError
 from sparsesde.observe import _CURVE_BLOCK, _STREAM_DESIGN, _STREAM_NOISE
 
 from conftest import make_obs
+
+# the modules; the package's `observe` name is the function
+simulate_module = importlib.import_module("sparsesde.simulate")
+observe_module = importlib.import_module("sparsesde.observe")
 
 
 def make_paths(n=5, steps=100, seed=1, coeffs=None):
@@ -498,3 +508,139 @@ def test_ingest_keeps_ordered_rows_and_sorts_shuffled_ones(tmp_path):
         for col in ("curve_id", "t", "y"):
             npt.assert_array_equal(getattr(got, col), getattr(obs, col))
             assert getattr(got, col).flags.c_contiguous
+
+
+def _paths_per_block(monkeypatch, paths: int, steps: int) -> None:
+    """Size the blocks of `simulate_blocks` to `paths` paths of `steps` steps."""
+    monkeypatch.setattr(simulate_module, "_PATH_BLOCK_BYTES", paths * 8 * (steps + 1))
+
+
+PER_BLOCK = 7
+
+
+@pytest.mark.parametrize("n", [1, PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1, 2 * PER_BLOCK + 3])
+@pytest.mark.parametrize("law", [PointMass(1.0), GaussianInitial(0.5, 0.3)], ids=["point", "gauss"])
+@pytest.mark.parametrize("nu_K", [1.0, 500.0], ids=["sparse", "jumpy"])
+def test_streamed_observations_equal_one_shot(monkeypatch, n, law, nu_K):
+    steps = 65
+    _paths_per_block(monkeypatch, PER_BLOCK, steps)
+    c, levy, grid = sinusoid_model(), LevyConfig(nu_K), PathGrid(0.0, 1.0, steps)
+    cfg = DesignConfig(r=4, noise_sd=0.1)
+    ens = simulate_ensemble(c, levy, grid, law, n, 41)
+    blocks = list(simulate_blocks(c, levy, grid, law, n, 41))
+    sizes = [rows.stop - rows.start for rows, _ in blocks]
+    assert len(sizes) == -(-n // PER_BLOCK) and max(sizes) - min(sizes) <= 1
+    assert [rows.start for rows, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+    assert np.array_equal(np.vstack([p.values for _, p in blocks]), ens.values)
+    assert np.array_equal(np.concatenate([p.seeds for _, p in blocks]), ens.seeds)
+    got = observe_ensemble(c, levy, grid, law, n, cfg, 41)
+    ref = observe(ens, cfg, 41)
+    for col in ("curve_id", "t", "y"):
+        assert getattr(got, col).dtype == getattr(ref, col).dtype
+        assert np.array_equal(getattr(got, col), getattr(ref, col)), col
+
+
+def test_stream_draws_once_and_alternates_simulate_and_observe(monkeypatch):
+    """Per-ensemble draws run once; then each block is simulated, then
+    observed, by the public calls a tracer wraps, never one inside the other."""
+    _paths_per_block(monkeypatch, 4, 20)
+    calls, depth = [], []
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, len(depth)))
+            depth.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in [
+        (simulate_module, "ensemble_draws"),
+        (simulate_module, "simulate_ensemble"),
+        (observe_module, "design_draws"),
+        (observe_module, "observe"),
+    ]:
+        record(module, name)
+    obs = observe_ensemble(
+        sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 20), PointMass(1.0), 10,
+        DesignConfig(r=3, noise_sd=0.1), 5,
+    )
+    assert obs.n == 10
+    blocks = [("simulate_ensemble", 0), ("observe", 0)] * 3
+    assert calls == [("ensemble_draws", 0), ("design_draws", 0), *blocks]
+
+
+class _LastTimeDesign:
+    """Uniform times, except that the last of every draw is `last`."""
+
+    min_density = 1.0
+
+    def __init__(self, last: float):
+        self.last = last
+
+    def sample(self, rng, r):
+        pts = rng.random(r)
+        pts[-1] = self.last
+        return pts
+
+
+def _error(call):
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case",
+    [
+        "diverges-late-block",
+        "diverges-and-out-of-span",
+        "overflow-and-out-of-span",
+        "overflow-and-past-one",
+        "overflow",
+    ],
+)
+def test_streamed_failure_is_the_one_shot_failure(monkeypatch, case):
+    n, steps, seed = 40, 1000, 31
+    _paths_per_block(monkeypatch, 4, steps)
+    grid, levy = PathGrid(0.0, 1.0, steps), LevyConfig(1.0)
+    if case.startswith("diverges"):
+        # x0 ~ N(0, 1) under mu = 1e4 grows ~11x per step: every block
+        # diverges, each at a step set by its largest |x0|
+        c, law, noise_sd = constant_model(1e4, 1.0, 1.0), GaussianInitial(0.0, 1.0), 0.1
+    else:
+        # finite paths at 1e308, whose noisy values overflow
+        c, law, noise_sd = constant_model(0.0, 0.0, 0.0), PointMass(1e308), 1e308
+    # a last design time past the span, or within its tolerance but past 1,
+    # lands in the last block only
+    last = {"out-of-span": 1.5, "past-one": 1.0 + 1e-13}.get(case.rsplit("-and-", 1)[-1])
+    design = UniformDesign() if last is None else _LastTimeDesign(last)
+    cfg = DesignConfig(r=3, noise_sd=noise_sd, design_law=design)
+    ref = _error(lambda: observe(simulate_ensemble(c, levy, grid, law, n, seed), cfg, seed))
+    got = _error(lambda: observe_ensemble(c, levy, grid, law, n, cfg, seed))
+    assert got == ref
+    expected = {
+        "diverges-late-block": SimulationDivergedError,
+        "diverges-and-out-of-span": SimulationDivergedError,
+        "overflow-and-out-of-span": DesignRangeError,
+        "overflow-and-past-one": ValidationError,
+        "overflow": ValidationError,
+    }[case]
+    assert got[0] is expected
+    if case == "overflow-and-past-one":
+        assert got[1] == "observation times must lie in [0, 1]"
+    if case == "diverges-late-block":
+        with pytest.raises(SimulationDivergedError) as exc:
+            list(simulate_blocks(c, levy, grid, law, n, seed))
+        step, path = exc.value.step, exc.value.path
+        assert str(exc.value) == ref[1] and path >= 4  # not in the first block
+        seeds, x0 = simulate_module.ensemble_draws(law, n, seed)
+        with pytest.raises(SimulationDivergedError) as first:
+            simulate_ensemble(c, levy, grid, law, 4, seed, (seeds[:4], x0[:4]))
+        assert first.value.step > step  # the first block diverges later
