@@ -32,12 +32,9 @@ from .moments import (
     MomentSolution,
     H_value,
     cov_value,
-    oracle_mean_curve,
-    oracle_surface_values,
     solve_mean,
     solve_moments,
     solve_second_moment,
-    verify_pde_identity,
 )
 from .simulate import PathGrid, SamplePathSet, simulate_blocks, simulate_ensemble, simulate_path
 from .observe import (
@@ -74,9 +71,7 @@ from .recover import (
     CoefficientEstimate,
     SeparationPolicy,
     estimate_drift,
-    estimate_H,
     estimate_total_noise,
-    integrate_mu,
     separate,
 )
 from .harness import (

@@ -235,7 +235,10 @@ _X0_LAWS = {
         "sd": (_REQUIRED, _nonneg, "a number >= 0"),
     },
 }
-_DESIGN_LAWS = {"uniform": {}, "clipped-linear": {"floor": (0.1, _is_real, "a number")}}
+_DESIGN_LAWS = {
+    "uniform": {},
+    "clipped-linear": {"floor": (0.1, lambda v: _is_real(v) and 0 < v <= 2, "a number in (0, 2]")},
+}
 _POLICIES = {kind: {"expr": (_REQUIRED, str, "an expression in t")} for kind in _POLICY_KINDS}
 
 
@@ -901,12 +904,19 @@ def write_table(dest, header: list[str], cols) -> None:
     """Write one CSV artifact: the header, then the columns `cols` side by
     side, each turned into text by `_cells` a block of rows at a time.  The
     bytes are those `csv.writer` writes for a table of two or more columns."""
-    cols = [c if isinstance(c, np.ndarray) else list(c) for c in cols]
+    write_blocks(dest, header, [cols])
+
+
+def write_blocks(dest, header: list[str], blocks) -> None:
+    """`write_table` of a table whose rows `blocks` yields a block at a time,
+    each block as its columns, so that no more than one block is held."""
     with open(dest, "w", newline="") as fh:
         fh.write(",".join(map(_quoted, header)) + "\r\n")
-        for r0 in range(0, len(cols[0]), _TABLE_BLOCK):
-            rows = zip(*(_cells(c[r0 : r0 + _TABLE_BLOCK]) for c in cols))
-            fh.write("".join(",".join(row) + "\r\n" for row in rows))
+        for cols in blocks:
+            cols = [c if isinstance(c, np.ndarray) else list(c) for c in cols]
+            for r0 in range(0, len(cols[0]), _TABLE_BLOCK):
+                rows = zip(*(_cells(c[r0 : r0 + _TABLE_BLOCK]) for c in cols))
+                fh.write("".join(",".join(row) + "\r\n" for row in rows))
 
 
 def export_mean_csv(mean_est: MeanEstimate, dest) -> None:

@@ -30,14 +30,6 @@ class KernelSpec:
             raise ValidationError(f"unknown kernel family {self.family!r}")
         return np.where(inside, out, 0.0)
 
-    def check_mass(self, tol: float = 1e-6) -> float:
-        """Quadrature check that the kernel integrates to 1; returns the mass."""
-        u = np.linspace(-1.0, 1.0, 20001)
-        mass = float(np.trapezoid(self.values(u), u))
-        if abs(mass - 1.0) > tol:
-            raise ValidationError(f"kernel {self.family} has mass {mass}")
-        return mass
-
 
 EPANECHNIKOV = KernelSpec("epanechnikov")
 GAUSSIAN_TRUNCATED = KernelSpec("gaussian-truncated")

@@ -13,6 +13,7 @@ maps a model on [t0, t1] to the unit interval.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,9 +51,15 @@ def expression_function(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     overflows or leaves its domain.  The returned callable is vectorised.
     """
     try:
-        code = compile(expr, "<coefficient>", "eval")
+        tree = ast.parse(expr, "<coefficient>", "eval")
+        code = compile(tree, "<coefficient>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
+    # a lambda or comprehension has a scope of its own, whose names the
+    # whitelist below does not see (since Python 3.12 a list comprehension
+    # is inlined, so this is checked on the syntax tree, not the code object)
+    if any(isinstance(node, (ast.Lambda, ast.comprehension)) for node in ast.walk(tree)):
+        raise ConfigError(f"no lambda or comprehension allowed in expression {expr!r}")
     for name in code.co_names:
         if name != "t" and name not in _EXPR_FUNCS:
             raise ConfigError(f"name {name!r} not allowed in expression {expr!r}")

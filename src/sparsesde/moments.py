@@ -66,11 +66,6 @@ class MomentSolution:
         """int_s^t mu via the cached cumulative integral."""
         return np.interp(t, self.grid, self.M) - np.interp(s, self.grid, self.M)
 
-    def noise_sum_at(self, t) -> np.ndarray:
-        """sigma^2 + nu_K xi^2 evaluated from the stored coefficients."""
-        t = np.asarray(t, dtype=float)
-        return self.coeffs.sigma(t) ** 2 + self.nu_K * self.coeffs.xi(t) ** 2
-
     def validate(self) -> None:
         if not np.all(np.isfinite(self.m)) or not np.all(np.isfinite(self.D)):
             raise ValidationError("moment solution contains non-finite values")
@@ -202,66 +197,3 @@ def H_value(
     avg = np.trapezoid(integrand, taus) / (taus[-1] - taus[0])
     mu_t = float(solution.coeffs.mu(np.asarray([t]))[0])
     return float(avg - mu_t * solution.second_moment_at(t))
-
-
-def verify_pde_identity(
-    solution: MomentSolution,
-    s: float,
-    t: float,
-    fd_step: float = FD_STEP,
-) -> tuple[float, float]:
-    """Residuals of the two covariance-surface identities at interior (s, t).
-
-    Returns (residual_t, residual_s) where
-
-        residual_t = dG/dt (s,t) - mu(t) G(s,t)
-        residual_s = [exp(-int_s^t mu) dG/ds (s,t) - mu(s) D(s)]
-                     - [sigma(s)^2 + nu_K xi(s)^2]
-
-    with the partials taken by central differences (step ``fd_step``).  Both
-    should vanish to quadrature accuracy for a solution produced by
-    solve_moments; corrupting D breaks the second residual.
-    """
-    s, t, grid = float(s), float(t), solution.grid
-    if not (grid[0] + fd_step <= s <= t - 2 * fd_step):
-        raise ValidationError("need s in the interior with s < t")
-    if t + fd_step > grid[-1]:
-        raise ValidationError("t too close to the right endpoint for the stencil")
-    mu_t = float(solution.coeffs.mu(np.asarray([t]))[0])
-    mu_s = float(solution.coeffs.mu(np.asarray([s]))[0])
-    G = float(cov_value(solution, s, t))
-    dG_dt = float(_fd_first(lambda x: cov_value(solution, s, x), t, fd_step, s, grid[-1]))
-    residual_t = dG_dt - mu_t * G
-    dG_ds = float(_fd_first(lambda x: cov_value(solution, x, t), s, fd_step, grid[0], t))
-    left = np.exp(-float(solution.drift_integral(s, t))) * dG_ds - mu_s * float(
-        solution.second_moment_at(s)
-    )
-    residual_s = left - float(solution.noise_sum_at(s))
-    return residual_t, residual_s
-
-
-def oracle_mean_curve(solution: MomentSolution, eval_grid: np.ndarray):
-    """Exact (m, dm) on a grid; dm uses m' = mu m, no differencing."""
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    m = solution.mean_at(eval_grid)
-    dm = solution.coeffs.mu(eval_grid) * m
-    return m, dm
-
-
-def oracle_surface_values(solution: MomentSolution, s, t):
-    """Exact (G, dG/ds, dG/dt) from the factorised surface.
-
-    Uses D' = 2 mu D + sigma^2 + nu_K xi^2 to avoid finite differences, so
-    the output is exact up to the quadrature already inside the solution.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    E = np.exp(solution.drift_integral(s, t))
-    D_s = solution.second_moment_at(s)
-    mu_s = solution.coeffs.mu(s)
-    mu_t = solution.coeffs.mu(t)
-    dD_s = 2.0 * mu_s * D_s + solution.noise_sum_at(s)
-    G = E * D_s
-    dsG = E * (dD_s - mu_s * D_s)
-    dtG = mu_t * G
-    return G, dsG, dtG

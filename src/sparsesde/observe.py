@@ -6,9 +6,9 @@ the normalised interval [0, 1], contaminated with iid centred noise:
     Y_ij = X_i(T_ij) + U_ij,   Var(U_ij) = rho^2.
 
 Design times, measurement noise and the driving paths all use disjoint
-child streams of the master seed, so swapping the noise seed perturbs only
-the U contributions.  `observe_ensemble` simulates and observes an ensemble
-a block of paths at a time, so that it never holds all of them.
+child streams of the one master seed; no seed of their own is taken.
+`observe_ensemble` simulates and observes an ensemble a block of paths at
+a time, so that it never holds all of them.
 """
 
 from __future__ import annotations
@@ -120,10 +120,6 @@ class SparseObservations:
         """Row offsets: curve c holds rows bounds[c]:bounds[c + 1]."""
         return np.concatenate(([0], np.flatnonzero(np.diff(self.curve_id)) + 1, [self.total]))
 
-    def curve_slices(self) -> list[slice]:
-        bounds = self.curve_bounds()
-        return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
     def validate(self) -> None:
         if self.t.size == 0:
             raise ValidationError("no observations")
@@ -192,9 +188,7 @@ def _check_design_span(T: np.ndarray, g: PathGrid) -> None:
         raise DesignRangeError(f"design time outside simulated span [{g.t0}, {g.t1}]")
 
 
-def design_draws(
-    cfg: DesignConfig, n: int, seed: int, noise_seed: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def design_draws(cfg: DesignConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, U): the (n, r) design times and noise that `observe` gives n curves.
 
     One `design_law.sample(rng, n * r)` call gives n sorted rows of r times.
@@ -204,11 +198,7 @@ def design_draws(
     curve instead.  The noise is one draw of n * r values.
     """
     design_rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DESIGN]))
-    noise_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _STREAM_NOISE])
-        if noise_seed is None
-        else noise_seed
-    )
+    noise_rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_NOISE]))
     r = cfg.r
     state = design_rng.bit_generator.state
     T = np.sort(cfg.design_law.sample(design_rng, n * r).reshape(n, r), axis=1)
@@ -223,7 +213,6 @@ def observe(
     paths: SamplePathSet,
     cfg: DesignConfig,
     seed: int,
-    noise_seed: int | None = None,
     draws: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SparseObservations:
     """Sample the observation scheme on every path of the ensemble.
@@ -235,7 +224,7 @@ def observe(
     paths are interpolated a block of curves at a time with the arithmetic
     of `np.interp`.
     """
-    T, U = design_draws(cfg, paths.n, seed, noise_seed) if draws is None else draws
+    T, U = design_draws(cfg, paths.n, seed) if draws is None else draws
     g = paths.grid
     _check_design_span(T, g)
     n, r = T.shape
@@ -389,8 +378,8 @@ def ingest_wide_csv(source) -> SparseObservations:
 
     Columns are interpreted as an equally spaced design with midpoint
     convention t_j = (j - 0.5) / ncols (day j of 365 lands on (j-0.5)/365).
-    A leading non-numeric id column is allowed; empty cells mark missing
-    values and are skipped.
+    A leading id column is allowed; it is one when its first non-empty cell
+    is not a number.  Empty cells mark missing values and are skipped.
     """
     with open(source, newline="") as fh:
         reader = csv.reader(fh)
@@ -398,12 +387,12 @@ def ingest_wide_csv(source) -> SparseObservations:
             header = next(reader)
         except StopIteration:
             raise CsvParseError(1, "empty file") from None
-        data_rows = [row for row in reader if row]
+        data_rows = [(reader.line_num, row) for row in reader if row]
     if not data_rows:
         raise CsvParseError(2, "no data rows")
 
-    try:
-        float(data_rows[0][0])
+    try:  # a first column with no non-empty cell holds (missing) values
+        float(next((row[0] for _, row in data_rows if row[0].strip()), "0"))
         has_id = False
     except ValueError:
         has_id = True
@@ -414,10 +403,10 @@ def ingest_wide_csv(source) -> SparseObservations:
     times = (np.arange(ncols) + 0.5) / ncols
 
     cid, tt, yy = [], [], []
-    for i, row in enumerate(data_rows):
-        lineno = i + 2
+    for i, (lineno, row) in enumerate(data_rows):
         if len(row) != len(header):
             raise CsvParseError(lineno, f"expected {len(header)} columns, got {len(row)}")
+        start = len(yy)
         for j, cell in enumerate(row[first_col:]):
             cell = cell.strip()
             if cell == "":
@@ -429,6 +418,8 @@ def ingest_wide_csv(source) -> SparseObservations:
             cid.append(i)
             tt.append(times[j])
             yy.append(val)
+        if len(yy) - start < 2:  # a row of missing values would leave a gap in the curve ids
+            raise CsvParseError(lineno, "need at least 2 values in a row")
     obs = SparseObservations(
         curve_id=np.array(cid, dtype=int), t=np.array(tt), y=np.array(yy)
     )

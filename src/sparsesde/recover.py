@@ -111,24 +111,6 @@ def estimate_drift(
     return mu, A, float(threshold)
 
 
-def integrate_mu(grid: np.ndarray, mu_hat: np.ndarray, a: float, b: float) -> float:
-    """Trapezoid integral of the fitted drift over [a, b].
-
-    Endpoints may fall between grid nodes; the integrand is extended by
-    linear interpolation, so the rule is exact for piecewise-linear mu_hat.
-    """
-    grid = np.asarray(grid, dtype=float)
-    a, b = float(a), float(b)
-    if not (grid[0] - 1e-12 <= a <= b <= grid[-1] + 1e-12):
-        raise ValidationError(f"[{a}, {b}] outside the grid span")
-    if a == b:
-        return 0.0
-    inner = grid[(grid > a) & (grid < b)]
-    nodes = np.concatenate(([a], inner, [b]))
-    vals = np.interp(nodes, grid, mu_hat)
-    return float(np.trapezoid(vals, nodes))
-
-
 def _tri_node(grid, C, mu_hat, cov_est, i, t) -> float:
     """Triangular estimate of s at grid node i, from the cumulative drift C.
 
@@ -147,33 +129,6 @@ def _tri_node(grid, C, mu_hat, cov_est, i, t) -> float:
     return avg - float(mu_hat[i]) * float(cov_est.D_hat[i])
 
 
-def estimate_H(
-    grid: np.ndarray,
-    mu_hat: np.ndarray,
-    cov_est: CovEstimate,
-    t: float,
-    epsilon: float = DEFAULT_EPSILON,
-) -> float:
-    """Triangular (averaged-identity) estimate of s(t).
-
-    Quadrature runs over the unflagged grid nodes tau in (t, 1]; the node
-    at tau = t itself is excluded (the partial there comes from the
-    diagonal fit and answers a different question).  Flagged nodes drop
-    out and the average renormalises over the span actually covered.
-    Requires t <= 1 - epsilon and at least two usable nodes.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if not np.array_equal(grid, cov_est.eval_times):
-        raise ValidationError("drift grid and surface grid must coincide")
-    t = float(t)
-    if t > 1.0 - epsilon + 1e-12:
-        raise ValidationError(f"t={t} violates t <= 1 - epsilon = {1 - epsilon}")
-    near = np.flatnonzero(np.isclose(grid, t, atol=1e-10))
-    if near.size == 0:
-        raise ValidationError(f"t={t} is not a grid node")
-    return _tri_node(grid, cumulative_trapezoid(mu_hat, grid), mu_hat, cov_est, int(near[0]), t)
-
-
 def estimate_total_noise(
     grid: np.ndarray,
     mu_hat: np.ndarray,
@@ -184,10 +139,12 @@ def estimate_total_noise(
 
     Returns (s_diag, s_tri, flags).  s_diag covers the full grid; s_tri is
     NaN beyond 1 - epsilon (flagged 'trimmed') and at nodes whose
-    quadrature failed.  Each node's s_tri is the quadrature of `estimate_H`,
+    quadrature failed.  Each node's s_tri is one `_tri_node` quadrature,
     all from one cumulative drift integral.
     """
     grid = np.asarray(grid, dtype=float)
+    if not np.array_equal(grid, cov_est.eval_times):
+        raise ValidationError("drift grid and surface grid must coincide")
     nt = grid.size
     s_diag = np.full(nt, np.nan)
     s_tri = np.full(nt, np.nan)
@@ -201,8 +158,6 @@ def estimate_total_noise(
     floored_diag = ok_diag & (s_diag < 0)
     s_diag[floored_diag] = 0.0
 
-    if not np.array_equal(grid, cov_est.eval_times):
-        raise ValidationError("drift grid and surface grid must coincide")
     C = cumulative_trapezoid(mu_hat, grid)
     for i in np.flatnonzero(~trimmed):
         try:

@@ -90,10 +90,6 @@ class SamplePathSet:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def path_at(self, i: int, times: np.ndarray) -> np.ndarray:
-        """Linear interpolation of path i at arbitrary times inside the grid."""
-        return np.interp(times, self.grid.points, self.values[i])
-
 
 def _hash_round(value, const: int, mult: int):
     """One SeedSequence hashmix round on uint32 words; returns (value, next const)."""
@@ -306,9 +302,10 @@ def _check_span(coeffs: CoefficientSet, grid: PathGrid) -> None:
 
 
 def export_paths_csv(paths: SamplePathSet, dest) -> None:
-    """Write the ensemble in long format: path_id,t,x."""
-    from .harness import write_table
+    """Write the ensemble in long format: path_id,t,x, a block of rows at a time."""
+    from .harness import _TABLE_BLOCK, write_blocks
 
-    t = paths.grid.points
-    ids = np.repeat(np.arange(paths.n), t.size)
-    write_table(dest, ["path_id", "t", "x"], (ids, np.tile(t, paths.n), paths.values.ravel()))
+    t, x = paths.grid.points, paths.values.reshape(-1)
+    starts = range(0, x.size, _TABLE_BLOCK)
+    rows = (np.arange(r0, min(r0 + _TABLE_BLOCK, x.size)) for r0 in starts)
+    write_blocks(dest, ["path_id", "t", "x"], ((r // t.size, t[r % t.size], x[r]) for r in rows))

@@ -33,6 +33,12 @@ def make_obs(curves) -> SparseObservations:
     return obs
 
 
+def curve_slices(obs: SparseObservations) -> list[slice]:
+    """One row slice per curve, from `curve_bounds`."""
+    bounds = obs.curve_bounds()
+    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)

@@ -638,3 +638,112 @@ def test_schema_version_must_be_the_integer_1(tmp_path, capsys, version):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: config.schema_version must be 1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_design_floor_out_of_range_fails_at_parse_time(tmp_path, capsys):
+    law = {"kind": "clipped-linear", "floor": 5}
+    cfg = write_cfg(tmp_path, design={"n": 30, "r": 6, "design_law": law})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: design.design_law.floor must be a number in (0, 2]\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _expression_run(tmp_path, capsys, expr, command="simulate"):
+    """Exit code and stderr of `command` with `expr` as the drift, or for
+    `estimate` as the policy expression."""
+    sections = {"design": {"n": 30, "r": 6}, "experiment": {"sim_steps": 20}}
+    if command == "simulate":
+        sections["model"] = {"kind": "expressions", "mu": expr, "sigma": "0.2", "xi": "0.3"}
+    else:
+        sections["estimation"] = {"policy": {"kind": "known-fraction", "expr": expr}}
+    cfg = write_cfg(tmp_path, **sections)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(lambda: 1)() + t",
+        "[c for c in [0]][0] + t",
+        "{c for c in [1]} and t",
+        "{c: 1 for c in [1]} and t",
+        "(c for c in [1]) and t",
+        "(lambda: ().__class__.__bases__[0].__subclasses__())()",
+    ],
+)
+def test_expression_with_a_scope_of_its_own_exits_2(tmp_path, capsys, command, expr):
+    rc, err = _expression_run(tmp_path, capsys, expr, command)
+    assert rc == 2
+    assert err == f"error: no lambda or comprehension allowed in expression {expr!r}\n"
+
+
+@pytest.mark.parametrize(
+    "expr, line",
+    [
+        ("t.__class__", "name '__class__' not allowed in expression 't.__class__'"),
+        ("__import__('os')", "name '__import__' not allowed in expression \"__import__('os')\""),
+        ("t +", "cannot parse expression 't +': "),
+    ],
+)
+def test_expression_outside_the_grammar_exits_2(tmp_path, capsys, expr, line):
+    rc, err = _expression_run(tmp_path, capsys, expr)
+    assert rc == 2
+    assert err.startswith(f"error: {line}") and err.count("\n") == 1
+
+
+def test_builtin_and_readme_expressions_parse():
+    t = np.linspace(0.01, 1.0, 5)
+    for expr in ("-(2 + sin(t))", "0.5 * sin(t)", "sin(t)", "0.25 * sin(t)**2", "0.5"):
+        assert np.all(np.isfinite(sparsesde.expression_function(expr)(t)))
+    for expr in ("1/t", "log(t)", "sqrt(t-2)", "exp(1e5*t)"):  # parse; fail only on evaluation
+        with pytest.raises(ConfigError, match="cannot evaluate"):
+            sparsesde.expression_function(expr)(np.linspace(0.0, 1.0, 5))
+
+
+def _wide_run(tmp_path, text):
+    wide = tmp_path / "wide.csv"
+    wide.write_text(text)
+    cfg = write_cfg(tmp_path, estimation={"eval_points": 11})
+    out = str(tmp_path / "out")
+    return main(["estimate", "--config", cfg, "--obs-csv", str(wide), "--wide", "--out", out])
+
+
+def test_estimate_wide_without_id_column(tmp_path):
+    # the first row's first cell is missing; the column still holds values
+    rng = np.random.default_rng(8)
+    rows = [[f"{v:.6f}" for v in 1.0 + 0.3 * rng.standard_normal(8)] for _ in range(40)]
+    rows[0][0] = ""
+    text = "\n".join([",".join(f"d{j}" for j in range(8)), *map(",".join, rows)]) + "\n"
+    assert _wide_run(tmp_path, text) == 0
+    obs = sparsesde.ingest_wide_csv(tmp_path / "wide.csv")
+    assert obs.total == 40 * 8 - 1
+    assert obs.t[0] == 1.5 / 8
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", "line 1: empty file"),
+        ("d1,d2\n", "line 2: no data rows"),
+        ("id,d1\na,1.0\n", "line 1: need at least 2 value columns"),
+        ("id,d1,d2\na,1,2\nb,1\n", "line 3: expected 3 columns, got 2"),
+        ("id,d1,d2\n\na,1,2\n\nb,1\n", "line 5: expected 3 columns, got 2"),
+        ("id,d1,d2\na,1,2\nb,1,x\n", "line 3: bad value 'x'"),
+        ("id,d1,d2\na,1,2\nb,,\nc,3,4\n", "line 3: need at least 2 values in a row"),
+    ],
+    ids=["empty", "header-only", "one-value-column", "ragged", "ragged-after-blank",
+         "non-numeric", "row-of-missing"],
+)
+def test_malformed_wide_file_exits_2_naming_the_line(tmp_path, capsys, text, line):
+    assert _wide_run(tmp_path, text) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"

@@ -38,7 +38,7 @@ from sparsesde.bootstrap import _curve_pair_sums
 from sparsesde.covfit import _CURVE_BLOCK, _ROW_CHUNK, _pair_sums, replace_responses
 from sparsesde.meanfit import _features
 
-from conftest import make_obs
+from conftest import curve_slices, make_obs
 
 
 def plane_scatter(rng, npts=300, coef=(1.0, 2.0, 3.0)):
@@ -63,7 +63,7 @@ def test_pair_scatter_counts_and_values():
 def _loop_pair_scatter(obs, include_diagonal):
     """Curve-by-curve reference for pair_scatter: (u, v, p) arrays."""
     us, vs, ps = [], [], []
-    for sl in obs.curve_slices():
+    for sl in curve_slices(obs):
         T, Y = obs.t[sl], obs.y[sl]
         r = T.size
         for j in range(r):
@@ -330,6 +330,13 @@ def test_surface_argument_validation(rng):
         fit_cov_at(sc, 0.5, 0.5, d=1, h_G=-0.2)
     with pytest.raises(ValidationError):
         fit_diag(sc, 0.5, 1, None)
+
+
+@pytest.mark.parametrize("d, h_G", [(0, 0.3), (1, 0.0), (1, -0.2)])
+def test_surface_grid_argument_validation(rng, d, h_G):
+    obs = make_obs([(np.sort(rng.random(5)), rng.standard_normal(5)) for _ in range(20)])
+    with pytest.raises(ValidationError):
+        fit_cov_grid(obs, np.linspace(0, 1, 6), d=d, h_G=h_G)
 
 
 def test_replace_responses_keeps_design():

@@ -39,8 +39,9 @@ from conftest import make_obs
 
 
 def test_kernel_mass_both_families():
-    assert EPANECHNIKOV.check_mass() == pytest.approx(1.0, abs=1e-6)
-    assert GAUSSIAN_TRUNCATED.check_mass() == pytest.approx(1.0, abs=1e-6)
+    u = np.linspace(-1.0, 1.0, 20001)
+    assert np.trapezoid(EPANECHNIKOV.values(u), u) == pytest.approx(1.0, abs=1e-6)
+    assert np.trapezoid(GAUSSIAN_TRUNCATED.values(u), u) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_kernel_compact_support_and_shape():
@@ -144,6 +145,13 @@ def test_fit_mean_at_argument_validation():
         fit_mean_at(obs, 0.5, d=0)
     with pytest.raises(ValidationError):
         fit_mean_at(obs, 0.5, h_m=-0.1)
+
+
+@pytest.mark.parametrize("d, h_m", [(0, 0.1), (1, 0.0), (1, -0.1)])
+def test_fit_mean_points_argument_validation(d, h_m):
+    obs = make_obs([(np.linspace(0, 1, 10), np.zeros(10))])
+    with pytest.raises(ValidationError):
+        fit_mean_points(obs, np.array([0.5]), d=d, h_m=h_m)
 
 
 def test_fit_mean_curve_flags_unreachable_points():

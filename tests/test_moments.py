@@ -14,15 +14,14 @@ from sparsesde import (
     ValidationError,
     constant_model,
     cov_value,
-    oracle_mean_curve,
-    oracle_surface_values,
     solve_mean,
     solve_moments,
     solve_second_moment,
-    verify_pde_identity,
 )
 from sparsesde.harness import _fd_first  # edge-aware stencil reused below
 from sparsesde.moments import cumulative_trapezoid
+
+from reference import oracle_mean_curve, oracle_surface_values, verify_pde_identity
 
 GRID = np.linspace(0.0, 1.0, 1001)
 

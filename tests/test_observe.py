@@ -33,7 +33,7 @@ from sparsesde import (
 from sparsesde.errors import DesignRangeError
 from sparsesde.observe import _CURVE_BLOCK, _STREAM_DESIGN, _STREAM_NOISE
 
-from conftest import make_obs
+from conftest import curve_slices, make_obs
 
 # the modules; the package's `observe` name is the function
 simulate_module = importlib.import_module("sparsesde.simulate")
@@ -99,8 +99,9 @@ def test_degenerate_design_law_staggered():
 def test_observe_zero_noise_interpolates_paths():
     paths = make_paths(n=3)
     obs = observe(paths, DesignConfig(r=4, noise_sd=0.0), seed=2)
-    for i, sl in enumerate(obs.curve_slices()):
-        npt.assert_array_equal(obs.y[sl], paths.path_at(i, obs.t[sl]))
+    for i, sl in enumerate(curve_slices(obs)):
+        latent = np.interp(obs.t[sl], paths.grid.points, paths.values[i])
+        npt.assert_array_equal(obs.y[sl], latent)
 
 
 def test_observe_counts_and_ordering():
@@ -108,7 +109,7 @@ def test_observe_counts_and_ordering():
     obs = observe(paths, DesignConfig(r=5, noise_sd=0.1), seed=3)
     assert obs.total == 10
     assert obs.n == 2
-    for sl in obs.curve_slices():
+    for sl in curve_slices(obs):
         assert np.all(np.diff(obs.t[sl]) > 0)
 
 
@@ -120,21 +121,6 @@ def test_observe_noise_moments():
     se = resid.std(ddof=1) / math.sqrt(resid.size)
     assert abs(resid.mean()) < 4.0 * se
     assert abs(resid.var() / 0.09 - 1.0) < 0.05
-
-
-def test_noise_seed_changes_only_noise():
-    paths = make_paths(n=4)
-    cfg = DesignConfig(r=6, noise_sd=0.2)
-    a = observe(paths, cfg, seed=7, noise_seed=101)
-    b = observe(paths, cfg, seed=7, noise_seed=202)
-    npt.assert_array_equal(a.t, b.t)  # same design stream
-    latent = np.concatenate(
-        [paths.path_at(i, a.t[sl]) for i, sl in enumerate(a.curve_slices())]
-    )
-    assert not np.allclose(a.y, b.y)
-    # both residual vectors are pure noise around the same latent values
-    assert abs((a.y - latent).mean()) < 0.2
-    assert abs((b.y - latent).mean()) < 0.2
 
 
 def test_uniform_noise_law_supported():
@@ -242,6 +228,18 @@ def test_wide_ingest_365_columns(tmp_path):
     assert obs.t[364] == pytest.approx(364.5 / 365)
 
 
+def test_wide_ingest_id_rule_skips_empty_first_cells(tmp_path):
+    # an empty first cell is a missing value, not an id
+    f = tmp_path / "wide.csv"
+    f.write_text("d1,d2,d3,d4\n,1.0,2.0,3.0\n4.0,5.0,6.0,7.0\n")
+    obs = ingest_wide_csv(f)
+    npt.assert_array_equal(obs.curve_id, [0, 0, 0, 1, 1, 1, 1])
+    npt.assert_allclose(obs.t, np.array([3, 5, 7, 1, 3, 5, 7]) / 8)
+    npt.assert_array_equal(obs.y, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    f.write_text("id,d1,d2\n,1.0,2.0\nstn,3.0,4.0\n")
+    npt.assert_allclose(ingest_wide_csv(f).t, [0.25, 0.75, 0.25, 0.75])
+
+
 def test_subset_renumbers_with_repeats():
     obs = make_obs([([0.1, 0.2], [1.0, 2.0]), ([0.3, 0.4], [3.0, 4.0])])
     sub = obs.subset([1, 1, 0])
@@ -254,7 +252,7 @@ def test_subset_matches_loop_reference(rng):
     obs = make_obs([(np.sort(rng.random(r)), rng.standard_normal(r)) for r in sizes])
     ids = [4, 2, 2, 0, 4, 3, 1, 2]
     sub = obs.subset(ids)
-    slices = obs.curve_slices()
+    slices = curve_slices(obs)
     ref_t = np.concatenate([obs.t[slices[i]] for i in ids])
     ref_y = np.concatenate([obs.y[slices[i]] for i in ids])
     ref_id = np.concatenate([np.full(sizes[i], k) for k, i in enumerate(ids)])
@@ -281,6 +279,20 @@ def test_ingest_rejects_nan_time(tmp_path):
     f.write_text("curve_id,t,y\n0,0.1,1.0\n0,nan,2.0\n0,0.5,1.5\n")
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         ingest_csv(f)
+
+
+@pytest.mark.parametrize(
+    "cid, t, message",
+    [
+        ([], [], "no observations"),
+        ([0, 0, 0], [0.1, 0.2], "column lengths differ"),
+        ([1, 1, 0, 0], [0.1, 0.2, 0.1, 0.2], "grouped in ascending order"),
+    ],
+)
+def test_validate_rejects_malformed_columns(cid, t, message):
+    obs = SparseObservations(np.array(cid, dtype=int), np.array(t), np.ones(len(t)))
+    with pytest.raises(ValidationError, match=message):
+        obs.validate()
 
 
 def test_validate_names_lowest_failing_curve():

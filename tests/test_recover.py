@@ -19,19 +19,17 @@ from sparsesde import (
     ValidationError,
     constant_model,
     estimate_drift,
-    estimate_H,
     estimate_total_noise,
     fit_cov_grid,
     fit_mean_curve,
-    integrate_mu,
     observe,
-    oracle_mean_curve,
-    oracle_surface_values,
     separate,
     simulate_ensemble,
     solve_moments,
     sinusoid_model,
 )
+
+from reference import estimate_H, oracle_mean_curve, oracle_surface_values
 
 REF = constant_model(-1.0, 0.04, 0.09)
 REF_NU = 2.0
@@ -149,26 +147,6 @@ def test_drift_invariant_under_mean_rescaling(rng):
     npt.assert_allclose(a, b, rtol=1e-12)
 
 
-def test_integrate_mu_constant_and_linear():
-    assert integrate_mu(GRID, np.full(21, -1.0), 0.2, 0.7) == pytest.approx(
-        -0.5, abs=1e-12
-    )
-    assert integrate_mu(GRID, GRID.copy(), 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-    # endpoints between nodes: interpolation keeps the rule exact on lines
-    a, b = 0.013, 0.987
-    assert integrate_mu(GRID, GRID.copy(), a, b) == pytest.approx(
-        (b**2 - a**2) / 2.0, abs=1e-12
-    )
-    assert integrate_mu(GRID, GRID.copy(), 0.4, 0.4) == 0.0
-
-
-def test_integrate_mu_span_checks():
-    with pytest.raises(ValidationError):
-        integrate_mu(GRID, np.ones(21), -0.1, 0.5)
-    with pytest.raises(ValidationError):
-        integrate_mu(GRID, np.ones(21), 0.7, 0.2)
-
-
 def test_oracle_closure_both_routes_recover_noise_sum():
     """Fed exact surfaces, the diagonal and triangular routes both return
     sigma^2 + nu_K xi^2 up to quadrature roundoff."""
@@ -231,6 +209,15 @@ def test_estimate_H_skips_flagged_nodes():
     poked = estimate_H(GRID, mu, holey, 0.5)
     # the integrand is constant in tau, so dropping nodes changes nothing
     assert poked == pytest.approx(clean, abs=1e-8)
+
+
+def test_total_noise_grid_must_match_surface_grid():
+    cov_est = cov_from_oracle(ref_solution(), GRID, REF_S)
+    mu = np.full(21, -1.0)
+    with pytest.raises(ValidationError, match="must coincide"):
+        estimate_total_noise(GRID[:-1], mu[:-1], cov_est)
+    with pytest.raises(ValidationError, match="must coincide"):
+        estimate_total_noise(0.99 * GRID, mu, cov_est)
 
 
 def test_total_noise_floor_and_failure_flags():
@@ -316,6 +303,8 @@ def test_separate_policy_validation():
         separate(
             grid, s_hat, SeparationPolicy("known-sigma", lambda t: np.full(t.size, -0.1)), 1.0
         )
+    with pytest.raises(PolicyError, match="xi"):
+        separate(grid, s_hat, SeparationPolicy("known-xi", lambda t: np.full(t.size, -0.1)), 1.0)
     with pytest.raises(ValidationError):
         separate(
             grid, s_hat, SeparationPolicy("known-sigma", lambda t: np.zeros(t.size)), 0.0

@@ -2,6 +2,7 @@
 bitwise reproducibility contract."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,8 @@ from sparsesde import (
     simulate_path,
     sinusoid_model,
 )
+from sparsesde import harness
+from sparsesde.harness import write_table
 from sparsesde.simulate import _path_states, export_paths_csv
 
 LEVY1 = LevyConfig(nu_K=1.0)
@@ -282,6 +285,33 @@ def test_export_paths_csv(tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0] == "path_id,t,x"
     assert len(lines) == 1 + 2 * 4
+
+
+def test_export_paths_csv_blocks_match_one_table(tmp_path, monkeypatch):
+    # row blocks of 100 straddle the 151-row paths
+    monkeypatch.setattr(harness, "_TABLE_BLOCK", 100)
+    ens = simulate_ensemble(sinusoid_model(), LEVY1, PathGrid(0.0, 1.0, 150), PointMass(1.0), 7, 5)
+    export_paths_csv(ens, tmp_path / "got.csv")
+    t = ens.grid.points
+    cols = (np.repeat(np.arange(ens.n), t.size), np.tile(t, ens.n), ens.values.ravel())
+    write_table(tmp_path / "want.csv", ["path_id", "t", "x"], cols)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_export_paths_csv_holds_one_row_block(monkeypatch):
+    # the text of one default block of rows is ~0.4 MB, so the block is
+    # shrunk for the bound to show on a 0.8 MB ensemble
+    monkeypatch.setattr(harness, "_TABLE_BLOCK", 64)
+    grid = PathGrid(0.0, 1.0, 1000)
+    ens = simulate_ensemble(sinusoid_model(), LEVY1, grid, PointMass(1.0), 100, 5)
+    export_paths_csv(ens, os.devnull)  # numpy's small-buffer caches fill on a first run
+    tracemalloc.start()
+    try:
+        export_paths_csv(ens, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * ens.values.nbytes
 
 
 @pytest.mark.parametrize(
