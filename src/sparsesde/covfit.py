@@ -299,6 +299,28 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
     return M, R, count[0, 0]
 
 
+def _offset_cells(eval_times, h):
+    """The cells (t - eps, t + eps) behind D', clipped to [0, 1]: (s, t) arrays."""
+    eps = DIAG_EPS_FACTOR * h
+    return np.maximum(eval_times - eps, 0.0), np.minimum(eval_times + eps, 1.0)
+
+
+def surface_sums(obs, eval_times, d, h, kernel=EPANECHNIKOV, offset=False):
+    """`_pair_sums` of one pass of `fit_cov_grid` at bandwidth h: the grid
+    cells (s_i, t_j), or with `offset` the cells (t - eps, t + eps).
+
+    The pass runs at one BLAS thread: the order in which the matrix
+    products sum, and so the bytes of the fit, must not depend on the
+    thread count.
+    """
+    from .lanes import _one_blas_thread  # compiled on the first call, not at import
+
+    eval_times = np.asarray(eval_times, dtype=float)
+    cells = _offset_cells(eval_times, h) if offset else (eval_times,)
+    with _one_blas_thread():
+        return _pair_sums(obs, h, kernel, d, *cells)
+
+
 def fit_cov_grid(
     obs: SparseObservations,
     eval_times: np.ndarray,
@@ -306,12 +328,14 @@ def fit_cov_grid(
     h_G: float | None = None,
     kernel: KernelSpec = EPANECHNIKOV,
     max_flagged_frac: float = 0.2,
+    sums: tuple | None = None,
 ) -> CovEstimate:
     """Fit the surface on every grid pair s <= t plus the diagonal arrays.
 
     Every cell is first solved at h_G from factorised pair sums; a cell
     whose window fails the `solve_wls` checks there is refitted by
-    `fit_cov_at`, which widens or flags it.
+    `fit_cov_at`, which widens or flags it.  `sums` holds the grid and
+    the offset pass of `surface_sums` at h_G where they are taken already.
     """
     if d < 1:
         raise ValidationError("need degree >= 1 for surface derivatives")
@@ -324,19 +348,11 @@ def fit_cov_grid(
     nt = eval_times.size
     iu = np.triu_indices(nt)
     eps = DIAG_EPS_FACTOR * h
-    lo = np.maximum(eval_times - eps, 0.0)
-    hi = np.minimum(eval_times + eps, 1.0)
-
-    from .lanes import _one_blas_thread  # compiled on the first call, not at import
-
-    # grid cells (s_i, t_j), i <= j, then the offset cells (t - eps, t + eps),
-    # at one BLAS thread: the order in which the matrix products sum, and so
-    # the bytes of the fit, must not depend on the thread count
-    with _one_blas_thread():
-        grid_sums = _pair_sums(obs, h, kernel, d, eval_times)
-        offset_sums = _pair_sums(obs, h, kernel, d, lo, hi)
+    lo, hi = _offset_cells(eval_times, h)
+    if sums is None:
+        sums = [surface_sums(obs, eval_times, d, h, kernel, offset) for offset in (False, True)]
     M, R, count = (
-        np.concatenate((g[..., iu[0], iu[1]], o), axis=-1) for g, o in zip(grid_sums, offset_sums)
+        np.concatenate((g[..., iu[0], iu[1]], o), axis=-1) for g, o in zip(*sums)
     )
     beta, ok = _solve_cells(M, R, count, _monomial_exponents(d))
     fits = np.stack((beta[:, 0], beta[:, 1] / h, beta[:, 2] / h), axis=1)
@@ -425,6 +441,7 @@ def noise_variance_estimate(
     obs: SparseObservations,
     cov_est: CovEstimate,
     kernel: KernelSpec = EPANECHNIKOV,
+    smooth=None,
 ) -> tuple[float, bool]:
     """Measurement noise variance rho^2 and a flag marking a zero floor.
 
@@ -433,13 +450,14 @@ def noise_variance_estimate(
     taken over all observation times, estimates rho^2.  Averages that are
     negative, or no larger than the rounding of the two smooths
     (`_NOISE_FLOOR_RTOL` times their mean level), are floored at zero and
-    flagged: noiseless data land there with either sign.
+    flagged: noiseless data land there with either sign.  `smooth()`, where
+    given, returns the smooth of Y^2 on the grid taken already.
     """
     grid = cov_est.eval_times
     ok = ~cov_est.diag_flags
     if ok.sum() < 2:
         raise EstimationFailedError("too few diagonal values for noise estimate")
-    V = fit_diagonal_inclusive(obs, grid, h=None, kernel=kernel)
+    V = fit_diagonal_inclusive(obs, grid, h=None, kernel=kernel) if smooth is None else smooth()
     V_at = np.interp(obs.t, grid, V)
     D_at = np.interp(obs.t, grid[ok], cov_est.D_hat[ok])
     rho2 = float(np.mean(V_at - D_at))

@@ -45,7 +45,9 @@ from .covfit import (
     CovEstimate,
     default_bandwidth_cov,
     fit_cov_grid,
+    fit_diagonal_inclusive,
     noise_variance_estimate,
+    surface_sums,
 )
 from .errors import (
     ConfigError,
@@ -458,6 +460,7 @@ class _Settings(NamedTuple):
 
 
 def _resolve_settings(cfg: ExperimentConfig, obs: SparseObservations) -> _Settings:
+    obs.validate()  # a library caller's panel too: the bandwidths read its curve count
     e = cfg.estimation
     return _Settings(
         kernel=kernel_by_name(e["kernel"]),
@@ -503,9 +506,12 @@ class _NoiseStage(NamedTuple):
     flags: dict[str, np.ndarray]
 
 
-def _noise_stage(obs: SparseObservations, st: _Settings, mu_hat: np.ndarray) -> _NoiseStage:
-    """Surface fit, both routes to s = sigma^2 + nu_K xi^2, then the policy split."""
-    cov_est = fit_cov_grid(obs, st.grid, st.d_cov, st.h_G, st.kernel)
+def _noise_stage(
+    obs: SparseObservations, st: _Settings, mu_hat: np.ndarray, sums: tuple | None = None
+) -> _NoiseStage:
+    """Surface fit, both routes to s = sigma^2 + nu_K xi^2, then the policy split;
+    `sums` are the surface's pair sums where they are taken already."""
+    cov_est = fit_cov_grid(obs, st.grid, st.d_cov, st.h_G, st.kernel, sums=sums)
     s_diag, s_tri, flags = estimate_total_noise(st.grid, mu_hat, cov_est, st.epsilon)
     source = s_tri if st.source == "tri" else s_diag
     sigma2 = xi2 = None
@@ -526,12 +532,54 @@ class EstimateResult:
     h_G: float
 
 
+def _outcomes(*steps) -> list:
+    """Each step's result, or the exception it raised."""
+    out = []
+    for step in steps:
+        try:
+            out.append(step())
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _ready(outcome):
+    """A step's result, or raise the exception that the step raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 @_overflow_fails()
 def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResult:
-    """Full pipeline on one observation set: mean, surface, coefficients."""
+    """Full pipeline on one observation set: mean, surface, coefficients.
+
+    The four fits that read only the panel run as two tasks of equal cost
+    in `lanes.fan_out`: the mean fit with the grid pass of the surface's
+    pair sums (in this process), and the offset pass with the smooth of
+    Y^2.  The rest is assembled here in pipeline order, and a step's
+    exception raises where its result is first needed, so a run fails
+    as a serial run would.
+    """
+    from . import lanes  # the process fan-out, compiled on first use
+
     st = _resolve_settings(cfg, obs)
-    mean_est, mu_hat, region_A, thr_used = _drift_stage(obs, st)
-    noise = _noise_stage(obs, st, mu_hat)
+    obs.time_order  # taken once here, not once per lane
+    tasks = {
+        "grid": (
+            lambda: fit_mean_curve(obs, st.grid, st.d_mean, st.h_m, st.kernel),
+            lambda: surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel),
+        ),
+        "offset": (
+            lambda: surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel, offset=True),
+            lambda: fit_diagonal_inclusive(obs, st.grid, kernel=st.kernel),
+        ),
+    }
+    found = lanes.fan_out(list(tasks), lambda task: 1, lambda task: _outcomes(*tasks[task]))
+    (mean_est, grid_sums), (offset_sums, smooth) = found["grid"], found["offset"]
+    mean_est = _ready(mean_est)
+    mu_hat, region_A, thr_used = estimate_drift(mean_est, st.mu_threshold)
+    noise = _noise_stage(obs, st, mu_hat, (_ready(grid_sums), _ready(offset_sums)))
     coeffs = CoefficientEstimate(
         eval_grid=st.grid,
         mu_hat=mu_hat,
@@ -543,7 +591,7 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
         flags={"excluded": ~region_A, **noise.flags},
         mu_threshold=thr_used,
     )
-    rho2, floored = noise_variance_estimate(obs, noise.cov_est, st.kernel)
+    rho2, floored = noise_variance_estimate(obs, noise.cov_est, st.kernel, lambda: _ready(smooth))
     return EstimateResult(
         mean_est=mean_est,
         cov_est=noise.cov_est,

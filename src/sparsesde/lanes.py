@@ -82,7 +82,9 @@ def _one_blas_thread():
     """Hold every OpenBLAS loaded in this process, and so in the children it
     forks, at one thread while the block runs.  The lanes already fill the
     CPUs, and a thread pool per process spins against the other lanes."""
-    saved = [(put, get()) for get, put in _blas_thread_controls()]
+    # a count of 1 is left as it is: after a fork, setting the count starts a
+    # new OpenBLAS worker, which spins for ~0.1 s of CPU before it sleeps
+    saved = [(put, n) for get, put in _blas_thread_controls() if (n := get()) != 1]
     for put, _ in saved:
         put(1)
     try:

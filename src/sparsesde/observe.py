@@ -139,6 +139,10 @@ class SparseObservations:
             raise ValidationError(f"curve {short[0]} has fewer than 2 observations")
         if unsorted.size:
             raise ValidationError(f"curve {unsorted[0]} times are not strictly increasing")
+        # n is the last id + 1, so the ids of the curves must run 0..n-1
+        missing = np.flatnonzero(self.curve_id[bounds[:-1]] != np.arange(bounds.size - 1))
+        if missing.size:
+            raise ValidationError(f"curve ids must run 0..n-1, but id {missing[0]} is missing")
 
     def subset(self, curve_ids) -> "SparseObservations":
         """New observation set from the given curves, renumbered 0..k-1.
