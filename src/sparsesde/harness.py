@@ -32,6 +32,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -533,21 +534,27 @@ class EstimateResult:
 
 
 def _outcomes(*steps) -> list:
-    """Each step's result, or the exception it raised."""
+    """Each step's result, or the exception it raised, with the warnings it gave."""
     out = []
     for step in steps:
-        try:
-            out.append(step())
-        except Exception as exc:
-            out.append(exc)
+        with warnings.catch_warnings(record=True) as seen:
+            try:
+                found = step()
+            except Exception as exc:
+                found = exc
+        out.append((found, seen))
     return out
 
 
 def _ready(outcome):
-    """A step's result, or raise the exception that the step raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    """A step's result, or raise its exception, once its warnings are shown:
+    a step that a serial run would not have reached shows none."""
+    found, seen = outcome
+    for w in seen:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 @_overflow_fails()

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -32,7 +33,13 @@ from sparsesde import (
 )
 from sparsesde import bootstrap, harness, lanes, simulate
 from sparsesde.bootstrap import gathered_estimates, point_estimates
-from sparsesde.errors import EstimationFailedError, SimulationDivergedError, SparseSdeError
+from sparsesde.errors import (
+    EstimationFailedError,
+    SimulationDivergedError,
+    SparseSdeError,
+    SparseWindowError,
+    ValidationError,
+)
 from sparsesde.harness import (
     _STREAM_BOOTSTRAP,
     _STREAM_REPLICATION,
@@ -875,3 +882,172 @@ def test_oracle_monte_carlo_holds_one_block_of_paths():
     cfg = parse_config(cfg_dict(experiment={"mc_paths": 2400, "sim_steps": 1000}))
     peak = _traced_peak(lambda: run_oracle_check(cfg))
     assert peak < 1.5 * simulate._PATH_BLOCK_BYTES < 2400 * 1001 * 8
+
+
+# ------------------------------------------------------- curve ids with gaps
+
+
+def _gapped(obs: SparseObservations, shift_from: int, by: int = 1) -> SparseObservations:
+    """`obs` with the ids of curves `shift_from`.. raised by `by`, leaving ids unused."""
+    ids = np.where(obs.curve_id >= shift_from, obs.curve_id + by, obs.curve_id)
+    return SparseObservations(curve_id=ids, t=obs.t, y=obs.y)
+
+
+@pytest.mark.parametrize("shift_from, by, missing", [(15, 1, 15), (0, 2, 0)])
+def test_estimate_and_bootstrap_reject_curve_ids_with_gaps(shift_from, by, missing):
+    cfg = parse_config(
+        cfg_dict(
+            design={"n": 30, "r": 8},
+            estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": "0.5"}},
+            experiment={"B": 10, "sim_steps": 100},
+        )
+    )
+    obs = observe(simulate_paths(cfg, build_model(cfg), 3, 30), build_design(cfg), 3)
+    gapped = _gapped(obs, shift_from, by)
+    for run in (gapped.validate, lambda: run_estimate(cfg, gapped), lambda: run_bootstrap(cfg, gapped)):
+        with pytest.raises(ValidationError, match=f"id {missing} is missing"):
+            run()
+    _no_process_left()
+
+
+# ------------------------------------------------------- forked estimate lanes
+
+
+def _estimate_config(**estimation) -> harness.ExperimentConfig:
+    return parse_config(
+        cfg_dict(
+            design={"n": 200, "r": 8},
+            estimation={
+                "eval_points": 11,
+                "policy": {"kind": "known-fraction", "expr": "0.5"},
+                **estimation,
+            },
+            experiment={"sim_steps": 200},
+        )
+    )
+
+
+def _estimate_panel(cfg, seed: int = 5) -> SparseObservations:
+    return observe(simulate_paths(cfg, build_model(cfg), seed, cfg.design["n"]), build_design(cfg), seed)
+
+
+def _estimate_bytes(result) -> list[bytes]:
+    cov, mean = result.cov_est, result.mean_est
+    arrays = (cov.G2, cov.ds2, cov.dt2, cov.D_hat, cov.dD_hat, mean.m_hat, mean.dm_hat,
+              result.coeffs.s_tri, np.float64(result.rho2_hat))
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_forked_estimate_equals_in_process_estimate(monkeypatch):
+    cfg = _estimate_config()
+    obs = _estimate_panel(cfg)
+    controls = lanes._blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    parent = os.getpid()
+    forks, mean_pids = [], []
+    real_fork, real_mean = os.fork, harness.fit_mean_curve
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    def mean_here(*args):
+        mean_pids.append(os.getpid())  # a forked lane's append never reaches this list
+        return real_mean(*args)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(harness, "fit_mean_curve", mean_here)
+    runs = {}
+    try:
+        for threads in (1, lanes._cpu_count()):
+            for _, put in controls:
+                put(threads)
+            for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                del forks[:], mean_pids[:]
+                runs[threads, len(cpus)] = _estimate_bytes(run_estimate(cfg, obs))
+                _no_process_left()
+                assert len(forks) == (len(cpus) > 1)  # two tasks: never more than one fork
+                assert mean_pids == [parent]
+    finally:
+        for (_, put), threads in zip(controls, saved):
+            put(threads)
+    first = next(iter(runs.values()))
+    assert all(found == first for found in runs.values())
+
+
+def _both_runs(monkeypatch, cfg, obs) -> list[tuple[type, str]]:
+    """(class, message) of the error that `run_estimate` raises on one CPU, then on two."""
+    found = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with pytest.raises(Exception) as exc:
+            run_estimate(cfg, obs)
+        _no_process_left()
+        found.append((type(exc.value), str(exc.value)))
+    return found
+
+
+@pytest.mark.parametrize(
+    "estimation, error, message",
+    [
+        ({"h_m": 0.001}, EstimationFailedError, "mean fit points failed"),
+        ({"h_G": 0.001}, EstimationFailedError, "surface cells failed"),
+        # the mean fit's failure comes first in the pipeline
+        ({"h_m": 0.001, "h_G": 0.001}, EstimationFailedError, "mean fit points failed"),
+    ],
+)
+def test_failed_fit_in_a_lane_raises_as_in_process(monkeypatch, estimation, error, message):
+    cfg = parse_config(
+        cfg_dict(
+            design={"n": 20, "r": 4},
+            estimation={"eval_points": 11, **estimation},
+            experiment={"sim_steps": 100},
+        )
+    )
+    one, two = _both_runs(monkeypatch, cfg, _estimate_panel(cfg))
+    assert one == two
+    assert one[0] is error and message in one[1]
+
+
+def test_failed_noise_smooth_in_a_lane_raises_as_in_process(monkeypatch):
+    def sparse(*args, **kwargs):
+        raise SparseWindowError(0.25)
+
+    monkeypatch.setattr(harness, "fit_diagonal_inclusive", sparse)
+    cfg = _estimate_config()
+    one, two = _both_runs(monkeypatch, cfg, _estimate_panel(cfg))
+    assert one == two == (SparseWindowError, str(SparseWindowError(0.25)))
+
+
+def test_overflow_in_a_lane_raises_as_in_process(monkeypatch):
+    # the grid pass overflows in this process, the Y^2 smooth in the forked lane,
+    # and the offset pass there warns of inf - inf; a serial run stops at the grid
+    cfg = parse_config(
+        cfg_dict(
+            model={"x0": {"kind": "normal", "mean": 0, "sd": 1e154}},
+            design={"n": 30, "r": 6},
+            estimation={"eval_points": 11},
+            experiment={"sim_steps": 50},
+        )
+    )
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        one, two = _both_runs(monkeypatch, cfg, _estimate_panel(cfg))
+    assert seen == []
+    assert one == two == (EstimationFailedError, "estimation overflowed: overflow encountered in matmul")
+
+
+def test_error_in_the_forked_estimate_lane_reaches_the_parent(two_cpus, monkeypatch):
+    parent = os.getpid()
+    real = harness.surface_sums
+
+    def sums(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "surface_sums", sums)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_estimate(_estimate_config(), _estimate_panel(_estimate_config()))
+    _no_process_left()

@@ -656,3 +656,16 @@ def test_streamed_failure_is_the_one_shot_failure(monkeypatch, case):
         with pytest.raises(SimulationDivergedError) as first:
             simulate_ensemble(c, levy, grid, law, 4, seed, (seeds[:4], x0[:4]))
         assert first.value.step > step  # the first block diverges later
+
+
+@pytest.mark.parametrize(
+    "ids, missing",
+    [([0, 1, 3, 4], 2), ([2, 3, 4], 0), ([1, 2], 0), ([0, 1, 2, 5, 6], 3)],
+)
+def test_validate_requires_curve_ids_without_gaps(ids, missing):
+    t, y = [0.1, 0.5, 0.9], [1.0, 2.0, 3.0]
+    obs = SparseObservations(
+        curve_id=np.repeat(ids, 3), t=np.tile(t, len(ids)), y=np.tile(y, len(ids))
+    )
+    with pytest.raises(ValidationError, match=f"id {missing} is missing"):
+        obs.validate()
