@@ -13,7 +13,11 @@ The estimate, emse and bootstrap runs share one pipeline.
 for one observation set (kernel, grid, bandwidths, drift threshold,
 epsilon, separation policy and source, unit-scale nu_K); `_drift_stage`
 runs mean fit -> drift; `_noise_stage` runs surface fit -> total noise ->
-separation.  The three runs differ only in what they score.
+separation.  The three runs differ only in what they score.  emse and
+bootstrap run the stages serially (emse forks whole replications);
+`run_estimate` runs the four fits that read only the panel (the mean fit,
+both passes of the surface's pair sums and the smooth of Y^2) in two
+forked lanes (`lanes.fan_out`) and assembles the rest in this process.
 
 Models may live on any finite span; estimation always happens on [0, 1].
 A model on [t0, t1] is affinely rescaled, which multiplies the drift by the

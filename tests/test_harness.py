@@ -1051,3 +1051,24 @@ def test_error_in_the_forked_estimate_lane_reaches_the_parent(two_cpus, monkeypa
     with pytest.raises(RuntimeError, match="boom"):
         run_estimate(_estimate_config(), _estimate_panel(_estimate_config()))
     _no_process_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_one_blas_thread_starts_no_worker_after_a_fork():
+    # OpenBLAS shuts its pool down at a fork, and setting the thread count
+    # restarts it with a worker that spins; a count already at 1 is not set
+    controls = lanes._blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(1)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitpid(pid, 0)
+        before = len(os.listdir("/proc/self/task"))
+        with lanes._one_blas_thread():
+            assert len(os.listdir("/proc/self/task")) == before
+    finally:
+        for (_, put), threads in zip(controls, saved):
+            put(threads)
