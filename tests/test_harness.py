@@ -887,7 +887,7 @@ def test_oracle_monte_carlo_holds_one_block_of_paths():
 # ------------------------------------------------------- curve ids with gaps
 
 
-def _gapped(obs: SparseObservations, shift_from: int, by: int = 1) -> SparseObservations:
+def _gapped(obs: SparseObservations, shift_from: int, by: int) -> SparseObservations:
     """`obs` with the ids of curves `shift_from`.. raised by `by`, leaving ids unused."""
     ids = np.where(obs.curve_id >= shift_from, obs.curve_id + by, obs.curve_id)
     return SparseObservations(curve_id=ids, t=obs.t, y=obs.y)
@@ -904,7 +904,8 @@ def test_estimate_and_bootstrap_reject_curve_ids_with_gaps(shift_from, by, missi
     )
     obs = observe(simulate_paths(cfg, build_model(cfg), 3, 30), build_design(cfg), 3)
     gapped = _gapped(obs, shift_from, by)
-    for run in (gapped.validate, lambda: run_estimate(cfg, gapped), lambda: run_bootstrap(cfg, gapped)):
+    runs = (gapped.validate, lambda: run_estimate(cfg, gapped), lambda: run_bootstrap(cfg, gapped))
+    for run in runs:
         with pytest.raises(ValidationError, match=f"id {missing} is missing"):
             run()
     _no_process_left()
@@ -913,22 +914,20 @@ def test_estimate_and_bootstrap_reject_curve_ids_with_gaps(shift_from, by, missi
 # ------------------------------------------------------- forked estimate lanes
 
 
-def _estimate_config(**estimation) -> harness.ExperimentConfig:
+def _estimate_config() -> harness.ExperimentConfig:
+    """The config of `test_cli.py::test_estimate_end_to_end_simulated`, at n = 200."""
     return parse_config(
         cfg_dict(
             design={"n": 200, "r": 8},
-            estimation={
-                "eval_points": 11,
-                "policy": {"kind": "known-fraction", "expr": "0.5"},
-                **estimation,
-            },
+            estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": "0.5"}},
             experiment={"sim_steps": 200},
         )
     )
 
 
 def _estimate_panel(cfg, seed: int = 5) -> SparseObservations:
-    return observe(simulate_paths(cfg, build_model(cfg), seed, cfg.design["n"]), build_design(cfg), seed)
+    paths = simulate_paths(cfg, build_model(cfg), seed, cfg.design["n"])
+    return observe(paths, build_design(cfg), seed)
 
 
 def _estimate_bytes(result) -> list[bytes]:
@@ -1035,7 +1034,8 @@ def test_overflow_in_a_lane_raises_as_in_process(monkeypatch):
         warnings.simplefilter("always")
         one, two = _both_runs(monkeypatch, cfg, _estimate_panel(cfg))
     assert seen == []
-    assert one == two == (EstimationFailedError, "estimation overflowed: overflow encountered in matmul")
+    overflow = "estimation overflowed: overflow encountered in matmul"
+    assert one == two == (EstimationFailedError, overflow)
 
 
 def test_error_in_the_forked_estimate_lane_reaches_the_parent(two_cpus, monkeypatch):
