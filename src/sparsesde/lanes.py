@@ -1,6 +1,6 @@
 """Independent tasks spread over the CPUs of this process, one lane per CPU.
 
-Two drivers fork: `harness.replications` runs an emse study's replications
+Two callers fork: `harness.replications` runs an emse study's replications
 in lanes, and `harness.run_estimate` runs its four panel fits as two tasks.
 `fan_out` splits the tasks into one lane per CPU of the process's affinity
 set (never more lanes than tasks) by a greedy longest-first split on their
