@@ -79,13 +79,34 @@ def _curve_pair_sums(obs, h, kernel, d, s_pts, t_pts):
     return out
 
 
+def _corner(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (P, Q) of the k x k entries with P + Q < k.
+
+    A basis of total degree d reads exactly these entries of the pair
+    sums: M[P, Q] with P + Q <= 2d (k = 2d + 1) and R[p, q] with
+    p + q <= d (k = d + 1).
+    """
+    P, Q = np.indices((k, k)).reshape(2, -1)
+    keep = P + Q < k
+    return P[keep], Q[keep]
+
+
+def _from_corner(kept: np.ndarray, k: int) -> np.ndarray:
+    """The k x k layout of the entries `kept` holds in `_corner(k)` order; the
+    entries no solve reads are zero."""
+    out = np.zeros((k, k) + kept.shape[1:])
+    out[_corner(k)] = kept
+    return out
+
+
 def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
     """Per-curve sums behind the fits of `point_estimates` at bandwidths h_m and h_G.
 
     Returns (table, shapes, own, shared).  Row i of the (n, k) table holds curve
     i's mean-fit sums K(u)u^P and K(u)u^p Y at t_star, then its pair sums and
     active-pair counts at the cells (t*, t*) and (t* - eps, t* + eps) of
-    `fit_diag`, eps = DIAG_EPS_FACTOR * st.h_G; `shapes` gives each block's
+    `fit_diag`, eps = DIAG_EPS_FACTOR * st.h_G; of the pair sums it keeps only
+    the `_corner` entries the surface solve reads.  `shapes` gives each block's
     leading shape.  `fit_mean_at` counts the distinct design times in the mean
     window: own[i] times held by curve i alone, plus the columns of the (n, S)
     presence matrix `shared` for times held by several observations.  The
@@ -100,7 +121,7 @@ def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
     eps = DIAG_EPS_FACTOR * st.h_G
     cells = np.asarray([[t_star, max(t_star - eps, 0.0)], [t_star, min(t_star + eps, 1.0)]])
     M, R, count = _curve_pair_sums(obs, h_G, st.kernel, st.d_cov, *cells)
-    parts = [mean_M, mean_R, M, R, count[0, 0]]
+    parts = [mean_M, mean_R, M[_corner(M.shape[0])], R[_corner(R.shape[0])], count[0, 0]]
     table = np.concatenate([p.reshape(-1, n) for p in parts]).T.copy()
 
     active = np.flatnonzero(ind[0, 0])
@@ -115,15 +136,20 @@ def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
 def _resample_sums(table, own, shared, draws):
     """Table sums and distinct mean-window times of each row of draws.
 
-    One draw position at a time keeps the working set at one slab of
-    rows x k.  A curve's own times count once however often it is drawn.
+    One draw position at a time, gathered into one reused slab of rows x k,
+    keeps the working set small; the rows are added in draw order, so the
+    sums are those of `sums += table[c]`.  `mode="clip"` lets `take` write
+    straight into the slab (the default "raise" buffers it); every draw is
+    a valid curve index.  A curve's own times count once however often it
+    is drawn.
     """
     n_rows = draws.shape[0]
     sums = np.zeros((n_rows, table.shape[1]))
+    slab = np.empty_like(sums)
     drawn = np.zeros((n_rows, table.shape[0]), dtype=bool)
     rows = np.arange(n_rows)
     for c in draws.T:
-        sums += table[c]
+        sums += table.take(c, axis=0, out=slab, mode="clip")
         drawn[rows, c] = True
     return sums, np.einsum("rn,n->r", drawn, own) + (drawn @ shared).sum(axis=1)
 
@@ -151,6 +177,7 @@ def gathered_estimates(obs, t_star: float, st, thr: float, draws: np.ndarray):
         sums, distinct = _resample_sums(table, own, shared, draws[rows])
         blocks = np.split(sums.T, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
         mean_M, mean_R, M, R, count = (b.reshape(sh + (-1,)) for b, sh in zip(blocks, shapes))
+        M, R = _from_corner(M, 2 * st.d_cov + 1), _from_corner(R, st.d_cov + 1)
         mean_beta, mean_ok = _solve_cells(mean_M, mean_R, distinct, mean_expo)
         beta, cell_ok = _solve_cells(M, R, count, cell_expo)
         dD = beta[1, :, 1] / h_G + beta[1, :, 2] / h_G

@@ -271,7 +271,12 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
         t_pts = np.asarray(t_pts, dtype=float)
 
         def contract(x, y):
-            return np.einsum("pcn,qcn->pqc", x, y)
+            xy = np.einsum("pcn,qcn->pqc", x, y)
+            if not np.isfinite(xy).all():
+                # einsum ignores np.errstate; the same sums by ufuncs raise or
+                # warn on an overflow as it sets, as the grid pass's matmul does
+                xy = (x[:, None] * y[None]).sum(axis=-1)
+            return xy
 
     nf = 3 * d + 3
     kinds = (slice(0, 2 * d + 1), slice(2 * d + 1, nf - 1), slice(nf - 1, nf))

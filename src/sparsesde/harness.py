@@ -73,6 +73,7 @@ from .model import (
     PointMass,
     constant_model,
     expression_function,
+    rescale_levy,
     rescale_to_unit,
     sinusoid_model,
 )
@@ -466,7 +467,8 @@ class _Settings(NamedTuple):
 
 def _resolve_settings(cfg: ExperimentConfig, obs: SparseObservations) -> _Settings:
     obs.validate()  # a library caller's panel too: the bandwidths read its curve count
-    e = cfg.estimation
+    e, m = cfg.estimation, cfg.model
+    span = (float(m["span"][0]), float(m["span"][1]))
     return _Settings(
         kernel=kernel_by_name(e["kernel"]),
         grid=np.linspace(0.0, 1.0, e["eval_points"]),
@@ -478,7 +480,7 @@ def _resolve_settings(cfg: ExperimentConfig, obs: SparseObservations) -> _Settin
         epsilon=float(e["epsilon"]),
         policy=build_policy(cfg),
         source=e["separation_source"],
-        nu_K=build_model(cfg).unit_levy.nu_K,
+        nu_K=rescale_levy(span, LevyConfig(nu_K=float(m["nu_K"]))).nu_K,
     )
 
 
@@ -947,13 +949,16 @@ def _quoted(cell: str) -> str:
 
 def _cells(col) -> list[str]:
     """CSV text of a column: floats by repr, so they round-trip, ints and bools
-    as ints, strings through `_quoted`, also among numbers of one type (empty cells)."""
+    as ints, strings through `_quoted`, also among numbers of one type (empty cells).
+    A numpy str array holds finished cells, quoted already, and is written as it is."""
     if not isinstance(col, np.ndarray):
         nums = [v for v in col if not isinstance(v, str)]
         if len(nums) < len(col):
             text = iter(_cells(np.asarray(nums)))
             return [_quoted(v) if isinstance(v, str) else next(text) for v in col]
         col = np.asarray(col)
+    if col.dtype.kind == "U":
+        return col.tolist()
     if col.dtype.kind == "f":  # a float repr holds no ", "
         return repr(col.tolist())[1:-1].split(", ") if col.size else []
     return list(map(str, col.astype(int).tolist()))
@@ -985,7 +990,9 @@ def export_mean_csv(mean_est: MeanEstimate, dest) -> None:
 
 def export_surface_csv(cov_est: CovEstimate, dest) -> None:
     iu = np.triu_indices(cov_est.eval_times.size)
-    s, t = cov_est.eval_times[iu[0]], cov_est.eval_times[iu[1]]
+    # every s and t is a grid time: format the grid once and index its text
+    grid = np.asarray([_quoted(cell) for cell in _cells(cov_est.eval_times)])
+    s, t = grid[iu[0]], grid[iu[1]]
     cols = (s, t, cov_est.G2[iu], cov_est.ds2[iu], cov_est.dt2[iu], cov_est.pair_flags[iu])
     write_table(dest, ["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"], cols)
 

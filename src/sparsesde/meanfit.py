@@ -48,8 +48,9 @@ _SCREEN_ROUNDING = 1.0 + 1e-3
 # candidate rows of a window reach this many bandwidths from its centre,
 # so rounding in (T - t)/h cannot drop a row the kernel still weights
 _WINDOW_MARGIN = 1.01
-# (centre, row) pairs per block of the batched fit; keeps its working set small
-_PAIR_BLOCK = 1 << 11
+# (centre, row) pairs per block of the batched fit; keeps its working set at a
+# few MB.  Each window is summed alone, so the fits do not depend on it
+_PAIR_BLOCK = 1 << 13
 
 
 def solve_wls(

@@ -192,10 +192,11 @@ def rescale_to_unit(
     Jump amplitudes are untouched; only the arrival intensity picks up the
     factor L.  For span (0, 1) this is the identity.
     """
+    unit_levy = rescale_levy(coeffs.span, levy)
+    if unit_levy is levy:  # the span is [0, 1] already
+        return coeffs, levy
     t0, t1 = coeffs.span
     L = t1 - t0
-    if abs(L - 1.0) < 1e-15 and abs(t0) < 1e-15:
-        return coeffs, levy
     root_L = math.sqrt(L)
 
     def mu_u(u, _f=coeffs.mu):
@@ -208,4 +209,15 @@ def rescale_to_unit(
         return _f(t0 + L * np.asarray(u, dtype=float))
 
     rescaled = CoefficientSet(mu=mu_u, sigma=sigma_u, xi=xi_u, span=(0.0, 1.0))
-    return rescaled, LevyConfig(nu_K=L * levy.nu_K)
+    return rescaled, unit_levy
+
+
+def rescale_levy(span: tuple[float, float], levy: LevyConfig) -> LevyConfig:
+    """The jump activity of `rescale_to_unit`, nu_K~ = L * nu_K, alone: a
+    caller that reads only nu_K~ need not build the coefficient functions.
+    For span (0, 1) it returns `levy` itself."""
+    t0, t1 = span
+    L = t1 - t0
+    if abs(L - 1.0) < 1e-15 and abs(t0) < 1e-15:
+        return levy
+    return LevyConfig(nu_K=L * levy.nu_K)

@@ -33,6 +33,7 @@ from sparsesde import (
 )
 from sparsesde import bootstrap, harness, lanes, simulate
 from sparsesde.bootstrap import gathered_estimates, point_estimates
+from sparsesde.covfit import CovEstimate, surface_sums
 from sparsesde.errors import (
     EstimationFailedError,
     SimulationDivergedError,
@@ -53,6 +54,7 @@ from sparsesde.harness import (
     write_manifest,
     write_table,
 )
+from sparsesde.kernels import EPANECHNIKOV
 from sparsesde.observe import SparseObservations
 
 from conftest import make_obs
@@ -233,6 +235,19 @@ def test_build_model_rescales_span():
     assert bundle.unit_coeffs.mu(u)[0] == pytest.approx(expect, rel=1e-12)
     assert bundle.unit_levy.nu_K == pytest.approx(50.0)
     assert any("rescaled" in note for note in bundle.notes)
+
+
+@pytest.mark.parametrize("span", [[0.0, 1.0], [0.0, 50.0], [2.0, 2.5], [-1.0, 0.0]])
+def test_settings_take_the_models_unit_nu_k_without_building_it(monkeypatch, span):
+    model = {**CONSTANT_MODEL, "span": span}
+    cfg = parse_config(cfg_dict(model=model))
+    want = build_model(cfg).unit_levy.nu_K
+
+    def no_model(cfg):
+        raise AssertionError("the settings built the model")
+
+    monkeypatch.setattr(harness, "build_model", no_model)
+    assert _resolve_settings(cfg, _gap_panel()).nu_K == want
 
 
 def test_build_model_driver_scale_folds_into_sigma():
@@ -571,6 +586,56 @@ def test_bootstrap_widens_without_pointwise_refits(monkeypatch):
     assert len(calls) == 1
 
 
+def _plain_resample_sums(table, own, shared, draws):
+    """Reference: a fresh gather of table[c] per draw position, and the distinct
+    mean-window times of each row counted from its set of drawn curves."""
+    sums = np.zeros((draws.shape[0], table.shape[1]))
+    for c in draws.T:
+        sums += table[c]
+    distinct = []
+    for row in draws:
+        curves = np.unique(row)
+        distinct.append(own[curves].sum() + shared[curves].any(axis=0).sum())
+    return sums, np.asarray(distinct)
+
+
+def test_resample_sums_equal_the_plain_gather_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    n, k = 12, 9
+    # magnitudes 1e-8..1e8, so a different order of the additions shows in the bits
+    table = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 9, (n, k))
+    table[:, 2] = -0.0  # a sum of -0.0 alone is +0.0 only if it starts from +0.0
+    table[3] = -0.0
+    own = rng.integers(0, 4, n)
+    shared = rng.random((n, 5)) < 0.3
+    # repeated curves in every row, and a row that draws one curve n times
+    draws = np.vstack((np.arange(n), rng.integers(0, 4, (30, n)), np.full(n, 3)))
+    sums, distinct = bootstrap._resample_sums(table, own, shared, draws)
+    ref_sums, ref_distinct = _plain_resample_sums(table, own, shared, draws)
+    assert sums.tobytes() == ref_sums.tobytes()
+    assert np.signbit(sums[-1]).sum() == 0
+    npt.assert_array_equal(distinct, ref_distinct)
+
+
+@pytest.mark.parametrize(
+    "d_mean, d_cov, columns",
+    [
+        # mean M (2 d_mean + 1) and R (d_mean + 1); pair sums M[P, Q] with
+        # P + Q <= 2 d_cov and R[p, q] with p + q <= d_cov at 2 cells; 2 counts
+        (2, 1, 5 + 3 + 2 * 6 + 2 * 3 + 2),
+        (1, 2, 3 + 2 + 2 * 15 + 2 * 6 + 2),
+    ],
+)
+def test_bootstrap_table_holds_only_the_columns_its_solves_read(d_mean, d_cov, columns):
+    est = {"d_mean": d_mean, "d_cov": d_cov, "eval_points": 21}
+    est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
+    obs = _gap_panel()
+    st = _resolve_settings(parse_config(cfg_dict(estimation=est)), obs)
+    table, shapes, _, _ = bootstrap._curve_statistics(obs, 0.5, st, st.h_m, st.h_G)
+    assert table.shape == (obs.n, columns)
+    assert sum(math.prod(shape) for shape in shapes) == columns
+
+
 def test_emse_rows_match_estimate_on_regenerated_panels():
     cfg = parse_config(
         cfg_dict(
@@ -859,6 +924,27 @@ def test_write_table_matches_per_cell_writer(tmp_path, monkeypatch, cols, block)
     assert want.count(b"\r\n") == 1 + len(cols[0])
 
 
+@pytest.mark.parametrize("block", [7, 1 << 14])
+def test_surface_csv_equals_the_per_cell_write(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(harness, "_TABLE_BLOCK", block)
+    rng = np.random.default_rng(3)
+    times = np.concatenate((np.linspace(0.0, 1.0, 13), [2.0**-1074, 1.0 / 3.0, 0.1 + 0.2]))
+    nt = times.size
+    G2, ds2, dt2 = rng.standard_normal((3, nt, nt))
+    flags = rng.random((nt, nt)) < 0.2
+    G2[flags] = np.nan
+    cov = CovEstimate(
+        eval_times=times, G2=G2, ds2=ds2, dt2=dt2, pair_flags=flags,
+        D_hat=np.diag(G2).copy(), dD_hat=np.zeros(nt), diag_flags=np.diag(flags).copy(),
+        degree=1, bandwidth=0.1, kernel=EPANECHNIKOV, eps_diag=1e-4,
+    )
+    harness.export_surface_csv(cov, tmp_path / "got.csv")
+    iu = np.triu_indices(nt)
+    cols = (times[iu[0]], times[iu[1]], G2[iu], ds2[iu], dt2[iu], flags[iu])
+    write_table(tmp_path / "want.csv", ["s", "t", "G_hat", "dsG_hat", "dtG_hat", "flag"], cols)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -1036,6 +1122,26 @@ def test_overflow_in_a_lane_raises_as_in_process(monkeypatch):
     assert seen == []
     overflow = "estimation overflowed: overflow encountered in matmul"
     assert one == two == (EstimationFailedError, overflow)
+
+
+def test_offset_pass_overflow_fails_as_the_grid_pass_does():
+    # the offset pass contracts with einsum, which ignores np.errstate: an
+    # overflow there must fail the estimate, not warn of inf - inf later
+    cfg = parse_config(
+        cfg_dict(
+            model={"x0": {"kind": "normal", "mean": 0, "sd": 1e154}},
+            design={"n": 30, "r": 6},
+            estimation={"eval_points": 11},
+            experiment={"sim_steps": 50},
+        )
+    )
+    obs = _estimate_panel(cfg)
+    st = _resolve_settings(cfg, obs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationFailedError, match="estimation overflowed"):
+            with harness._overflow_fails():
+                surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel, offset=True)
 
 
 def test_error_in_the_forked_estimate_lane_reaches_the_parent(two_cpus, monkeypatch):

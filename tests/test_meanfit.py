@@ -27,6 +27,7 @@ from sparsesde import (
     solve_wls,
     sinusoid_model,
 )
+from sparsesde import meanfit
 from sparsesde.meanfit import (
     _COND_LIMIT,
     _COND_SCREEN,
@@ -314,6 +315,22 @@ def _psd_batch(rng, p, kappa):
     lam *= 10.0 ** rng.uniform(-4, 6, (kappa.size, 1))
     A = np.einsum("nij,nj,nkj->nik", Q, lam, Q)
     return (A + np.swapaxes(A, -1, -2)) / 2
+
+
+@pytest.mark.parametrize("h", [0.025, 0.25])  # windows of about 500 and 5,000 rows
+def test_mean_points_do_not_depend_on_the_pair_block(monkeypatch, h):
+    rng = np.random.default_rng(12)
+    curves = []
+    for _ in range(1000):
+        t = np.sort(rng.uniform(0.0, 1.0, 10))
+        curves.append((t, np.sin(3.0 * t) + 0.3 * rng.standard_normal(10)))
+    obs = make_obs(curves)
+    centres = np.linspace(0.0, 1.0, 51)
+    fits = []
+    for block in (1, 2048, 8192, 1 << 20):
+        monkeypatch.setattr(meanfit, "_PAIR_BLOCK", block)
+        fits.append([a.tobytes() for a in fit_mean_points(obs, centres, 2, h)])
+    assert all(f == fits[0] for f in fits[1:])
 
 
 @pytest.mark.parametrize("p", [2, 3, 6])
