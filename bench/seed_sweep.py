@@ -57,14 +57,15 @@ def score(cfg, obs, mu_true, xi2_true) -> dict[str, float]:
     """`run_emse`'s emse_mu and sup_xi2 of one replication, with the split and argmax."""
     st = harness._resolve_settings(cfg, obs)
     grid = st.grid
-    _, mu_hat, region_A, _ = harness._drift_stage(obs, st)
+    drift = harness._drift_stage(obs, st)[1:]
+    mu_hat, region_A, _ = drift
     err2 = np.where(region_A, (mu_hat - mu_true(grid)) ** 2, 0.0)
     k = int(np.argmin(np.abs(grid - EDGE)))
-    noise = harness._noise_stage(obs, st, mu_hat)
-    sel = (grid <= 0.8 + 1e-12) & np.isfinite(noise.xi2)
+    xi2 = harness._noise_stage(obs, st, drift)[1].xi2_hat
+    sel = (grid <= 0.8 + 1e-12) & np.isfinite(xi2)
     if not sel.any():
         raise EstimationFailedError("no usable xi2 values on [0, 0.8]")
-    dev = np.abs(noise.xi2[sel] - xi2_true(grid[sel]))
+    dev = np.abs(xi2[sel] - xi2_true(grid[sel]))
     return {
         "emse_mu": float(np.trapezoid(err2, grid)),
         "emse_mu_inner": float(np.trapezoid(err2[: k + 1], grid[: k + 1])),

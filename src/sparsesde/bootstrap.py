@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .covfit import DIAG_EPS_FACTOR, _monomial_exponents, fit_diag, pair_scatter
+from .covfit import _monomial_exponents, _offset_cells, fit_diag, pair_scatter
 from .errors import EstimationFailedError, SparseWindowError
 from .meanfit import MAX_WIDEN, WIDEN_FACTOR, _features, _solve_cells, fit_mean_points
 from .recover import separate
@@ -105,7 +105,7 @@ def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
     Returns (table, shapes, own, shared).  Row i of the (n, k) table holds curve
     i's mean-fit sums K(u)u^P and K(u)u^p Y at t_star, then its pair sums and
     active-pair counts at the cells (t*, t*) and (t* - eps, t* + eps) of
-    `fit_diag`, eps = DIAG_EPS_FACTOR * st.h_G; of the pair sums it keeps only
+    `fit_diag` (`covfit._offset_cells` at st.h_G); of the pair sums it keeps only
     the `_corner` entries the surface solve reads.  `shapes` gives each block's
     leading shape.  `fit_mean_at` counts the distinct design times in the mean
     window: own[i] times held by curve i alone, plus the columns of the (n, S)
@@ -118,8 +118,8 @@ def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
     # the single centre axis stands for the exponent q = 0 of `_solve_cells`
     mean_M = np.add.reduceat(mom, bounds[:-1], axis=-1)
     mean_R = np.add.reduceat(resp, bounds[:-1], axis=-1)
-    eps = DIAG_EPS_FACTOR * st.h_G
-    cells = np.asarray([[t_star, max(t_star - eps, 0.0)], [t_star, min(t_star + eps, 1.0)]])
+    lo, hi = _offset_cells(t_star, st.h_G)
+    cells = np.asarray([[t_star, lo], [t_star, hi]])
     M, R, count = _curve_pair_sums(obs, h_G, st.kernel, st.d_cov, *cells)
     parts = [mean_M, mean_R, M[_corner(M.shape[0])], R[_corner(R.shape[0])], count[0, 0]]
     table = np.concatenate([p.reshape(-1, n) for p in parts]).T.copy()

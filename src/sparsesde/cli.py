@@ -18,8 +18,8 @@ from .observe import export_observations_csv, ingest_csv, ingest_wide_csv
 from .simulate import export_paths_csv
 
 
-def _add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    p.add_argument("--config", required=needs_config, help="JSON experiment config")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override experiment.master_seed")
     p.add_argument("--out", default=None, help="override output.directory")
 

@@ -204,9 +204,7 @@ def fit_diag(
     """
     if h_G is None or h_G <= 0:
         raise ValidationError("need a positive h_G")
-    eps = DIAG_EPS_FACTOR * h_G
-    lo = max(t - eps, 0.0)
-    hi = min(t + eps, 1.0)
+    lo, hi = map(float, _offset_cells(t, h_G))
     D, _, _ = fit_cov_at(scatter, t, t, d, h_G, kernel)
     _, dsG, dtG = fit_cov_at(scatter, lo, hi, d, h_G, kernel)
     return D, dsG + dtG
@@ -305,7 +303,9 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
 
 
 def _offset_cells(eval_times, h):
-    """The cells (t - eps, t + eps) behind D', clipped to [0, 1]: (s, t) arrays."""
+    """The cells (t - eps, t + eps) behind D', eps = DIAG_EPS_FACTOR * h, clipped
+    to [0, 1]: (s, t), each shaped as eval_times.  The grid, pointwise
+    (`fit_diag`) and bootstrap routes all place D' here."""
     eps = DIAG_EPS_FACTOR * h
     return np.maximum(eval_times - eps, 0.0), np.minimum(eval_times + eps, 1.0)
 

@@ -8,16 +8,18 @@ time.  All randomness descends from one master seed through named
 SeedSequence children, which makes every artifact byte-reproducible for a
 fixed (config, seed) pair.
 
-The estimate, emse and bootstrap runs share one pipeline.
-`_resolve_settings` turns the estimation section into concrete settings
-for one observation set (kernel, grid, bandwidths, drift threshold,
-epsilon, separation policy and source, unit-scale nu_K); `_drift_stage`
-runs mean fit -> drift; `_noise_stage` runs surface fit -> total noise ->
-separation.  The three runs differ only in what they score.  emse and
-bootstrap run the stages serially (emse forks whole replications);
-`run_estimate` runs the four fits that read only the panel (the mean fit,
-both passes of the surface's pair sums and the smooth of Y^2) in two
-forked lanes (`lanes.fan_out`) and assembles the rest in this process.
+The estimate, emse and bootstrap runs share one pipeline, assembled in
+one place.  `_resolve_settings` turns the estimation section into concrete
+settings for one observation set (kernel, grid, bandwidths, drift
+threshold, epsilon, separation policy and source, unit-scale nu_K);
+`_drift_stage` runs mean fit -> drift; `_noise_stage` runs surface fit ->
+total noise -> separation and returns the surface with the
+`CoefficientEstimate` record.  The three runs differ only in what they
+score.  emse and bootstrap run the stages serially (emse forks whole
+replications); `run_estimate` runs `_drift_stage` with the grid pass of
+the surface's pair sums in lane 0 (this process) and the offset pass with
+the smooth of Y^2 in a forked lane (`lanes.fan_out`), then hands both
+passes to `_noise_stage`.
 
 Models may live on any finite span; estimation always happens on [0, 1].
 A model on [t0, t1] is affinely rescaled, which multiplies the drift by the
@@ -503,29 +505,29 @@ def _drift_stage(
     return (mean_est, *estimate_drift(mean_est, st.mu_threshold))
 
 
-class _NoiseStage(NamedTuple):
-    cov_est: CovEstimate
-    s_diag: np.ndarray
-    s_tri: np.ndarray
-    source: np.ndarray              # s_diag or s_tri, as the settings pick
-    sigma2: np.ndarray | None       # None without a separation policy
-    xi2: np.ndarray | None
-    flags: dict[str, np.ndarray]
-
-
 def _noise_stage(
-    obs: SparseObservations, st: _Settings, mu_hat: np.ndarray, sums: tuple | None = None
-) -> _NoiseStage:
-    """Surface fit, both routes to s = sigma^2 + nu_K xi^2, then the policy split;
+    obs: SparseObservations, st: _Settings, drift: tuple, sums: tuple | None = None
+) -> tuple[CovEstimate, CoefficientEstimate]:
+    """Surface fit, both routes to s = sigma^2 + nu_K xi^2, then the policy split,
+    on the drift (mu_hat, region_A, threshold) of `_drift_stage`: (cov_est, coeffs).
     `sums` are the surface's pair sums where they are taken already."""
+    mu_hat, region_A, threshold = drift
     cov_est = fit_cov_grid(obs, st.grid, st.d_cov, st.h_G, st.kernel, sums=sums)
     s_diag, s_tri, flags = estimate_total_noise(st.grid, mu_hat, cov_est, st.epsilon)
-    source = s_tri if st.source == "tri" else s_diag
-    sigma2 = xi2 = None
+    coeffs = CoefficientEstimate(
+        st.grid, mu_hat, region_A, s_diag, s_tri, sigma2_hat=None, xi2_hat=None,
+        flags={"excluded": ~region_A, **flags}, mu_threshold=threshold,
+    )
     if st.policy is not None:
-        sigma2, xi2, sep_flags = separate(st.grid, source, st.policy, st.nu_K)
-        flags.update(sep_flags)
-    return _NoiseStage(cov_est, s_diag, s_tri, source, sigma2, xi2, flags)
+        sigma2, xi2, sep_flags = separate(st.grid, _source(coeffs, st), st.policy, st.nu_K)
+        coeffs.sigma2_hat, coeffs.xi2_hat = sigma2, xi2
+        coeffs.flags.update(sep_flags)
+    return cov_est, coeffs
+
+
+def _source(coeffs: CoefficientEstimate, st: _Settings) -> np.ndarray:
+    """The route to s that separation reads, as the settings pick: s_tri or s_diag."""
+    return coeffs.s_tri if st.source == "tri" else coeffs.s_diag
 
 
 @dataclass
@@ -568,11 +570,11 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
     """Full pipeline on one observation set: mean, surface, coefficients.
 
     The four fits that read only the panel run as two tasks of equal cost
-    in `lanes.fan_out`: the mean fit with the grid pass of the surface's
-    pair sums (in this process), and the offset pass with the smooth of
-    Y^2.  The rest is assembled here in pipeline order, and a step's
-    exception raises where its result is first needed, so a run fails
-    as a serial run would.
+    in `lanes.fan_out`: `_drift_stage` (the mean fit, then the drift) with
+    the grid pass of the surface's pair sums (in this process), and the
+    offset pass with the smooth of Y^2.  `_noise_stage` and the noise
+    variance follow here in pipeline order, and a step's exception raises
+    where its result is first needed, so a run fails as a serial run would.
     """
     from . import lanes  # the process fan-out, compiled on first use
 
@@ -580,7 +582,7 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
     obs.time_order  # taken once here, not once per lane
     tasks = {
         "grid": (
-            lambda: fit_mean_curve(obs, st.grid, st.d_mean, st.h_m, st.kernel),
+            lambda: _drift_stage(obs, st),
             lambda: surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel),
         ),
         "offset": (
@@ -589,31 +591,11 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
         ),
     }
     found = lanes.fan_out(list(tasks), lambda task: 1, lambda task: _outcomes(*tasks[task]))
-    (mean_est, grid_sums), (offset_sums, smooth) = found["grid"], found["offset"]
-    mean_est = _ready(mean_est)
-    mu_hat, region_A, thr_used = estimate_drift(mean_est, st.mu_threshold)
-    noise = _noise_stage(obs, st, mu_hat, (_ready(grid_sums), _ready(offset_sums)))
-    coeffs = CoefficientEstimate(
-        eval_grid=st.grid,
-        mu_hat=mu_hat,
-        region_A=region_A,
-        s_diag=noise.s_diag,
-        s_tri=noise.s_tri,
-        sigma2_hat=noise.sigma2,
-        xi2_hat=noise.xi2,
-        flags={"excluded": ~region_A, **noise.flags},
-        mu_threshold=thr_used,
-    )
-    rho2, floored = noise_variance_estimate(obs, noise.cov_est, st.kernel, lambda: _ready(smooth))
-    return EstimateResult(
-        mean_est=mean_est,
-        cov_est=noise.cov_est,
-        coeffs=coeffs,
-        rho2_hat=rho2,
-        rho2_floored=floored,
-        h_m=st.h_m,
-        h_G=st.h_G,
-    )
+    (drift, grid_sums), (offset_sums, smooth) = found["grid"], found["offset"]
+    mean_est, *drift = _ready(drift)
+    cov_est, coeffs = _noise_stage(obs, st, drift, (_ready(grid_sums), _ready(offset_sums)))
+    rho2, floored = noise_variance_estimate(obs, cov_est, st.kernel, lambda: _ready(smooth))
+    return EstimateResult(mean_est, cov_est, coeffs, rho2, floored, st.h_m, st.h_G)
 
 
 def unit_truth(bundle: ModelBundle):
@@ -703,7 +685,8 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
     def score(obs: SparseObservations) -> dict:
         st = _resolve_settings(cfg, obs)
         grid = st.grid
-        _, mu_hat, region_A, _ = _drift_stage(obs, st)
+        drift = _drift_stage(obs, st)[1:]
+        mu_hat, region_A, _ = drift
         err2 = np.where(region_A, (mu_hat - mu_true(grid)) ** 2, 0.0)
         out = {
             "emse_mu": float(np.trapezoid(err2, grid)),
@@ -711,16 +694,18 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
         }
         if not {"xi2", "s"} & set(track):
             return out
-        noise = _noise_stage(obs, st, mu_hat)
+        _, coeffs = _noise_stage(obs, st, drift)
         if "s" in track:
-            valid = np.isfinite(noise.source)
-            err2 = np.where(valid, (np.where(valid, noise.source, 0.0) - s_true(grid)) ** 2, 0.0)
+            s_hat = _source(coeffs, st)
+            valid = np.isfinite(s_hat)
+            err2 = np.where(valid, (np.where(valid, s_hat, 0.0) - s_true(grid)) ** 2, 0.0)
             out["emse_s"] = float(np.trapezoid(err2, grid))
         if "xi2" in track:
-            sel = (grid <= 0.8 + 1e-12) & np.isfinite(noise.xi2)
+            xi2 = coeffs.xi2_hat
+            sel = (grid <= 0.8 + 1e-12) & np.isfinite(xi2)
             if not sel.any():
                 raise EstimationFailedError("no usable xi2 values on [0, 0.8]")
-            out["sup_xi2"] = float(np.max(np.abs(noise.xi2[sel] - xi2_true(grid[sel]))))
+            out["sup_xi2"] = float(np.max(np.abs(xi2[sel] - xi2_true(grid[sel]))))
         return out
 
     n_values: list[int] = []
@@ -1012,8 +997,8 @@ def export_coefficients_csv(est: CoefficientEstimate, dest) -> None:
     write_table(dest, ["t", "mu_hat", "s_diag", "s_tri", "sigma2_hat", "xi2_hat", "flags"], cols)
 
 
-def export_oracle_csvs(sol: MomentSolution, dest_dir: Path, grid_step: float = 0.05) -> None:
-    pts = np.round(np.arange(0.0, 1.0 + 1e-9, grid_step), 10).tolist()
+def export_oracle_csvs(sol: MomentSolution, dest_dir: Path) -> None:
+    pts = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 10).tolist()
     m, D = [float(sol.mean_at(t)) for t in pts], [float(sol.second_moment_at(t)) for t in pts]
     write_table(dest_dir / "oracle_m_D.csv", ["t", "m", "D"], (pts, m, D))
     cells = [(s, t) for i, s in enumerate(pts) for t in pts[i:]]

@@ -99,6 +99,7 @@ class CoefficientSet:
     xi: Callable[[np.ndarray], np.ndarray]
     span: tuple[float, float] = (0.0, 1.0)
 
+    @np.errstate(over="ignore")  # an overflow leaves inf, which the checks below reject
     def validate(self) -> None:
         t0, t1 = self.span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
@@ -197,19 +198,12 @@ def rescale_to_unit(
         return coeffs, levy
     t0, t1 = coeffs.span
     L = t1 - t0
-    root_L = math.sqrt(L)
 
-    def mu_u(u, _f=coeffs.mu):
-        return L * _f(t0 + L * np.asarray(u, dtype=float))
+    def on_unit(f, scale):
+        return lambda u: scale * f(t0 + L * np.asarray(u, dtype=float))
 
-    def sigma_u(u, _f=coeffs.sigma):
-        return root_L * _f(t0 + L * np.asarray(u, dtype=float))
-
-    def xi_u(u, _f=coeffs.xi):
-        return _f(t0 + L * np.asarray(u, dtype=float))
-
-    rescaled = CoefficientSet(mu=mu_u, sigma=sigma_u, xi=xi_u, span=(0.0, 1.0))
-    return rescaled, unit_levy
+    scaled = on_unit(coeffs.mu, L), on_unit(coeffs.sigma, math.sqrt(L)), on_unit(coeffs.xi, 1.0)
+    return CoefficientSet(*scaled, span=(0.0, 1.0)), unit_levy
 
 
 def rescale_levy(span: tuple[float, float], levy: LevyConfig) -> LevyConfig:

@@ -132,6 +132,7 @@ def _path_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a state that left float range raises below
 def _euler_core(
     coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0, seeds
 ) -> np.ndarray:

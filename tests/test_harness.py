@@ -250,6 +250,15 @@ def test_settings_take_the_models_unit_nu_k_without_building_it(monkeypatch, spa
     assert _resolve_settings(cfg, _gap_panel()).nu_K == want
 
 
+def test_overflowing_coefficient_square_is_rejected_without_a_warning():
+    model = {"kind": "expressions", "span": [1.0, 1e300], "mu": "-0.5", "sigma": "0.3",
+             "xi": "0.2 + 0.1*t"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"xi\^2 does not integrate finitely"):
+            build_model(parse_config(cfg_dict(model=model)))
+
+
 def test_build_model_driver_scale_folds_into_sigma():
     model = dict(CONSTANT_MODEL, driver_variance_scale=4.0)
     bundle = build_model(parse_config(cfg_dict(model=model)))
@@ -537,6 +546,16 @@ def test_bootstrap_matches_per_resample_chain(panel, d_mean, d_cov):
         assert result.n_success < 60
 
 
+def test_bootstrap_fails_when_too_few_resamples_produce_estimates():
+    # at threshold 0.05 the low-mean panel's m_hat(0.5) drops below it in
+    # more than a fifth of the resamples
+    est = {"eval_points": 21, "mu_threshold": 0.05}
+    est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
+    cfg = parse_config(cfg_dict(estimation=est, experiment={"B": 60}))
+    with pytest.raises(EstimationFailedError, match=r"only 42/60 bootstrap resamples produced"):
+        run_bootstrap(cfg, _low_mean_panel())
+
+
 def _gap_config(d_mean, d_cov, B):
     est = {"d_mean": d_mean, "d_cov": d_cov, "eval_points": 21, "h_m": 0.1, "h_G": 0.1}
     est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
@@ -657,6 +676,31 @@ def test_emse_rows_match_estimate_on_regenerated_panels():
         c = run_estimate(cfg, obs).coeffs
         err2 = np.where(c.region_A, (c.mu_hat - mu_true(c.eval_grid)) ** 2, 0.0)
         assert row["emse_mu"] == float(np.trapezoid(err2, c.eval_grid))
+
+
+def test_emse_records_a_replication_without_usable_xi2_as_failed(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process sees every call
+    calls = []
+    real = harness.separate
+
+    def first_without_xi2(*args):
+        sigma2, xi2, flags = real(*args)
+        calls.append(1)
+        return sigma2, np.full_like(xi2, np.nan) if len(calls) == 1 else xi2, flags
+
+    monkeypatch.setattr(harness, "separate", first_without_xi2)
+    cfg = parse_config(
+        cfg_dict(
+            design={"n": 40, "r": 8},
+            estimation={"eval_points": 11, "policy": {"kind": "known-fraction", "expr": "0.5"}},
+            experiment={"replications": 2, "sim_steps": 100, "track": ["mu", "xi2"]},
+        )
+    )
+    result = run_emse(cfg)
+    assert len(calls) == 2
+    assert [row["status"] for row in result.rows] == ["failed: EstimationFailedError", "ok"]
+    assert result.failures == {40: 1}
+    assert result.medians[40]["sup_xi2"] == result.rows[1]["sup_xi2"]
 
 
 def test_write_manifest_deterministic(tmp_path):
@@ -1105,9 +1149,32 @@ def test_failed_noise_smooth_in_a_lane_raises_as_in_process(monkeypatch):
     assert one == two == (SparseWindowError, str(SparseWindowError(0.25)))
 
 
+def test_lane_step_warning_is_shown_once_as_in_process(monkeypatch):
+    real = harness.fit_diagonal_inclusive
+
+    def noisy(*args, **kwargs):
+        warnings.warn("smooth of Y^2 is rough", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_diagonal_inclusive", noisy)
+    cfg = _estimate_config()
+    obs = _estimate_panel(cfg)
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            runs.append(_estimate_bytes(run_estimate(cfg, obs)))
+        _no_process_left()
+        assert [(w.category, str(w.message)) for w in seen] == [
+            (RuntimeWarning, "smooth of Y^2 is rough")
+        ]
+    assert runs[0] == runs[1]
+
+
 def test_overflow_in_a_lane_raises_as_in_process(monkeypatch):
     # the grid pass overflows in this process, the Y^2 smooth in the forked lane,
-    # and the offset pass there warns of inf - inf; a serial run stops at the grid
+    # and the offset pass there raises on its overflow; a serial run stops at the grid
     cfg = parse_config(
         cfg_dict(
             model={"x0": {"kind": "normal", "mean": 0, "sd": 1e154}},

@@ -4,6 +4,7 @@ bitwise reproducibility contract."""
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -259,6 +260,14 @@ def test_divergence_reports_first_step_and_path_of_ensemble():
     with pytest.raises(SimulationDivergedError) as exc:
         simulate_ensemble(c, LEVY1, grid, law, 50, 31)
     assert (exc.value.step, exc.value.path) == (step, path)
+
+
+def test_divergence_raises_without_a_warning():
+    # the state that leaves float range is the error reported, with no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationDivergedError):
+            simulate_path(constant_model(1e4, 0.0, 0.0), LEVY1, PathGrid(0.0, 1.0, 1000), 1.0, 29)
 
 
 def test_span_mismatch_rejected():
