@@ -18,16 +18,16 @@ A case is a defect when the command exits with a code outside {0, 2}
 a Warning to stderr, or exits 2 with an error longer than one line.  The
 fits see one CPU (the affinity set reads {0}), so nothing forks and every
 warning reaches the captured stderr; every warning is shown, not only the
-first from a line.  It prints one line per defect and a count per battery;
-it gates nothing and pytest does not collect it.  `--sample K` runs K cases
-of each battery drawn with `--seed` (the tier-1 suite runs such a sample):
+first from a line.  It runs both full batteries and prints one line per
+defect and a count per battery; it gates nothing and pytest does not collect
+it.  A seeded sample is `run_battery(draw(config_cases(), k, seed))`, as the
+tier-1 suite runs it:
 
-    PYTHONPATH=src python3 bench/fuzz_inputs.py [--battery config file] [--sample K --seed S]
+    PYTHONPATH=src python3 bench/fuzz_inputs.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import copy
 import io
@@ -283,17 +283,8 @@ def run_battery(cases) -> tuple[Counter, list[tuple[str, str]]]:
     return codes, found
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--battery", nargs="+", choices=("config", "file"), default=["config", "file"])
-    ap.add_argument("--sample", type=int, default=None, help="cases drawn from each battery")
-    ap.add_argument("--seed", type=int, default=0, help="seed of the --sample draw")
-    args = ap.parse_args(argv)
-    builders = {"config": config_cases, "file": file_cases}
-    for name in args.battery:
-        cases = builders[name]()
-        if args.sample is not None:
-            cases = draw(cases, args.sample, args.seed)
+def main() -> int:
+    for name, cases in (("config", config_cases()), ("file", file_cases())):
         t0 = time.perf_counter()
         codes, found = run_battery(cases)
         for case, defect in found:
