@@ -32,6 +32,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -44,6 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sparsesde.cli import main as cli_main  # noqa: E402
+from sparsesde.simulate import _REPLAY_JUMPS  # noqa: E402
 
 COMMANDS = ("simulate", "observe", "estimate", "emse", "bootstrap", "oracle-check")
 _TINY = {"sim_steps": 50, "replications": 2, "B": 20, "mc_paths": 50}
@@ -91,6 +93,10 @@ EXTREMES = (
     (("model", "span"), [0.0, 1e6]),
     (("model", "nu_K"), 1e12),
     (("model", "nu_K"), 1e-12),
+    # on the unit span lam * sim_steps is nu_K: just below, at and just above
+    # the expected jumps a path from which the simulator stops replaying counts
+    *((("model", "nu_K"), math.nextafter(_REPLAY_JUMPS, to))
+      for to in (0.0, _REPLAY_JUMPS, math.inf)),
     (("estimation", "h_m"), 1e-6),
     (("estimation", "h_G"), 1e-6),
     (("design", "noise_sd"), 1e6),

@@ -4,7 +4,8 @@ Runs pytest in this process (default arguments: the `tests` directory)
 under a `sys.settrace` tracer that records the lines each package module
 runs, then prints, per module, its executed/executable line counts and
 the line ranges that never ran.  A range joins missed lines with no run
-line between them, so comments and blank lines inside it are spanned.
+line between them, so comments and blank lines inside it are spanned.  It
+exits with pytest's exit code, so a report over a failed test run fails.
 
 Executable lines are those the compiled module maps bytecode to.  The
 lane children the fits fork are not traced; they run lane 0's code.
@@ -27,8 +28,6 @@ sys.path.insert(0, str(PACKAGE.parent))
 
 import pytest  # noqa: E402
 
-_PREFIX = str(PACKAGE) + "/"
-
 
 def executable_lines(path: Path) -> set[int]:
     """Line numbers that some code object compiled from `path` maps to."""
@@ -40,20 +39,28 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code and the lines run per package file."""
-    hits: dict[str, set[int]] = {}
+def run_traced(args: list[str]) -> tuple[int, dict[str, bytearray]]:
+    """pytest's exit code and, per package file, a byte per line: 1 where it ran.
+
+    The byte arrays exist before pytest starts, so the tracer allocates
+    nothing while a test runs, and a test that measures its own allocations
+    with `tracemalloc` sees none of the tracer's.
+    """
+    hits = {
+        str(path): bytearray(max(executable_lines(path), default=0) + 1)
+        for path in PACKAGE.glob("*.py")
+    }
 
     def local(frame, event, arg):
         if event == "line":
-            hits[frame.f_code.co_filename].add(frame.f_lineno)
+            hits[frame.f_code.co_filename][frame.f_lineno] = 1
         return local
 
     def tracer(frame, event, arg):
-        name = frame.f_code.co_filename
-        if not name.startswith(_PREFIX):
+        ran = hits.get(frame.f_code.co_filename)
+        if ran is None:
             return None
-        hits.setdefault(name, set()).add(frame.f_lineno)
+        ran[frame.f_lineno] = 1
         return local
 
     threading.settrace(tracer)
@@ -87,10 +94,10 @@ def main(argv: list[str]) -> int:
     print(f"\npytest exit code {code}; lines never run, per module:")
     for path in sorted(PACKAGE.glob("*.py")):
         executable = executable_lines(path)
-        run = hits.get(str(path), set()) & executable
+        run = {line for line in executable if hits[str(path)][line]}
         ranges = missed_ranges(executable, run)
         print(f"{path.name}: {len(run)}/{len(executable)} run; missed {', '.join(ranges) or '-'}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -12,15 +12,15 @@ integral increment.
 
 Reproducibility: an ensemble derives one uint64 seed per path from the
 master seed via SeedSequence, plus a separate stream for initial values.
-Path i draws exactly what np.random.default_rng(seed_i) would draw, so any
-single path can be regenerated bit-for-bit in isolation and workers in a
-parallel setting may own disjoint blocks of paths without sharing generator
-state.  The generators themselves are never built one by one: the PCG64
-states of all seeds are derived in one vectorised pass (_path_states) and
-loaded in turn into one reused generator.  Path i draws its normals straight
-into row i of the (n, steps+1) result, then its Poisson counts, of which
-only the nonzero ones are kept; the recursion then runs in place through
-that one array (see _euler_core).
+Path i's normals and counts are exactly what np.random.default_rng(seed_i)
+draws, so any path can be regenerated bit-for-bit in isolation.  All PCG64
+states come from one vectorised pass (_path_states), loaded in turn into one
+generator.  Path i draws its normals into row i of the result, then its
+Poisson counts, keeping the nonzero ones.  For rates lam < 10 numpy multiplies
+`Generator.random` values while the product exceeds exp(-lam), so a step jumps
+exactly where its first uniform does: below _REPLAY_JUMPS expected jumps a
+path, `_poisson_replay` scans one bulk draw for those steps and walks only
+them.  It reads past where numpy stops; the state it leaves means nothing.
 
 A consumer that reads only part of every path need not hold all of them:
 `simulate_blocks` yields the ensemble a block of rows at a time, each block
@@ -46,6 +46,7 @@ _BLOCK = 64  # steps per block of the in-place recursion (see _euler_core)
 # path values a block of `simulate_blocks` holds at most: fewer bytes cost one
 # more pass of the step loop per extra block
 _PATH_BLOCK_BYTES = 8 << 20
+_REPLAY_JUMPS, _REPLAY_PAD = 10.0, 16  # see the module doc and `_poisson_replay`
 _POISSON_LAM_MAX = 2.0**63 - 10.0 * 2.0**31.5  # largest rate `Generator.poisson` accepts
 # SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -132,14 +133,37 @@ def _path_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
+def _poisson_replay(rng, lam: float, steps: int) -> tuple[list[int], list[int]]:
+    """The nonzero (steps, counts) of rng.poisson(lam, steps), lam < 10; see the module doc."""
+    floor = math.exp(-lam)
+    u = rng.random(steps + _REPLAY_PAD)
+    hits = (u > floor).nonzero()[0].tolist()
+    at, counts, stop, shift = [], [], 0, 0  # first unread uniform; uniforms read past one per step
+    for h in hits:  # grows with every uniform drawn below
+        if h < stop or h - shift >= steps:  # inside a walk, or past the last step
+            continue
+        prod, q = u[h], h
+        while prod > floor:
+            q += 1
+            if u.size < steps + shift + q - h:  # the rest of the path may read up to here
+                more = rng.random(_REPLAY_PAD)
+                hits += ((more > floor).nonzero()[0] + u.size).tolist()
+                u = np.concatenate((u, more))
+            prod *= u[q]
+        at.append(h - shift)
+        counts.append(q - h)
+        shift, stop = shift + q - h, q + 1
+    return at, counts
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a state that left float range raises below
 def _euler_core(
     coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0, seeds
 ) -> np.ndarray:
     """Paths drawn as default_rng(seed) would per seed; returns (len(seeds), steps+1).
 
-    One PCG64 generator is reused: each path loads its state from
-    _path_states and draws its normals, then its Poisson counts.
+    One PCG64 generator is reused: each path loads its state from _path_states,
+    draws its normals, then its counts (`_poisson_replay` below _REPLAY_JUMPS).
 
     Time is walked in blocks of _BLOCK steps: the block's normals are copied
     out transposed and scaled by sigma(t_k) sqrt(dt), its jump increments
@@ -154,17 +178,23 @@ def _euler_core(
         raise ValidationError(f"nu_K*dt = {comp:.3g} exceeds the Poisson sampler's limit")
     values = np.empty((m, grid.steps + 1))
     values[:, 0] = x0
+    replay = comp * grid.steps < _REPLAY_JUMPS
     steps, counts = [], []
     rng = np.random.Generator(np.random.PCG64(0))
     fresh = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for i, (state, inc) in enumerate(_path_states(seeds)):
         rng.bit_generator.state = {**fresh, "state": {"state": state, "inc": inc}}
         rng.standard_normal(out=values[i, 1:])
-        N = rng.poisson(comp, grid.steps)
-        steps.append(np.flatnonzero(N))
-        counts.append(N[steps[-1]])
-    paths = np.repeat(np.arange(m), [k.size for k in steps])
-    steps, counts = np.concatenate(steps), np.concatenate(counts)
+        if replay:
+            at, count = _poisson_replay(rng, comp, grid.steps)
+        else:
+            N = rng.poisson(comp, grid.steps)
+            at, count = N.nonzero()[0], N[N > 0]
+        steps.append(at)
+        counts.append(count)
+    paths = np.repeat(np.arange(m), [len(k) for k in steps])
+    join = np.concatenate if not replay else lambda p: np.array([j for a in p for j in a], np.int64)
+    steps, counts = join(steps), join(counts)
     order = np.argsort(steps, kind="stable")
     jump_step, jump_path = steps[order], paths[order]
 

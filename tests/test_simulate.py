@@ -22,7 +22,7 @@ from sparsesde import (
     simulate_path,
     sinusoid_model,
 )
-from sparsesde import harness
+from sparsesde import harness, simulate
 from sparsesde.harness import write_table
 from sparsesde.simulate import _path_states, export_paths_csv
 
@@ -109,6 +109,82 @@ def test_path_states_match_default_rng():
         ref = np.random.default_rng(seed)
         assert np.array_equal(rng.standard_normal(300), ref.standard_normal(300))
         assert np.array_equal(rng.poisson(0.7, 300), ref.poisson(0.7, 300))
+        assert np.array_equal(rng.random(300), ref.random(300))
+
+
+def _numpy_jumps(seed, lam, size):
+    N = np.random.default_rng(seed).poisson(lam, size)
+    at = np.flatnonzero(N)
+    return at.tolist(), N[at].tolist()
+
+
+@pytest.fixture
+def replay_calls(monkeypatch):
+    """The arguments of every `_poisson_replay` call; the calls still run."""
+    calls, replay = [], simulate._poisson_replay
+    monkeypatch.setattr(simulate, "_poisson_replay", lambda *a: calls.append(a) or replay(*a))
+    return calls
+
+
+_CUTOFF = simulate._REPLAY_JUMPS
+# lam = 0 is an underflowed nu_K * dt, for which numpy draws nothing
+_RATES = [0.0, 1e-12, 1e-3, 0.05, 0.5, 2.0, 8.0]
+_REPLAYED = [
+    (lam, size)
+    for lam in _RATES
+    for size in (1, 16, 63, 1000)
+    if lam * size < _CUTOFF
+]
+
+
+@pytest.mark.parametrize("lam, size", _REPLAYED)
+def test_poisson_replay_matches_generator_poisson(lam, size):
+    for seed in range(300):
+        got = simulate._poisson_replay(np.random.default_rng(seed), lam, size)
+        assert got == _numpy_jumps(seed, lam, size), seed
+
+
+@pytest.mark.parametrize("pad", [1, 2, None], ids=["pad1", "pad2", "default"])
+def test_poisson_replay_walks_past_its_pad(pad, monkeypatch):
+    # a walk that reads past the uniforms drawn so far draws more, and the
+    # steps whose first uniform lies among them must still be scanned
+    if pad is not None:
+        monkeypatch.setattr(simulate, "_REPLAY_PAD", pad)
+    pad = simulate._REPLAY_PAD
+    grown, top = 0, 0
+    for lam, size in [(8.0, 1), (2.0, 4), (0.5, 16), (0.05, 63)]:
+        for seed in range(500):
+            steps, counts = simulate._poisson_replay(np.random.default_rng(seed), lam, size)
+            assert (steps, counts) == _numpy_jumps(seed, lam, size), (lam, size, seed)
+            grown += sum(counts) >= pad
+            top = max(top, *counts, 0)
+    assert grown > 0 and top >= 3
+
+
+@pytest.mark.parametrize("steps", [50, 1000])
+@pytest.mark.parametrize(
+    "nu_K",
+    [math.nextafter(_CUTOFF, 0.0), _CUTOFF, math.nextafter(_CUTOFF, math.inf)],
+    ids=["below", "at", "above"],
+)
+def test_ensemble_at_the_replay_cutoff_matches_oracle(steps, nu_K, replay_calls):
+    # on the unit span lam * steps is nu_K, up to rounding
+    grid, levy, law = PathGrid(0.0, 1.0, steps), LevyConfig(nu_K), GaussianInitial(0.5, 0.3)
+    ens = simulate_ensemble(sinusoid_model(), levy, grid, law, 60, master_seed=17)
+    rows, _, counts = _reference_ensemble(sinusoid_model(), levy, grid, law, 60, 17)
+    assert np.array_equal(ens.values, rows.T)
+    replayed = levy.nu_K * grid.dt * steps < _CUTOFF
+    assert len(replay_calls) == (60 if replayed else 0)
+    assert replayed == (nu_K < _CUTOFF)
+    assert counts.max() >= 2
+
+
+@pytest.mark.parametrize("nu_K, replayed", [(1.0, True), (500.0, False)], ids=["sparse", "jumpy"])
+def test_oracle_ensembles_take_both_sampler_routes(nu_K, replayed, replay_calls):
+    # the rates of test_ensemble_matches_column_layout_oracle
+    grid = PathGrid(0.0, 1.0, 63)
+    simulate_ensemble(sinusoid_model(), LevyConfig(nu_K), grid, PointMass(1.0), 4, master_seed=41)
+    assert len(replay_calls) == (4 if replayed else 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
