@@ -8,6 +8,12 @@ the root of the repository.  The record also holds the `env` line of the
 runs (machine and library versions) and whether every run was `correct`.
 The script only calls the benchmark; it changes nothing under perfbench/.
 
+perfbench scales `wall_adj_s` and `setup_s` to a reference host speed, but
+not the traced per-layer times.  So each workload also records
+`host_slowdown`: the median host slowdown per call that its `--trace 0` run
+printed, per seed and its median over the seeds.  Dividing a layer time by
+it puts records from different sessions on one scale.
+
 perfbench loads third-party modules before its timed regions, so it cannot
 see the cost of a cold start.  The record therefore also holds the median
 over five fresh interpreters of the wall time of `import sparsesde.cli` and
@@ -24,13 +30,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "perfbench" / "run.py"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEEDS = (1, 2, 3)
 COLD_RUNS = 5
@@ -42,10 +48,18 @@ COLD_PROBE = (
 )
 
 
-def bench(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
-    """(env, result) of one perfbench run; raises if the run does not finish."""
-    argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
+# perfbench's note on the host speed of an untraced run's calls
+SLOWDOWN = re.compile(r"^info host slowdown per call over \d+: .* median (\S+) ")
+
+
+def bench(workload: str, seed: int, trace: int, seconds: float | None = None,
+          tree: Path = ROOT) -> tuple[dict, dict]:
+    """(env, result) of one perfbench run of `tree`; raises if the run does not
+    finish.  The result's `host_slowdown` is the median host slowdown per call
+    that a `--trace 0` run printed, or None."""
+    seconds = SPEC["run_seconds"] if seconds is None else seconds
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -53,6 +67,8 @@ def bench(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     env = next(json.loads(ln[4:]) for ln in lines if ln.startswith("env "))
     result = json.loads(lines[-1])
     result["problems"] = [ln[8:] for ln in lines if ln.startswith("problem ")]
+    slow = [float(m[1]) for m in map(SLOWDOWN.match, lines) if m]
+    result["host_slowdown"] = slow[0] if slow else None
     return env, result
 
 
@@ -79,13 +95,15 @@ def record(workloads: list[str]) -> dict:
     for name in workloads:
         values: dict[str, list[float]] = {}
         units: dict[str, str] = {}
-        correct, problems = True, []
+        correct, problems, slowdowns = True, [], []
         for seed in SEEDS:
             for trace in (0, 1):
                 env, result = bench(name, seed, trace)
                 envs.append(env)
                 correct &= bool(result["correct"])
                 problems += [f"seed {seed} trace {trace}: {p}" for p in result["problems"]]
+                if trace == 0 and result["host_slowdown"] is not None:
+                    slowdowns.append(result["host_slowdown"])
                 for metric, m in result["metrics"].items():
                     values.setdefault(metric, []).append(m["value"])
                     units[metric] = m["unit"]
@@ -93,6 +111,10 @@ def record(workloads: list[str]) -> dict:
         out[name] = {
             "correct": correct,
             "problems": problems,
+            "host_slowdown": {
+                "median": statistics.median(slowdowns) if slowdowns else None,
+                "values": slowdowns,
+            },
             "metrics": {
                 metric: {"median": statistics.median(v), "unit": units[metric], "values": v}
                 for metric, v in sorted(values.items())
@@ -119,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         for metric in ("wall_adj_s", "peak_rss_mb", "setup_s"):
             m = wl["metrics"][metric]
             print(f"{name} {metric} median {m['median']:.6g} {m['unit']}")
+        print(f"{name} host_slowdown median {wl['host_slowdown']['median']}")
     for metric, m in rec["cold_start"].items():
         print(f"cold start {metric} median {m['median']:.6g} {m['unit']}")
     print(f"wrote {dest.relative_to(ROOT)}")

@@ -24,12 +24,15 @@ one more pass that pairs each s with its own t.  The kernel has compact
 support, so the sums are windowed: an observation is paired only with the
 band of sorted centres within the window margin of `meanfit` around its
 time, and the j = k terms come from chunks of observations in time order,
-each with the run of centres its span reaches.  A cell whose window at
-h_G holds fewer active pairs than basis columns, or whose normal matrix
-fails the condition check of `solve_wls`, is refitted by `fit_cov_at`,
-which widens its window or flags the cell.  The batch decides that check
-exactly as `solve_wls` does, but takes the SVD only of the normal matrices
-that a determinant-trace bound does not clear (`meanfit._cond_screen`).
+each with the run of centres its span reaches.  The per-curve sums are
+binned curve-major; centre-major bins put a full block's curves
+`_CURVE_BLOCK` doubles apart, and the scatters then hit one cache set.  A
+cell whose window at h_G holds fewer active pairs than basis columns, or
+whose normal matrix fails the condition check of `solve_wls`, is refitted
+by `fit_cov_at`, which widens its window or flags the cell.  The batch
+decides that check exactly as `solve_wls` does, but takes the SVD only of
+the normal matrices that a determinant-trace bound does not clear
+(`meanfit._cond_screen`).
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ DIAG_EPS_FACTOR = 1e-3
 _NOISE_FLOOR_RTOL = 1e-12
 
 # curves per block of the per-curve window sums, and observations per time-ordered
-# chunk of the j = k terms; both keep the pair sums' working set at a few MB
+# chunk of the j = k terms; both keep the pair sums' working set at a few MB.  The block
+# size fixes the fit's bytes; a power of two strides any centre-major axis by a power of two
 _CURVE_BLOCK = 256
 _ROW_CHUNK = 1024
 
@@ -223,7 +227,8 @@ def _curve_sums(obs, starts, centres, h, kernel, d):
 
     Each row is paired with a band of consecutive sorted centres, as many
     as the widest window run of the block and placed to cover the row's
-    own run; the pairs are summed into (centre, curve) bins.
+    own run; the pairs are summed into curve-major (curve, centre) bins, so
+    a curve's rows scatter into one short run, then transposed.
     """
     nb = starts.size - 1
     rows = slice(starts[0], starts[-1])
@@ -233,11 +238,11 @@ def _curve_sums(obs, starts, centres, h, kernel, d):
     width = int((hi - lo).max(initial=0))
     band = order[np.minimum(lo, centres.size - width)[:, None] + np.arange(width)]
     F = _features((t - centres[band]) / h, y, kernel, d)
-    key = (band * nb + np.repeat(np.arange(nb), np.diff(starts))[:, None]).ravel()
-    sums = np.empty((F.shape[0], centres.size * nb))
+    key = (band + np.repeat(np.arange(nb) * centres.size, np.diff(starts))[:, None]).ravel()
+    sums = np.empty((F.shape[0], centres.size, nb))
     for out, f in zip(sums, F):
-        out[:] = np.bincount(key, f.ravel(), out.size)
-    return sums.reshape(-1, centres.size, nb)
+        out[:] = np.bincount(key, f.ravel(), out.size).reshape(nb, -1).T
+    return sums
 
 
 def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):

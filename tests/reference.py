@@ -7,6 +7,8 @@ to a quantity the package computes another way, kept here as an oracle.
 import numpy as np
 
 from sparsesde import CovEstimate, MomentSolution, ValidationError, cov_value
+from sparsesde.covfit import _window_runs
+from sparsesde.meanfit import _features
 from sparsesde.moments import FD_STEP, _fd_first, cumulative_trapezoid
 from sparsesde.recover import DEFAULT_EPSILON, _tri_node
 
@@ -105,3 +107,23 @@ def estimate_H(
     if near.size == 0:
         raise ValidationError(f"t={t} is not a grid node")
     return _tri_node(grid, cumulative_trapezoid(mu_hat, grid), mu_hat, cov_est, int(near[0]), t)
+
+
+def centre_major_curve_sums(obs, starts, centres, h, kernel, d):
+    """`covfit._curve_sums` with its bins keyed centre-major, as it was first
+    written: each row's band of centres is summed by `np.bincount` into bins
+    centre * nb + curve, so the flat sums already lie (power, centre, curve).
+    """
+    nb = starts.size - 1
+    rows = slice(starts[0], starts[-1])
+    t, y = obs.t[rows, None], obs.y[rows, None]
+    order = np.argsort(centres, kind="stable")
+    lo, hi = _window_runs(centres[order], t[:, 0], h)
+    width = int((hi - lo).max(initial=0))
+    band = order[np.minimum(lo, centres.size - width)[:, None] + np.arange(width)]
+    F = _features((t - centres[band]) / h, y, kernel, d)
+    key = (band * nb + np.repeat(np.arange(nb), np.diff(starts))[:, None]).ravel()
+    sums = np.empty((F.shape[0], centres.size * nb))
+    for out, f in zip(sums, F):
+        out[:] = np.bincount(key, f.ravel(), out.size)
+    return sums.reshape(-1, centres.size, nb)

@@ -35,10 +35,18 @@ from sparsesde import (
 )
 from sparsesde import lanes
 from sparsesde.bootstrap import _curve_pair_sums
-from sparsesde.covfit import _CURVE_BLOCK, _ROW_CHUNK, _pair_sums, replace_responses
+from sparsesde.covfit import (
+    _CURVE_BLOCK,
+    _ROW_CHUNK,
+    _curve_sums,
+    _offset_cells,
+    _pair_sums,
+    replace_responses,
+)
 from sparsesde.meanfit import _features
 
 from conftest import curve_slices, make_obs
+from reference import centre_major_curve_sums
 
 
 def plane_scatter(rng, npts=300, coef=(1.0, 2.0, 3.0)):
@@ -515,6 +523,32 @@ def test_windowed_pair_sums_match_dense_oracle(d, kernel, panel):
         npt.assert_array_equal(got[2], ref[2])
     if panel == "empty-windows":
         assert (got[2] == 0).any() and (ref[0][0, 0] == 0).any()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN_TRUNCATED])
+@pytest.mark.parametrize("panel", ["multi-block", "empty-windows"])
+def test_curve_sums_match_centre_major_oracle_bitwise(d, kernel, panel):
+    # the curve-major bins must hand `_pair_sums` the very bytes, in the very
+    # layout, that centre-major bins did: its matmuls and einsums read them as is
+    make, h, centres = _WINDOWED_PANELS[panel]
+    obs = make()
+    h = default_bandwidth_cov(obs, d) if h is None else h
+    bounds = obs.curve_bounds()
+    blocks = [bounds[c0 : c0 + _CURVE_BLOCK + 1] for c0 in range(0, bounds.size - 1, _CURVE_BLOCK)]
+    if panel == "multi-block":
+        assert [b.size - 1 for b in blocks] == [_CURVE_BLOCK, 44]  # one full, one partial block
+    grid = np.linspace(0.0, 1.0, 51)
+    empty = False  # some centre's window holds no row of a block
+    for pts in (centres, grid, *_offset_cells(centres, h), *_offset_cells(grid, h)):
+        for starts in blocks:
+            got = _curve_sums(obs, starts, pts, h, kernel, d)
+            ref = centre_major_curve_sums(obs, starts, pts, h, kernel, d)
+            assert got.shape == (3 * d + 3, pts.size, starts.size - 1)
+            assert got.flags.c_contiguous
+            npt.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+            empty |= bool((ref[-1] == 0).all(axis=-1).any())
+    assert empty or panel != "empty-windows"
 
 
 # tracemalloc peaks of fit_cov_grid on `_peak_panel` with the dense block sums
