@@ -28,14 +28,7 @@ from .model import (
     rescale_to_unit,
     sinusoid_model,
 )
-from .moments import (
-    MomentSolution,
-    H_value,
-    cov_value,
-    solve_mean,
-    solve_moments,
-    solve_second_moment,
-)
+from .moments import MomentSolution, H_value, cov_value, solve_moments
 from .simulate import PathGrid, SamplePathSet, simulate_blocks, simulate_ensemble, simulate_path
 from .observe import (
     ClippedLinearDesign,

@@ -43,6 +43,9 @@ def point_estimates(data, t_star: float, st, thr: float) -> tuple[float, float, 
     if abs(m) < thr:
         raise EstimationFailedError(f"|m_hat({t_star})| below drift threshold")
     mu = dm / m
+    # perfbench's bootstrap check imports fit_diag and pair_scatter, and a traced
+    # bootstrap call gets its only covfit-layer spans from this line: dropping
+    # this route needs a perfbench change too
     D, dD = fit_diag(pair_scatter(data), t_star, st.d_cov, st.h_G, st.kernel)
     s_val = max(dD - 2.0 * mu * D, 0.0)
     sigma2, xi2, _ = separate(np.asarray([t_star]), np.asarray([s_val]), st.policy, st.nu_K)

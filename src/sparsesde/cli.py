@@ -180,7 +180,7 @@ def _dispatch(args) -> int:
         }
         harness.write_manifest(out, "bootstrap", cfg, seed, bundle.notes + notes, results)
         print(f"wrote {out / 'bootstrap_summary.csv'}")
-        for key in ("mu", "sigma2", "xi2"):
+        for key in result.point:
             print(
                 f"{key}(t={result.t_star:g}): point {result.point[key]:.6g}, "
                 f"BMSE {result.bmse[key]:.6g}"

@@ -666,6 +666,10 @@ class EmseResult:
     rows: list[dict]           # one per (n, replication)
     medians: dict[int, dict]   # n -> {metric: median over successful reps}
     failures: dict[int, int]
+    # n -> medians over the same reps of where the error sits, kept out of the
+    # CSVs: EMSE(mu) on t < 0.9 and on t >= 0.9 (split at the grid node nearest
+    # 0.9), and with xi2 tracked the t at which |xi2_hat - xi2| on [0, 0.8] peaks
+    breakdown: dict[int, dict]
 
 
 def run_emse(cfg: ExperimentConfig) -> EmseResult:
@@ -682,7 +686,7 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
     mu_true, _, xi2_true, s_true = unit_truth(build_model(cfg))
 
     @_overflow_fails()
-    def score(obs: SparseObservations) -> dict:
+    def score(obs: SparseObservations) -> tuple[dict, dict]:
         st = _resolve_settings(cfg, obs)
         grid = st.grid
         drift = _drift_stage(obs, st)[1:]
@@ -692,8 +696,13 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
             "emse_mu": float(np.trapezoid(err2, grid)),
             "excluded_points": int((~region_A).sum()),
         }
+        k = int(np.argmin(np.abs(grid - 0.9)))
+        extra = {
+            "emse_mu_inner": float(np.trapezoid(err2[: k + 1], grid[: k + 1])),
+            "emse_mu_edge": float(np.trapezoid(err2[k:], grid[k:])),
+        }
         if not {"xi2", "s"} & set(track):
-            return out
+            return out, extra
         _, coeffs = _noise_stage(obs, st, drift)
         if "s" in track:
             s_hat = _source(coeffs, st)
@@ -705,35 +714,29 @@ def run_emse(cfg: ExperimentConfig) -> EmseResult:
             sel = (grid <= 0.8 + 1e-12) & np.isfinite(xi2)
             if not sel.any():
                 raise EstimationFailedError("no usable xi2 values on [0, 0.8]")
-            out["sup_xi2"] = float(np.max(np.abs(xi2[sel] - xi2_true(grid[sel]))))
-        return out
+            dev = np.abs(xi2[sel] - xi2_true(grid[sel]))
+            out["sup_xi2"] = float(np.max(dev))
+            extra["argmax_xi2"] = float(grid[sel][np.argmax(dev)])
+        return out, extra
 
-    n_values: list[int] = []
-    rows: list[dict] = []
-    medians: dict[int, dict] = {}
-    failures: dict[int, int] = {}
+    result = EmseResult(n_values=[], rows=[], medians={}, failures={}, breakdown={})
     for n, outcomes in replications(cfg, score):
-        n_values.append(n)
-        ok_rows = []
+        result.n_values.append(n)
         for rep, out in enumerate(outcomes):
             row = {"n": n, "replication": rep, "status": "ok"}
             if isinstance(out, SparseSdeError):
                 row["status"] = f"failed: {type(out).__name__}"
             else:
-                row.update(out)
-                ok_rows.append(row)
-            rows.append(row)
-        failures[n] = reps - len(ok_rows)
-        if failures[n] > 0.5 * reps:
-            raise EstimationFailedError(
-                f"{failures[n]}/{reps} replications failed at n={n}"
-            )
-        medians[n] = {
-            key: float(np.median([r[key] for r in ok_rows]))
-            for key in ok_rows[0]
-            if key not in ("n", "replication", "status")
-        }
-    return EmseResult(n_values=n_values, rows=rows, medians=medians, failures=failures)
+                row.update(out[0])
+            result.rows.append(row)
+        done = [out for out in outcomes if not isinstance(out, SparseSdeError)]
+        failures = result.failures[n] = reps - len(done)
+        if failures > 0.5 * reps:
+            raise EstimationFailedError(f"{failures}/{reps} replications failed at n={n}")
+        for table, part in ((result.medians, 0), (result.breakdown, 1)):
+            parts = [out[part] for out in done]
+            table[n] = {key: float(np.median([p[key] for p in parts])) for key in parts[0]}
+    return result
 
 
 @dataclass
@@ -741,7 +744,7 @@ class BootstrapResult:
     t_star: float
     B: int
     n_success: int
-    point: dict[str, float]
+    point: dict[str, float]  # keyed in the order of `bootstrap.KEYS`
     bmse: dict[str, float]
     used: np.ndarray        # bool per resample: produced estimates
     fallback: int           # resamples whose windows widened past h_m or h_G
@@ -1022,7 +1025,7 @@ def export_emse_csv(result: EmseResult, dest_dir: Path) -> None:
 
 
 def export_bootstrap_csv(result: BootstrapResult, dest_dir: Path) -> None:
-    keys = ("mu", "sigma2", "xi2")
+    keys = list(result.point)
     cols = [keys, [result.point[k] for k in keys], [result.bmse[k] for k in keys]]
     cols += [[v] * len(keys) for v in (result.t_star, result.B, result.n_success)]
     header = ["quantity", "point_estimate", "bmse", "t_star", "B", "resamples_used"]

@@ -84,28 +84,6 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def _drift_integral(coeffs: CoefficientSet, grid: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral int_{grid[0]}^t mu on the grid."""
-    return cumulative_trapezoid(coeffs.mu(grid), grid)
-
-
-def solve_mean(coeffs: CoefficientSet, m0: float, grid: np.ndarray) -> np.ndarray:
-    """Solve m' = mu m with m(grid[0]) = m0; exact up to quadrature of mu."""
-    grid = np.asarray(grid, dtype=float)
-    return m0 * np.exp(_drift_integral(coeffs, grid))
-
-
-def solve_second_moment(
-    coeffs: CoefficientSet, nu_K: float, D0: float, grid: np.ndarray
-) -> np.ndarray:
-    """Solve D' = 2 mu D + sigma^2 + nu_K xi^2 by integrating factor."""
-    grid = np.asarray(grid, dtype=float)
-    M = _drift_integral(coeffs, grid)
-    forcing = coeffs.sigma(grid) ** 2 + nu_K * coeffs.xi(grid) ** 2
-    inner = cumulative_trapezoid(np.exp(-2.0 * M) * forcing, grid)
-    return np.exp(2.0 * M) * (D0 + inner)
-
-
 def solve_moments(
     coeffs: CoefficientSet,
     levy: LevyConfig | float,
@@ -123,9 +101,11 @@ def solve_moments(
     grid = np.asarray(grid, dtype=float)
     # an overflowing solution is caught by validate() below, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        m = solve_mean(coeffs, m0, grid)
-        D = solve_second_moment(coeffs, nu_K, D0, grid)
-        M = _drift_integral(coeffs, grid)
+        M = cumulative_trapezoid(coeffs.mu(grid), grid)  # int_{grid[0]}^t mu
+        m = m0 * np.exp(M)  # m' = mu m, exact up to quadrature of mu
+        # D' = 2 mu D + sigma^2 + nu_K xi^2 by integrating factor
+        forcing = coeffs.sigma(grid) ** 2 + nu_K * coeffs.xi(grid) ** 2
+        D = np.exp(2.0 * M) * (D0 + cumulative_trapezoid(np.exp(-2.0 * M) * forcing, grid))
     sol = MomentSolution(
         grid=grid, m=m, D=D, M=M, coeffs=coeffs, nu_K=nu_K, m0=m0, D0=D0
     )

@@ -23,7 +23,7 @@ from sparsesde import (
     kernel_by_name,
     observe,
     simulate_ensemble,
-    solve_mean,
+    solve_moments,
     solve_wls,
     sinusoid_model,
 )
@@ -226,7 +226,7 @@ def test_fit_mean_curve_deterministic():
 def test_mean_fit_error_shrinks_with_n():
     coeffs = sinusoid_model()
     grid = np.linspace(0.0, 1.0, 201)
-    truth = solve_mean(coeffs, 1.0, grid)
+    truth = solve_moments(coeffs, 1.0, 1.0, 1.0, grid).m
     eval_pts = np.linspace(0.05, 0.95, 21)
     m_true = np.interp(eval_pts, grid, truth)
 

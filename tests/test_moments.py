@@ -14,9 +14,7 @@ from sparsesde import (
     ValidationError,
     constant_model,
     cov_value,
-    solve_mean,
     solve_moments,
-    solve_second_moment,
 )
 from sparsesde.harness import _fd_first  # edge-aware stencil reused below
 from sparsesde.moments import cumulative_trapezoid
@@ -36,34 +34,34 @@ def ref_solution():
 
 
 def test_solve_mean_exponential_decay():
-    m = solve_mean(constant_model(-1.0, 0.0, 0.0), 1.0, GRID)
+    m = solve_moments(constant_model(-1.0, 0.0, 0.0), 0.0, 1.0, 1.0, GRID).m
     assert abs(m[-1] - math.exp(-1.0)) < 1e-6
 
 
 def test_solve_mean_zero_drift_and_zero_start():
     c0 = constant_model(0.0, 0.04, 0.0)
-    npt.assert_allclose(solve_mean(c0, 2.5, GRID), 2.5)
-    npt.assert_allclose(solve_mean(REF, 0.0, GRID), 0.0)
+    npt.assert_allclose(solve_moments(c0, 0.0, 2.5, 6.25, GRID).m, 2.5)
+    npt.assert_allclose(solve_moments(REF, REF_NU, 0.0, 1.0, GRID).m, 0.0)
 
 
 def test_second_moment_closed_form():
     # D' = -2D + s with D(0)=1 integrates to (1 - s/2) e^{-2t} + s/2
-    D = solve_second_moment(REF, REF_NU, 1.0, GRID)
+    D = solve_moments(REF, REF_NU, 0.0, 1.0, GRID).D
     exact = (1.0 - REF_S / 2.0) * np.exp(-2.0 * GRID) + REF_S / 2.0
     npt.assert_allclose(D, exact, atol=1e-6)
 
 
 def test_second_moment_homogeneous_case():
     c = constant_model(-1.0, 0.0, 0.0)
-    D = solve_second_moment(c, 1.0, 0.7, GRID)
+    D = solve_moments(c, 1.0, 0.0, 0.7, GRID).D
     npt.assert_allclose(D, 0.7 * np.exp(-2.0 * GRID), atol=1e-6)
 
 
 def test_noise_channels_interchangeable():
     # sigma^2 = a and nu_K xi^2 = a force the same D
     a = 0.2
-    D_sigma = solve_second_moment(constant_model(-1.0, a, 0.0), 1.0, 1.0, GRID)
-    D_jump = solve_second_moment(constant_model(-1.0, 0.0, a), 1.0, 1.0, GRID)
+    D_sigma = solve_moments(constant_model(-1.0, a, 0.0), 1.0, 0.0, 1.0, GRID).D
+    D_jump = solve_moments(constant_model(-1.0, 0.0, a), 1.0, 0.0, 1.0, GRID).D
     npt.assert_allclose(D_sigma, D_jump, rtol=1e-12)
 
 
