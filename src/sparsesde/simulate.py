@@ -15,12 +15,19 @@ master seed via SeedSequence, plus a separate stream for initial values.
 Path i's normals and counts are exactly what np.random.default_rng(seed_i)
 draws, so any path can be regenerated bit-for-bit in isolation.  All PCG64
 states come from one vectorised pass (_path_states), loaded in turn into one
-generator.  Path i draws its normals into row i of the result, then its
-Poisson counts, keeping the nonzero ones.  For rates lam < 10 numpy multiplies
-`Generator.random` values while the product exceeds exp(-lam), so a step jumps
-exactly where its first uniform does: below _REPLAY_JUMPS expected jumps a
-path, `_poisson_replay` scans one bulk draw for those steps and walks only
-them.  It reads past where numpy stops; the state it leaves means nothing.
+generator (_PathStreams).  Path i draws its normals into row i of the result,
+then its Poisson counts, keeping the nonzero ones.
+
+For rates lam < 10 numpy multiplies `Generator.random` values while the
+product exceeds exp(-lam), so a step jumps exactly where its first uniform
+does (a hit), and a step of count c reads c + 1 uniforms.  Below
+_REPLAY_JUMPS expected jumps a path, `_replay_jumps` replays the counts from
+steps + _REPLAY_PAD uniforms per path, scanning a chunk of paths at once.
+In a path with at most _REPLAY_PAD hits and none right after another, hit h
+is a count-1 step (a product of two uniforms is at most the second), the
+(h - rank)-th; any other path is walked as `_poisson_replay` walks its one
+draw.  A replay reads past where numpy stops; the state it leaves means
+nothing.
 
 A consumer that reads only part of every path need not hold all of them:
 `simulate_blocks` yields the ensemble a block of rows at a time, each block
@@ -46,7 +53,12 @@ _BLOCK = 64  # steps per block of the in-place recursion (see _euler_core)
 # path values a block of `simulate_blocks` holds at most: fewer bytes cost one
 # more pass of the step loop per extra block
 _PATH_BLOCK_BYTES = 8 << 20
-_REPLAY_JUMPS, _REPLAY_PAD = 10.0, 16  # see the module doc and `_poisson_replay`
+_REPLAY_JUMPS, _REPLAY_PAD = 10.0, 16  # see the module doc and `_replay_jumps`
+# uniforms one chunk of replayed paths holds at most (or one path's).  The
+# chunk's scan costs ~7 us, so it holds ~15 paths of 1,000 steps; it stays
+# below glibc's 128 KiB mmap threshold, since at 256 KiB freeing the buffer
+# raised that threshold and an emse run's peak RSS grew by ~3.5 MB (x86-64 Linux)
+_REPLAY_CHUNK_BYTES = 120 << 10
 _POISSON_LAM_MAX = 2.0**63 - 10.0 * 2.0**31.5  # largest rate `Generator.poisson` accepts
 # SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -133,10 +145,35 @@ def _path_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
+class _PathStreams:
+    """Each path's generator in turn: one PCG64 loaded through one reused state dict."""
+
+    def __init__(self, seeds, values: np.ndarray):
+        self.states, self.values = _path_states(seeds), values
+        self.rng = np.random.Generator(np.random.PCG64(0))
+        self._word = {}
+        self._full = dict(bit_generator="PCG64", state=self._word, has_uint32=0, uinteger=0)
+
+    def start(self, i: int) -> np.random.Generator:
+        """Path i's generator with the path's normals drawn into row i of `values`."""
+        self._word["state"], self._word["inc"] = self.states[i]
+        self.rng.bit_generator.state = self._full
+        self.rng.standard_normal(out=self.values[i, 1:])
+        return self.rng
+
+
 def _poisson_replay(rng, lam: float, steps: int) -> tuple[list[int], list[int]]:
     """The nonzero (steps, counts) of rng.poisson(lam, steps), lam < 10; see the module doc."""
     floor = math.exp(-lam)
-    u = rng.random(steps + _REPLAY_PAD)
+    return _replay_walk(rng.random(steps + _REPLAY_PAD), floor, steps, rng)
+
+
+def _replay_walk(u, floor: float, steps: int, rng=None):
+    """The nonzero (steps, counts) of the path whose uniforms start with u.
+
+    A walk that may read past u draws _REPLAY_PAD more from rng, the
+    generator that drew u; without rng it returns None there.
+    """
     hits = (u > floor).nonzero()[0].tolist()
     at, counts, stop, shift = [], [], 0, 0  # first unread uniform; uniforms read past one per step
     for h in hits:  # grows with every uniform drawn below
@@ -146,6 +183,8 @@ def _poisson_replay(rng, lam: float, steps: int) -> tuple[list[int], list[int]]:
         while prod > floor:
             q += 1
             if u.size < steps + shift + q - h:  # the rest of the path may read up to here
+                if rng is None:
+                    return None
                 more = rng.random(_REPLAY_PAD)
                 hits += ((more > floor).nonzero()[0] + u.size).tolist()
                 u = np.concatenate((u, more))
@@ -156,6 +195,43 @@ def _poisson_replay(rng, lam: float, steps: int) -> tuple[list[int], list[int]]:
     return at, counts
 
 
+def _replay_jumps(streams: _PathStreams, lam: float, steps: int):
+    """(path, step, count) arrays of every jump of rng.poisson(lam, steps) per path, lam < 10.
+
+    Draws each path's normals, then its uniforms into a buffer of a chunk of
+    paths (see the module doc); a walk that would read past a path's pad
+    draws the path again through `_poisson_replay`.
+    """
+    m, floor, width = len(streams.states), math.exp(-lam), steps + _REPLAY_PAD
+    chunk = max(1, min(m, _REPLAY_CHUNK_BYTES // (8 * width)))
+    u = np.empty((chunk, width))
+    rows, start, hits, jumps = list(u), streams.start, [], []
+    for a in range(0, m, chunk):
+        c = min(chunk, m - a)
+        for i, row in zip(range(a, a + c), rows):
+            start(i).random(out=row)
+        flat = np.flatnonzero(u[:c] > floor)  # 10x faster than a 2-D nonzero
+        # paths holding two hits side by side, or more hits than the pad, are walked
+        odd = flat[:-1][np.diff(flat) == 1] // width
+        if flat.size > _REPLAY_PAD:
+            many = np.bincount(flat // width, minlength=c) > _REPLAY_PAD
+            odd = np.concatenate((odd, np.flatnonzero(many)))
+        if odd.size:
+            odd = np.unique(odd)
+            flat = flat[~np.isin(flat // width, odd)]
+            for j in odd.tolist():
+                got = _replay_walk(u[j], floor, steps)
+                at, count = got or _poisson_replay(start(a + j), lam, steps)
+                jumps.append((np.full(len(at), a + j), np.array(at, int), np.array(count, int)))
+        hits.append(flat + a * width)
+    # every other hit is a count-1 step, the (column - rank)-th of its path
+    path, col = np.divmod(np.concatenate(hits), width)
+    step = col - (np.arange(path.size) - np.searchsorted(path, path))
+    kept = step < steps
+    jumps.append((path[kept], step[kept], np.ones(np.count_nonzero(kept), np.int64)))
+    return tuple(map(np.concatenate, zip(*jumps)))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a state that left float range raises below
 def _euler_core(
     coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0, seeds
@@ -163,7 +239,7 @@ def _euler_core(
     """Paths drawn as default_rng(seed) would per seed; returns (len(seeds), steps+1).
 
     One PCG64 generator is reused: each path loads its state from _path_states,
-    draws its normals, then its counts (`_poisson_replay` below _REPLAY_JUMPS).
+    draws its normals, then its counts (`_replay_jumps` below _REPLAY_JUMPS).
 
     Time is walked in blocks of _BLOCK steps: the block's normals are copied
     out transposed and scaled by sigma(t_k) sqrt(dt), its jump increments
@@ -178,23 +254,16 @@ def _euler_core(
         raise ValidationError(f"nu_K*dt = {comp:.3g} exceeds the Poisson sampler's limit")
     values = np.empty((m, grid.steps + 1))
     values[:, 0] = x0
-    replay = comp * grid.steps < _REPLAY_JUMPS
-    steps, counts = [], []
-    rng = np.random.Generator(np.random.PCG64(0))
-    fresh = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for i, (state, inc) in enumerate(_path_states(seeds)):
-        rng.bit_generator.state = {**fresh, "state": {"state": state, "inc": inc}}
-        rng.standard_normal(out=values[i, 1:])
-        if replay:
-            at, count = _poisson_replay(rng, comp, grid.steps)
-        else:
-            N = rng.poisson(comp, grid.steps)
-            at, count = N.nonzero()[0], N[N > 0]
-        steps.append(at)
-        counts.append(count)
-    paths = np.repeat(np.arange(m), [len(k) for k in steps])
-    join = np.concatenate if not replay else lambda p: np.array([j for a in p for j in a], np.int64)
-    steps, counts = join(steps), join(counts)
+    streams = _PathStreams(seeds, values)
+    if comp * grid.steps < _REPLAY_JUMPS:
+        paths, steps, counts = _replay_jumps(streams, comp, grid.steps)
+    else:
+        found = []
+        for i in range(m):
+            N = streams.start(i).poisson(comp, grid.steps)
+            at = N.nonzero()[0]
+            found.append((np.full(at.size, i), at, N[at]))
+        paths, steps, counts = map(np.concatenate, zip(*found))
     order = np.argsort(steps, kind="stable")
     jump_step, jump_path = steps[order], paths[order]
 

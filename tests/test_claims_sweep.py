@@ -86,6 +86,15 @@ def test_sweep_prints_every_criterion_and_both_pass_counts(capsys):
     assert [v[0] for v in verdicts] == ["c2", "c4", "c5", "c6", "c7"]
     assert all(v[1] in ("PASS", "FAIL") for v in verdicts)
     assert any(line.startswith("     EMSE(mu) t<0.9 | t>=0.9") for line in out)
+    (slopes,) = [line for line in out if line.startswith("     slope on log n: EMSE(mu) ")]
+    assert slopes.endswith("bandwidth rule targets -0.571 (-4/7)")
+    assert " t<0.9 " in slopes and " sup xi2 error " in slopes
     counts = [line for line in out if line.startswith("criterion ")]
     assert len(counts) == 5
     assert all("/1 at seeds 1-8 (development), 0/0 held out" in line for line in counts)
+
+
+def test_log_slope_recovers_a_power_law():
+    ns = list(claims.N_VALUES)
+    assert sweep.log_slope(ns, [3.0 * n ** (-4 / 7) for n in ns]) == pytest.approx(-4 / 7)
+    assert sweep.log_slope([1.0, 2.0], [5.0, 5.0]) == 0.0

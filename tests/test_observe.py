@@ -487,16 +487,35 @@ def test_ingest_malformed_rows_keep_error_and_line(tmp_path, body):
     assert getattr(got.value, "line", None) == getattr(ref.value, "line", None)
 
 
-@pytest.mark.parametrize("tied", [False, True])
-def test_time_order_is_the_stable_argsort(tied):
-    # with ties the stable order keeps row order among equal times
+def _ordered_panel(tied) -> SparseObservations:
+    """A panel for the time order: 30 small curves, or 1,600 curves of 10 rows.
+
+    `tied` names its ties: none (False), a design shared by every curve
+    (True), "one-tie", "signed-zero" or "nan".
+    """
     rng = np.random.default_rng(5)
-    shared = np.sort(rng.choice(np.linspace(0.05, 0.95, 7), size=4, replace=False))
-    curves = [
-        (shared if tied else np.sort(rng.random(4)), rng.standard_normal(4)) for _ in range(30)
-    ]
-    obs = make_obs(curves)
-    assert (np.unique(obs.t).size < obs.total) == tied
+    if tied in (False, True):
+        shared = np.sort(rng.choice(np.linspace(0.05, 0.95, 7), size=4, replace=False))
+        return make_obs([(shared if tied else np.sort(rng.random(4)), rng.standard_normal(4))
+                         for _ in range(30)])
+    if tied == "signed-zero":  # curves start at 0.0 and -0.0 in turn
+        return make_obs([(np.r_[-0.0 if i % 2 else 0.0, np.sort(rng.random(3))],
+                          rng.standard_normal(4)) for i in range(30)])
+    times = [np.sort(rng.random(10)) for _ in range(1600)]
+    if tied == "one-tie":  # curve 1 shares its first time with curve 0
+        times[1] = np.sort(np.r_[times[0][0], rng.random(9)])
+        return make_obs([(t, rng.standard_normal(10)) for t in times])
+    t = np.concatenate(times)  # "nan": unvalidated, 40 NaN times
+    t[rng.choice(t.size, 40, replace=False)] = np.nan
+    return SparseObservations(np.repeat(np.arange(1600), 10), t, rng.standard_normal(t.size))
+
+
+@pytest.mark.parametrize("tied", [False, True, "one-tie", "signed-zero", "nan"])
+def test_time_order_is_the_stable_argsort(tied):
+    # with ties (0.0 and -0.0 are equal) the stable order keeps row order
+    # among equal times, and among NaNs; numpy's default sort need not
+    obs = _ordered_panel(tied)
+    assert (np.unique(obs.t).size < obs.total) == (tied is not False)
     order = obs.time_order
     npt.assert_array_equal(order, np.argsort(obs.t, kind="stable"))
     assert obs.time_order is order  # computed once

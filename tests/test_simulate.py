@@ -112,21 +112,26 @@ def test_path_states_match_default_rng():
         assert np.array_equal(rng.random(300), ref.random(300))
 
 
-def _numpy_jumps(seed, lam, size):
-    N = np.random.default_rng(seed).poisson(lam, size)
+def _numpy_jumps(seed, lam, size, normals=0):
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(normals)  # a path's normals come before its counts
+    N = rng.poisson(lam, size)
     at = np.flatnonzero(N)
     return at.tolist(), N[at].tolist()
 
 
 @pytest.fixture
 def replay_calls(monkeypatch):
-    """The arguments of every `_poisson_replay` call; the calls still run."""
-    calls, replay = [], simulate._poisson_replay
-    monkeypatch.setattr(simulate, "_poisson_replay", lambda *a: calls.append(a) or replay(*a))
+    """One entry per path sent to the bulk replay `_replay_jumps`; the replay still runs."""
+    calls, replay = [], simulate._replay_jumps
+    monkeypatch.setattr(
+        simulate, "_replay_jumps", lambda s, *a: calls.extend(s.states) or replay(s, *a)
+    )
     return calls
 
 
 _CUTOFF = simulate._REPLAY_JUMPS
+_CHUNK_BYTES = simulate._REPLAY_CHUNK_BYTES
 # lam = 0 is an underflowed nu_K * dt, for which numpy draws nothing
 _RATES = [0.0, 1e-12, 1e-3, 0.05, 0.5, 2.0, 8.0]
 _REPLAYED = [
@@ -159,6 +164,38 @@ def test_poisson_replay_walks_past_its_pad(pad, monkeypatch):
             grown += sum(counts) >= pad
             top = max(top, *counts, 0)
     assert grown > 0 and top >= 3
+
+
+@pytest.mark.parametrize("pad", [1, 2, None], ids=["pad1", "pad2", "default"])
+def test_chunked_replay_matches_generator_poisson(pad, monkeypatch):
+    # ensembles of chunk - 1, chunk and chunk + 1 paths: a short chunk, one
+    # full chunk, and a full one followed by a single path.  The default
+    # budget holds 15 paths of 1,000 steps; shorter paths get a 25-path chunk
+    # here to keep the ensembles small.  Pads of 1 and 2 send many walks
+    # past the pad, to the redraw through `_poisson_replay`.
+    if pad is not None:
+        monkeypatch.setattr(simulate, "_REPLAY_PAD", pad)
+    walks, redrawn = [], []  # a walk of a chunk's row gets no generator
+    walk, replay = simulate._replay_walk, simulate._poisson_replay
+    monkeypatch.setattr(simulate, "_replay_walk", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(simulate, "_poisson_replay", lambda *a: redrawn.append(a) or replay(*a))
+    for lam, size in _REPLAYED:
+        width = 8 * (size + simulate._REPLAY_PAD)
+        budget = min(_CHUNK_BYTES, 25 * width)
+        monkeypatch.setattr(simulate, "_REPLAY_CHUNK_BYTES", budget)
+        chunk = budget // width
+        for m in (chunk - 1, chunk, chunk + 1):
+            seeds = np.random.SeedSequence([m, size]).generate_state(m, np.uint64).tolist()
+            values = np.empty((m, size + 1))
+            streams = simulate._PathStreams(seeds, values)
+            path, step, count = simulate._replay_jumps(streams, lam, size)
+            for i, seed in enumerate(seeds):
+                got = (step[path == i].tolist(), count[path == i].tolist())
+                assert got == _numpy_jumps(seed, lam, size, normals=size), (lam, size, m, i)
+                normals = np.random.default_rng(seed).standard_normal(size)
+                assert np.array_equal(values[i, 1:], normals), (lam, size, m, i)
+    assert any(len(a) == 3 for a in walks)
+    assert bool(redrawn) == (pad is not None)
 
 
 @pytest.mark.parametrize("steps", [50, 1000])
@@ -202,15 +239,20 @@ def test_path_seed_range_ends_accepted():
 
 
 def test_ensemble_peak_memory_is_near_result_size():
-    # the result is the only (n, steps)-sized array an ensemble allocates
+    # the result is the only (n, steps)-sized array an ensemble allocates.  On
+    # the long paths the recursion's per-step coefficients add ~0.2x, and a
+    # replay chunk of 15 paths (the budget's count at 1,000 steps) would add 0.3x
     c = sinusoid_model()
-    tracemalloc.start()
-    try:
-        ens = simulate_ensemble(c, LEVY1, PathGrid(0.0, 1.0, 1000), PointMass(1.0), 400, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * ens.values.nbytes
+    simulate_ensemble(c, LEVY1, PathGrid(0.0, 1.0, 10), PointMass(1.0), 2, 3)  # lazy set-up
+    for n, steps, bound in [(400, 1000, 1.5), (50, 20_000, 1.25)]:
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(c, LEVY1, PathGrid(0.0, 1.0, steps), PointMass(1.0), n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * ens.values.nbytes, (n, steps)
+        del ens
 
 
 def test_noiseless_ode_limit():
