@@ -25,9 +25,11 @@ _REPLAY_JUMPS expected jumps a path, `_replay_jumps` replays the counts from
 steps + _REPLAY_PAD uniforms per path, scanning a chunk of paths at once.
 In a path with at most _REPLAY_PAD hits and none right after another, hit h
 is a count-1 step (a product of two uniforms is at most the second), the
-(h - rank)-th; any other path is walked as `_poisson_replay` walks its one
-draw.  A replay reads past where numpy stops; the state it leaves means
-nothing.
+(h - rank)-th.  Any other path (a count above 1, or more jumps than the pad)
+is drawn again and takes `Generator.poisson`'s counts: at the benchmarked
+~1 jump a path that is about 1 path in 1,000, but near the cutoff it can be
+most of them.  A replay reads past where numpy stops; the state it leaves
+means nothing.
 
 A consumer that reads only part of every path need not hold all of them:
 `simulate_blocks` yields the ensemble a block of rows at a time, each block
@@ -162,45 +164,19 @@ class _PathStreams:
         return self.rng
 
 
-def _poisson_replay(rng, lam: float, steps: int) -> tuple[list[int], list[int]]:
-    """The nonzero (steps, counts) of rng.poisson(lam, steps), lam < 10; see the module doc."""
-    floor = math.exp(-lam)
-    return _replay_walk(rng.random(steps + _REPLAY_PAD), floor, steps, rng)
-
-
-def _replay_walk(u, floor: float, steps: int, rng=None):
-    """The nonzero (steps, counts) of the path whose uniforms start with u.
-
-    A walk that may read past u draws _REPLAY_PAD more from rng, the
-    generator that drew u; without rng it returns None there.
-    """
-    hits = (u > floor).nonzero()[0].tolist()
-    at, counts, stop, shift = [], [], 0, 0  # first unread uniform; uniforms read past one per step
-    for h in hits:  # grows with every uniform drawn below
-        if h < stop or h - shift >= steps:  # inside a walk, or past the last step
-            continue
-        prod, q = u[h], h
-        while prod > floor:
-            q += 1
-            if u.size < steps + shift + q - h:  # the rest of the path may read up to here
-                if rng is None:
-                    return None
-                more = rng.random(_REPLAY_PAD)
-                hits += ((more > floor).nonzero()[0] + u.size).tolist()
-                u = np.concatenate((u, more))
-            prod *= u[q]
-        at.append(h - shift)
-        counts.append(q - h)
-        shift, stop = shift + q - h, q + 1
-    return at, counts
+def _poisson_jumps(rng, i: int, lam: float, steps: int):
+    """(path, step, count) arrays of the nonzero counts of rng.poisson(lam, steps), path i's."""
+    N = rng.poisson(lam, steps)
+    at = N.nonzero()[0]
+    return np.full(at.size, i), at, N[at]
 
 
 def _replay_jumps(streams: _PathStreams, lam: float, steps: int):
     """(path, step, count) arrays of every jump of rng.poisson(lam, steps) per path, lam < 10.
 
     Draws each path's normals, then its uniforms into a buffer of a chunk of
-    paths (see the module doc); a walk that would read past a path's pad
-    draws the path again through `_poisson_replay`.
+    paths (see the module doc); a path whose hits are not all isolated
+    count-1 steps is drawn again through `_poisson_jumps`.
     """
     m, floor, width = len(streams.states), math.exp(-lam), steps + _REPLAY_PAD
     chunk = max(1, min(m, _REPLAY_CHUNK_BYTES // (8 * width)))
@@ -211,7 +187,7 @@ def _replay_jumps(streams: _PathStreams, lam: float, steps: int):
         for i, row in zip(range(a, a + c), rows):
             start(i).random(out=row)
         flat = np.flatnonzero(u[:c] > floor)  # 10x faster than a 2-D nonzero
-        # paths holding two hits side by side, or more hits than the pad, are walked
+        # paths holding two hits side by side, or more hits than the pad, are redrawn
         odd = flat[:-1][np.diff(flat) == 1] // width
         if flat.size > _REPLAY_PAD:
             many = np.bincount(flat // width, minlength=c) > _REPLAY_PAD
@@ -219,10 +195,7 @@ def _replay_jumps(streams: _PathStreams, lam: float, steps: int):
         if odd.size:
             odd = np.unique(odd)
             flat = flat[~np.isin(flat // width, odd)]
-            for j in odd.tolist():
-                got = _replay_walk(u[j], floor, steps)
-                at, count = got or _poisson_replay(start(a + j), lam, steps)
-                jumps.append((np.full(len(at), a + j), np.array(at, int), np.array(count, int)))
+            jumps += [_poisson_jumps(start(a + j), a + j, lam, steps) for j in odd.tolist()]
         hits.append(flat + a * width)
     # every other hit is a count-1 step, the (column - rank)-th of its path
     path, col = np.divmod(np.concatenate(hits), width)
@@ -258,11 +231,7 @@ def _euler_core(
     if comp * grid.steps < _REPLAY_JUMPS:
         paths, steps, counts = _replay_jumps(streams, comp, grid.steps)
     else:
-        found = []
-        for i in range(m):
-            N = streams.start(i).poisson(comp, grid.steps)
-            at = N.nonzero()[0]
-            found.append((np.full(at.size, i), at, N[at]))
+        found = [_poisson_jumps(streams.start(i), i, comp, grid.steps) for i in range(m)]
         paths, steps, counts = map(np.concatenate, zip(*found))
     order = np.argsort(steps, kind="stable")
     jump_step, jump_path = steps[order], paths[order]

@@ -142,60 +142,62 @@ _REPLAYED = [
 ]
 
 
+def _replay(seeds, lam, size):
+    """Each path's (steps, counts) from `_replay_jumps`, checking its normals too."""
+    values = np.empty((len(seeds), size + 1))
+    path, step, count = simulate._replay_jumps(simulate._PathStreams(seeds, values), lam, size)
+    for i, seed in enumerate(seeds):
+        normals = np.random.default_rng(seed).standard_normal(size)
+        assert np.array_equal(values[i, 1:], normals), (lam, size, i)
+    return [(step[path == i].tolist(), count[path == i].tolist()) for i in range(len(seeds))]
+
+
+@pytest.fixture
+def redrawn(monkeypatch):
+    """The path of every `_poisson_jumps` call; the calls still run."""
+    paths, draw = [], simulate._poisson_jumps
+    monkeypatch.setattr(simulate, "_poisson_jumps", lambda *a: paths.append(a[1]) or draw(*a))
+    return paths
+
+
 @pytest.mark.parametrize("lam, size", _REPLAYED)
-def test_poisson_replay_matches_generator_poisson(lam, size):
-    for seed in range(300):
-        got = simulate._poisson_replay(np.random.default_rng(seed), lam, size)
-        assert got == _numpy_jumps(seed, lam, size), seed
+def test_poisson_replay_matches_generator_poisson(lam, size, monkeypatch):
+    # ensembles of chunk - 1, chunk and chunk + 1 paths (a short chunk, one
+    # full chunk, and a full one followed by a single path), then 300 paths.
+    # The default budget holds 15 paths of 1,000 steps; shorter paths get a
+    # 25-path chunk here to keep the ensembles small.
+    width = 8 * (size + simulate._REPLAY_PAD)
+    budget = min(_CHUNK_BYTES, 25 * width)
+    monkeypatch.setattr(simulate, "_REPLAY_CHUNK_BYTES", budget)
+    chunk = budget // width
+    for m in (chunk - 1, chunk, chunk + 1, 300):
+        seeds = np.random.SeedSequence([m, size]).generate_state(m, np.uint64).tolist()
+        for i, (seed, got) in enumerate(zip(seeds, _replay(seeds, lam, size))):
+            assert got == _numpy_jumps(seed, lam, size, normals=size), (m, i)
 
 
 @pytest.mark.parametrize("pad", [1, 2, None], ids=["pad1", "pad2", "default"])
-def test_poisson_replay_walks_past_its_pad(pad, monkeypatch):
-    # a walk that reads past the uniforms drawn so far draws more, and the
-    # steps whose first uniform lies among them must still be scanned
+def test_poisson_replay_walks_past_its_pad(pad, monkeypatch, redrawn):
+    # a path that reads past its pad, or holds a count above 1, is drawn
+    # again through `_poisson_jumps`; every other path is taken from the scan
     if pad is not None:
         monkeypatch.setattr(simulate, "_REPLAY_PAD", pad)
     pad = simulate._REPLAY_PAD
-    grown, top = 0, 0
+    grown, top, scanned = 0, 0, 0
     for lam, size in [(8.0, 1), (2.0, 4), (0.5, 16), (0.05, 63)]:
-        for seed in range(500):
-            steps, counts = simulate._poisson_replay(np.random.default_rng(seed), lam, size)
-            assert (steps, counts) == _numpy_jumps(seed, lam, size), (lam, size, seed)
+        redrawn.clear()
+        seeds = list(range(500))
+        got = _replay(seeds, lam, size)
+        must = set()
+        for seed, (steps, counts) in zip(seeds, got):
+            assert (steps, counts) == _numpy_jumps(seed, lam, size, normals=size), (lam, seed)
             grown += sum(counts) >= pad
             top = max(top, *counts, 0)
-    assert grown > 0 and top >= 3
-
-
-@pytest.mark.parametrize("pad", [1, 2, None], ids=["pad1", "pad2", "default"])
-def test_chunked_replay_matches_generator_poisson(pad, monkeypatch):
-    # ensembles of chunk - 1, chunk and chunk + 1 paths: a short chunk, one
-    # full chunk, and a full one followed by a single path.  The default
-    # budget holds 15 paths of 1,000 steps; shorter paths get a 25-path chunk
-    # here to keep the ensembles small.  Pads of 1 and 2 send many walks
-    # past the pad, to the redraw through `_poisson_replay`.
-    if pad is not None:
-        monkeypatch.setattr(simulate, "_REPLAY_PAD", pad)
-    walks, redrawn = [], []  # a walk of a chunk's row gets no generator
-    walk, replay = simulate._replay_walk, simulate._poisson_replay
-    monkeypatch.setattr(simulate, "_replay_walk", lambda *a: walks.append(a) or walk(*a))
-    monkeypatch.setattr(simulate, "_poisson_replay", lambda *a: redrawn.append(a) or replay(*a))
-    for lam, size in _REPLAYED:
-        width = 8 * (size + simulate._REPLAY_PAD)
-        budget = min(_CHUNK_BYTES, 25 * width)
-        monkeypatch.setattr(simulate, "_REPLAY_CHUNK_BYTES", budget)
-        chunk = budget // width
-        for m in (chunk - 1, chunk, chunk + 1):
-            seeds = np.random.SeedSequence([m, size]).generate_state(m, np.uint64).tolist()
-            values = np.empty((m, size + 1))
-            streams = simulate._PathStreams(seeds, values)
-            path, step, count = simulate._replay_jumps(streams, lam, size)
-            for i, seed in enumerate(seeds):
-                got = (step[path == i].tolist(), count[path == i].tolist())
-                assert got == _numpy_jumps(seed, lam, size, normals=size), (lam, size, m, i)
-                normals = np.random.default_rng(seed).standard_normal(size)
-                assert np.array_equal(values[i, 1:], normals), (lam, size, m, i)
-    assert any(len(a) == 3 for a in walks)
-    assert bool(redrawn) == (pad is not None)
+            if len(counts) > pad or max(counts, default=0) > 1:
+                must.add(seed)
+        assert must <= set(redrawn), (lam, size)
+        scanned += len(seeds) - len(redrawn)
+    assert grown > 0 and top >= 3 and scanned > 0
 
 
 @pytest.mark.parametrize("steps", [50, 1000])
@@ -243,7 +245,6 @@ def test_ensemble_peak_memory_is_near_result_size():
     # the long paths the recursion's per-step coefficients add ~0.2x, and a
     # replay chunk of 15 paths (the budget's count at 1,000 steps) would add 0.3x
     c = sinusoid_model()
-    simulate_ensemble(c, LEVY1, PathGrid(0.0, 1.0, 10), PointMass(1.0), 2, 3)  # lazy set-up
     for n, steps, bound in [(400, 1000, 1.5), (50, 20_000, 1.25)]:
         tracemalloc.start()
         try:
