@@ -101,7 +101,7 @@ from .recover import (
     estimate_total_noise,
     separate,
 )
-from .simulate import PathGrid, SamplePathSet, simulate_blocks, simulate_ensemble
+from .simulate import PathGrid, SamplePathSet, path_buffer, simulate_blocks, simulate_ensemble
 
 SCHEMA_VERSION = 1
 
@@ -444,11 +444,12 @@ def simulate_paths(cfg: ExperimentConfig, bundle: ModelBundle, seed: int, n: int
 
 
 def simulate_observations(
-    cfg: ExperimentConfig, bundle: ModelBundle, design: DesignConfig, seed: int, n: int
+    cfg: ExperimentConfig, bundle: ModelBundle, design: DesignConfig, seed: int, n: int, out=None
 ) -> SparseObservations:
     """`observe(simulate_paths(cfg, bundle, seed, n), design, seed)`, simulated
-    and observed a block of paths at a time (`observe.observe_ensemble`)."""
-    return observe_ensemble(*_ensemble(cfg, bundle), n, design, seed)
+    and observed a block of paths at a time (`observe.observe_ensemble`),
+    into the caller's flat path buffer `out` if given."""
+    return observe_ensemble(*_ensemble(cfg, bundle), n, design, seed, out)
 
 
 class _Settings(NamedTuple):
@@ -624,7 +625,12 @@ def replications(cfg: ExperimentConfig, score):
     Replication `rep` at the `ni`-th sample size n simulates n paths and
     observes them under its own seed, SeedSequence([master_seed,
     _STREAM_REPLICATION, ni, rep]), a block of paths at a time
-    (`simulate_observations`), and returns `score(obs)`.  Yields
+    (`simulate_observations`), and returns `score(obs)`.  Each lane's
+    replications simulate into one flat path buffer, which holds the largest
+    block of any n (`simulate.path_buffer`): this call allocates it before
+    the lanes fork, so every child writes its own copy, and drops it once
+    the lanes are done.  A score must therefore keep nothing that aliases
+    the paths; the observations it is given never do.  Yields
     (n, outcomes) for each n in config order, where outcomes holds per
     replication the score or the `SparseSdeError` that failed it.  A
     ConfigError, a PolicyError or an error from outside the package ends
@@ -641,15 +647,17 @@ def replications(cfg: ExperimentConfig, score):
     master = cfg.experiment["master_seed"]
     bundle = build_model(cfg)
     design = build_design(cfg)
+    paths = path_buffer(n_values, cfg.experiment["sim_steps"])
 
     def replicate(task: tuple[int, int]) -> dict:
         ni, rep = task
         seq = np.random.SeedSequence([master, _STREAM_REPLICATION, ni, rep])
         seed = int(seq.generate_state(1)[0])
-        return score(simulate_observations(cfg, bundle, design, seed, n_values[ni]))
+        return score(simulate_observations(cfg, bundle, design, seed, n_values[ni], paths))
 
     tasks = [(ni, rep) for ni in range(len(n_values)) for rep in range(reps)]
     found = lanes.fan_out(tasks, lambda task: n_values[task[0]], replicate)
+    del paths
     for ni, n in enumerate(n_values):
         outcomes = []
         for rep in range(reps):  # a lane stops at its first such error: raise it in order

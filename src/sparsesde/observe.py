@@ -243,17 +243,22 @@ def observe(
     return obs
 
 
-def observe_ensemble(coeffs, levy, grid: PathGrid, x0_law, n: int, cfg: DesignConfig, seed: int):
+def observe_ensemble(
+    coeffs, levy, grid: PathGrid, x0_law, n: int, cfg: DesignConfig, seed: int, out=None
+):
     """`observe(simulate_ensemble(coeffs, levy, grid, x0_law, n, seed), cfg, seed)`,
     bit for bit, holding one block of paths at a time.
 
     The design times and noise of all n curves are drawn once; each block
     of `simulate_blocks` is then observed with its rows of them and dropped.
+    The blocks are simulated into `out`, a flat path buffer that the caller
+    owns and may pass again to the next call, or into one of
+    `simulate_blocks`' own; the observations returned never alias it.
     A failure is that of the one-shot call: a simulation error first (every
     block is simulated), then a fault of the design times, then the first
     block whose observations fail.
     """
-    blocks = simulate_blocks(coeffs, levy, grid, x0_law, n, seed)
+    blocks = simulate_blocks(coeffs, levy, grid, x0_law, n, seed, out)
     failure = None
     try:
         T, U = design_draws(cfg, n, seed)

@@ -34,7 +34,10 @@ means nothing.
 A consumer that reads only part of every path need not hold all of them:
 `simulate_blocks` yields the ensemble a block of rows at a time, each block
 at most _PATH_BLOCK_BYTES of path values, with the rows of the one-shot
-`simulate_ensemble` bit for bit.
+`simulate_ensemble` bit for bit.  Every block is simulated into one flat
+buffer (`out`), so a run of blocks, or of ensembles, allocates its paths
+once; `block_bounds` gives the rows of each block, and `path_buffer` a
+buffer for the largest.
 """
 
 from __future__ import annotations
@@ -205,11 +208,26 @@ def _replay_jumps(streams: _PathStreams, lam: float, steps: int):
     return tuple(map(np.concatenate, zip(*jumps)))
 
 
+def _path_view(out, rows: int, steps: int) -> np.ndarray:
+    """A new (rows, steps+1) array, or, given the flat float64 buffer `out`,
+    a view of that shape on its head."""
+    if out is None:
+        return np.empty((rows, steps + 1))
+    if not (isinstance(out, np.ndarray) and out.dtype == float and out.ndim == 1
+            and out.flags.c_contiguous):
+        raise ValidationError("out must be a contiguous 1-D float64 array")
+    size = rows * (steps + 1)
+    if out.size < size:
+        raise ValidationError(f"out holds {out.size} values; {rows} paths need {size}")
+    return out[:size].reshape(rows, steps + 1)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a state that left float range raises below
 def _euler_core(
-    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0, seeds
+    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0, seeds, out=None
 ) -> np.ndarray:
-    """Paths drawn as default_rng(seed) would per seed; returns (len(seeds), steps+1).
+    """Paths drawn as default_rng(seed) would per seed; returns (len(seeds), steps+1),
+    a view on the head of `out` if given (see `_path_view`).
 
     One PCG64 generator is reused: each path loads its state from _path_states,
     draws its normals, then its counts (`_replay_jumps` below _REPLAY_JUMPS).
@@ -225,7 +243,7 @@ def _euler_core(
     comp = levy.nu_K * dt
     if not comp <= _POISSON_LAM_MAX:
         raise ValidationError(f"nu_K*dt = {comp:.3g} exceeds the Poisson sampler's limit")
-    values = np.empty((m, grid.steps + 1))
+    values = _path_view(out, m, grid.steps)
     values[:, 0] = x0
     streams = _PathStreams(seeds, values)
     if comp * grid.steps < _REPLAY_JUMPS:
@@ -303,46 +321,72 @@ def simulate_ensemble(
     n: int,
     master_seed: int,
     draws: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> SamplePathSet:
     """n independent paths with per-path child seeds from `ensemble_draws`.
 
     Given `draws`, n rows of the (seeds, x0) of a larger ensemble, the
-    paths are those rows of that ensemble, bit for bit.
+    paths are those rows of that ensemble, bit for bit.  Given `out`, a
+    flat float64 buffer of at least n * (steps + 1) values, the paths are
+    written to its head and `values` is a view of it; otherwise they get an
+    array of their own.
     """
     _check_count("n", n)
     _check_span(coeffs, grid)
     seeds, x0 = ensemble_draws(x0_law, n, master_seed) if draws is None else draws
-    return SamplePathSet(grid=grid, values=_euler_core(coeffs, levy, grid, x0, seeds), seeds=seeds)
+    values = _euler_core(coeffs, levy, grid, x0, seeds, out)
+    return SamplePathSet(grid=grid, values=values, seeds=seeds)
+
+
+def block_bounds(n: int, steps: int) -> list[tuple[int, int]]:
+    """(start, stop) rows of the near-equal blocks `simulate_blocks` cuts n
+    paths of `steps` steps into: each at most _PATH_BLOCK_BYTES of path
+    values, or one path."""
+    count = -(-n // max(1, _PATH_BLOCK_BYTES // (8 * (steps + 1))))
+    return [(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+def path_buffer(n_values, steps: int) -> np.ndarray:
+    """A flat `out` buffer for the largest block of any of the n_values."""
+    rows = max(b - a for n in n_values for a, b in block_bounds(n, steps))
+    return np.empty(rows * (steps + 1))
 
 
 def simulate_blocks(
-    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0_law, n: int, master_seed: int
+    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0_law, n: int, master_seed: int,
+    out: np.ndarray | None = None,
 ):
     """The ensemble of `simulate_ensemble`, one block of paths at a time.
 
     Checks the arguments and draws every path's seed and initial value now,
     once; returns an iterator of (rows, paths), where `paths` holds the rows
-    `rows` of the n-path ensemble.  The blocks are near-equal, each holding
-    at most _PATH_BLOCK_BYTES of path values (or one path), and each comes
-    from its own `simulate_ensemble` call.  A consumer should drop a block
-    before taking the next, so that only one is alive.  A block that
-    diverges ends the yields, but the later blocks are still simulated: the
+    `rows` of the n-path ensemble.  The blocks are those of `block_bounds`,
+    each from its own `simulate_ensemble` call into one flat path buffer:
+    `out`, which the caller owns and may reuse across calls (one shorter
+    than the largest block raises ValidationError here), or else one that
+    the iterator allocates at its first block and drops at its end.  So a
+    yielded block is a view of that buffer, which the next one overwrites:
+    a consumer copies what it keeps of a block.  A block that diverges
+    ends the yields, but the later blocks are still simulated: the
     SimulationDivergedError raised after the last names the step and path
     of the one-shot scan, the earliest step over all blocks, then its
     lowest path.
     """
     _check_count("n", n)
     _check_span(coeffs, grid)
+    bounds = block_bounds(n, grid.steps)
+    if out is not None:
+        _path_view(out, max(b - a for a, b in bounds), grid.steps)
     seeds, x0 = ensemble_draws(x0_law, n, master_seed)
-    count = -(-n // max(1, _PATH_BLOCK_BYTES // (8 * (grid.steps + 1))))
 
-    def blocks():
+    def blocks(out):
+        if out is None:
+            out = path_buffer([n], grid.steps)
         diverged = None
-        for k in range(count):
-            a, b = n * k // count, n * (k + 1) // count
+        for a, b in bounds:
             try:
                 paths = simulate_ensemble(
-                    coeffs, levy, grid, x0_law, b - a, master_seed, (seeds[a:b], x0[a:b])
+                    coeffs, levy, grid, x0_law, b - a, master_seed, (seeds[a:b], x0[a:b]), out=out
                 )
             except SimulationDivergedError as exc:
                 if diverged is None or exc.step < diverged.step:
@@ -354,7 +398,7 @@ def simulate_blocks(
         if diverged is not None:
             raise diverged
 
-    return blocks()
+    return blocks(out)
 
 
 def _check_count(name: str, value) -> None:

@@ -104,7 +104,12 @@ def measure_c56(seed: int) -> dict:
     t0 = time.perf_counter()
     result = run_emse(cfg)
     elapsed = time.perf_counter() - t0
-    return {"medians": result.medians, "breakdown": result.breakdown, "elapsed": elapsed}
+    return {
+        "medians": result.medians,
+        "breakdown": result.breakdown,
+        "rows": result.rows,
+        "elapsed": elapsed,
+    }
 
 
 def verdict_c5(m: dict) -> tuple[bool, float, str]:

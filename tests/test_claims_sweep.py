@@ -2,8 +2,10 @@
 sweep of `bench/claims_sweep.py` on one seed."""
 
 import importlib.util
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import claims
@@ -89,6 +91,12 @@ def test_sweep_prints_every_criterion_and_both_pass_counts(capsys):
     (slopes,) = [line for line in out if line.startswith("     slope on log n: EMSE(mu) ")]
     assert slopes.endswith("bandwidth rule targets -0.571 (-4/7)")
     assert " t<0.9 " in slopes and " sup xi2 error " in slopes
+    num, interval = r"[+-]\d\.\d{3}", r"\(5-95% [+-]\d\.\d{3} to [+-]\d\.\d{3}\)"
+    assert re.match(
+        rf"     slope on log n: EMSE\(mu\) {num} {interval}, t<0\.9 {num}; "
+        rf"sup xi2 error {num} {interval}; bandwidth rule targets -0\.571 \(-4/7\)$",
+        slopes,
+    )
     counts = [line for line in out if line.startswith("criterion ")]
     assert len(counts) == 5
     assert all("/1 at seeds 1-8 (development), 0/0 held out" in line for line in counts)
@@ -98,3 +106,24 @@ def test_log_slope_recovers_a_power_law():
     ns = list(claims.N_VALUES)
     assert sweep.log_slope(ns, [3.0 * n ** (-4 / 7) for n in ns]) == pytest.approx(-4 / 7)
     assert sweep.log_slope([1.0, 2.0], [5.0, 5.0]) == 0.0
+
+
+def _rows(rate: float, spread: float) -> list[dict]:
+    """Twenty replications per n of claims.N_VALUES scattered about rate's power
+    law, with one failed replication at each n."""
+    rows = []
+    for n in claims.N_VALUES:
+        values = n**rate * np.exp(spread * np.linspace(-1.0, 1.0, 20) ** 3)
+        rows += [{"n": n, "status": "ok", "emse_mu": v} for v in values]
+        rows.append({"n": n, "status": "failed: SimulationDivergedError"})
+    return rows
+
+
+@pytest.mark.parametrize("rate, spread", [(-4 / 7, 0.5), (-1.0, 2.0), (0.2, 1.0)])
+def test_slope_interval_holds_the_point_slope(rate, spread):
+    rows = _rows(rate, spread)
+    ok = [r for r in rows if r["status"] == "ok"]
+    medians = [np.median([r["emse_mu"] for r in ok if r["n"] == n]) for n in claims.N_VALUES]
+    lo, hi = sweep.slope_interval(rows, "emse_mu", seed=3)
+    assert lo < sweep.log_slope(claims.N_VALUES, medians) < hi
+    assert sweep.slope_interval(rows, "emse_mu", seed=3) == (lo, hi)

@@ -7,6 +7,7 @@ import math
 import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -884,6 +885,26 @@ def test_lane_stops_at_its_first_fatal_error(two_cpus, monkeypatch):
     _no_process_left()
 
 
+def test_lane_simulates_every_replication_into_one_buffer(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = _lane_config(replications=3)
+    clean = run_emse(cfg)
+    first, same = [], []
+    real = simulate.simulate_ensemble
+
+    def spy(*args, **kwargs):
+        out = kwargs["out"]
+        if not first:
+            first.append(weakref.ref(out))
+        same.append(out is first[0]())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_ensemble", spy)
+    assert run_emse(cfg).rows == clean.rows
+    assert same == [True] * 6  # one block per replication at n = 30 and 60
+    assert first[0]() is None  # the study dropped it
+
+
 def test_blas_runs_one_thread_per_lane_and_is_restored(two_cpus, monkeypatch):
     def threads():
         return [get() for get, _ in lanes._blas_thread_controls()]
@@ -998,13 +1019,22 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_streamed_replication_holds_one_block_of_paths():
+def test_streamed_replication_holds_one_block_of_paths(monkeypatch):
     # an emse replication at n = 1600 and 1000 steps simulates and observes
     # its 12.8 MB of paths in two blocks of 800
     cfg = parse_config(cfg_dict(design={"n": 1600, "r": 10}, experiment={"sim_steps": 1000}))
     bundle, design = build_model(cfg), build_design(cfg)
     peak = _traced_peak(lambda: harness.simulate_observations(cfg, bundle, design, 3, 1600))
     assert peak < 1.5 * simulate._PATH_BLOCK_BYTES < 1600 * 1001 * 8
+    # a study's replications at two sizes share one lane's buffer of the
+    # largest block, 800 paths, of which n = 400 takes the first 400 rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    experiment = {"sim_steps": 1000, "replications": 3}
+    cfg = parse_config(cfg_dict(design={"n": [400, 1600], "r": 10}, experiment=experiment))
+    found = []
+    peak = _traced_peak(lambda: found.extend(harness.replications(cfg, lambda obs: obs.n)))
+    assert found == [(400, [400] * 3), (1600, [1600] * 3)]
+    assert peak < 1.5 * simulate._PATH_BLOCK_BYTES < 2 * 800 * 1001 * 8
 
 
 def test_oracle_monte_carlo_holds_one_block_of_paths():

@@ -558,12 +558,14 @@ def test_streamed_observations_equal_one_shot(monkeypatch, n, law, nu_K):
     c, levy, grid = sinusoid_model(), LevyConfig(nu_K), PathGrid(0.0, 1.0, steps)
     cfg = DesignConfig(r=4, noise_sd=0.1)
     ens = simulate_ensemble(c, levy, grid, law, n, 41)
-    blocks = list(simulate_blocks(c, levy, grid, law, n, 41))
-    sizes = [rows.stop - rows.start for rows, _ in blocks]
+    # each block is a view of one path buffer that the next overwrites: copy it
+    stream = simulate_blocks(c, levy, grid, law, n, 41)
+    blocks = [(rows, p.values.copy(), p.seeds) for rows, p in stream]
+    sizes = [rows.stop - rows.start for rows, _, _ in blocks]
     assert len(sizes) == -(-n // PER_BLOCK) and max(sizes) - min(sizes) <= 1
-    assert [rows.start for rows, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
-    assert np.array_equal(np.vstack([p.values for _, p in blocks]), ens.values)
-    assert np.array_equal(np.concatenate([p.seeds for _, p in blocks]), ens.seeds)
+    assert [rows.start for rows, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+    assert np.array_equal(np.vstack([values for _, values, _ in blocks]), ens.values)
+    assert np.array_equal(np.concatenate([seeds for _, _, seeds in blocks]), ens.seeds)
     got = observe_ensemble(c, levy, grid, law, n, cfg, 41)
     ref = observe(ens, cfg, 41)
     for col in ("curve_id", "t", "y"):

@@ -244,6 +244,9 @@ def test_ensemble_peak_memory_is_near_result_size():
     # the result is the only (n, steps)-sized array an ensemble allocates.  On
     # the long paths the recursion's per-step coefficients add ~0.2x, and a
     # replay chunk of 15 paths (the budget's count at 1,000 steps) would add 0.3x
+    # numpy loads numpy.random (~0.75 MB) on first use: load it before tracing
+    import numpy.random  # noqa: F401
+
     c = sinusoid_model()
     for n, steps, bound in [(400, 1000, 1.5), (50, 20_000, 1.25)]:
         tracemalloc.start()
@@ -254,6 +257,45 @@ def test_ensemble_peak_memory_is_near_result_size():
             tracemalloc.stop()
         assert peak <= bound * ens.values.nbytes, (n, steps)
         del ens
+
+
+def _three_blocks(monkeypatch, steps: int, n: int) -> int:
+    """Size `simulate_blocks`' blocks so that n paths make three; returns the largest."""
+    rows = -(-n // 3)
+    monkeypatch.setattr(simulate, "_PATH_BLOCK_BYTES", rows * 8 * (steps + 1))
+    assert len(simulate.block_bounds(n, steps)) == 3
+    return rows
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_blocks_into_a_buffer_equal_blocks_of_their_own(monkeypatch, n):
+    steps = 40
+    rows = _three_blocks(monkeypatch, steps, n)
+    model = (sinusoid_model(), LEVY1, PathGrid(0.0, 1.0, steps), GaussianInitial(0.5, 0.3))
+    own = [(r, p.values.copy(), p.seeds) for r, p in simulate.simulate_blocks(*model, n, 9)]
+    out = np.full(rows * (steps + 1) + 5, np.nan)
+    got = []
+    for r, p in simulate.simulate_blocks(*model, n, 9, out):
+        assert np.shares_memory(p.values, out) and p.values.shape == (r.stop - r.start, steps + 1)
+        got.append((r, p.values.copy(), p.seeds))
+    assert len(got) == len(own) == 3
+    for (r1, v1, s1), (r2, v2, s2) in zip(own, got):
+        assert r1 == r2 and np.array_equal(s1, s2)
+        assert v1.tobytes() == v2.tobytes()
+    assert np.isnan(out[rows * (steps + 1) :]).all()  # nothing past the largest block
+
+
+def test_buffer_shorter_than_a_block_is_rejected(monkeypatch):
+    steps, n = 40, 10
+    rows = _three_blocks(monkeypatch, steps, n)
+    model = (sinusoid_model(), LEVY1, PathGrid(0.0, 1.0, steps), PointMass(1.0))
+    with pytest.raises(ValidationError, match="out holds"):
+        simulate.simulate_blocks(*model, n, 9, np.empty(rows * (steps + 1) - 1))
+    for bad in (np.empty(rows * (steps + 1), np.float32), np.empty((rows, steps + 1)), [0.0] * 999):
+        with pytest.raises(ValidationError, match="out must be"):
+            simulate.simulate_blocks(*model, n, 9, bad)
+    with pytest.raises(ValidationError, match="out holds"):
+        simulate_ensemble(*model, n, 9, out=np.empty(n * (steps + 1) - 1))
 
 
 def test_noiseless_ode_limit():
