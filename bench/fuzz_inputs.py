@@ -5,10 +5,12 @@ temporary directory, in one of two batteries:
 
   config  tiny base configs (a sinusoid model with a known-fraction policy,
           a constant model with normal x0, clipped-linear design and the
-          diagonal route, an expression model with a known-xi policy), each
-          with one schema leaf replaced by each value of VALUES, for all six
-          subcommands; then the valid extremes of EXTREMES on the first base.
-          NaN and Infinity are written as the tokens Python's `json` accepts.
+          diagonal route, that model as an emse study over two sample
+          sizes, an expression model with a known-xi policy), each with one
+          schema leaf replaced by each value of VALUES, for each subcommand
+          the base is used for (all six, or those ONLY names); then the
+          valid extremes of EXTREMES on the first base.  NaN and Infinity
+          are written as the tokens Python's `json` accepts.
   file    malformed and edge-case `--obs-csv` files, long and `--wide`, for
           estimate and bootstrap, each with no `--rescale-time`, with [0, 2]
           and with [1, 1].
@@ -18,10 +20,11 @@ A case is a defect when the command exits with a code outside {0, 2}
 a Warning to stderr, or exits 2 with an error longer than one line.  The
 fits see one CPU (the affinity set reads {0}), so nothing forks and every
 warning reaches the captured stderr; every warning is shown, not only the
-first from a line.  It runs both full batteries and prints one line per
-defect and a count per battery; it gates nothing and pytest does not collect
-it.  A seeded sample is `run_battery(draw(config_cases(), k, seed))`, as the
-tier-1 suite runs it:
+first from a line.  It first runs every base unmutated and prints each run
+that does not exit 0 (`base_failures`), then runs both full batteries and
+prints one line per defect and a count per battery; it gates nothing and
+pytest does not collect it.  A seeded sample is
+`run_battery(draw(config_cases(), k, seed))`, as the tier-1 suite runs it:
 
     PYTHONPATH=src python3 bench/fuzz_inputs.py
 """
@@ -49,6 +52,18 @@ from sparsesde.simulate import _REPLAY_JUMPS  # noqa: E402
 
 COMMANDS = ("simulate", "observe", "estimate", "emse", "bootstrap", "oracle-check")
 _TINY = {"sim_steps": 50, "replications": 2, "B": 20, "mc_paths": 50}
+_CONSTANT = {
+    "schema_version": 1,
+    "model": {"kind": "builtin", "name": "constant", "driver_variance_scale": 2.0,
+              "params": {"mu": -1.0, "sigma2": 0.04, "xi2": 0.09},
+              "x0": {"kind": "normal", "mean": 1.0, "sd": 0.2}},
+    "design": {"n": 20, "r": 4, "noise_law": "uniform",
+               "design_law": {"kind": "clipped-linear", "floor": 0.3}},
+    "estimation": {"eval_points": 11, "d_mean": 1, "d_cov": 2, "kernel": "gaussian-truncated",
+                   "separation_source": "diag",
+                   "policy": {"kind": "known-sigma", "expr": "0.04"}},
+    "experiment": {**_TINY, "master_seed": 4, "negative_control": False},
+}
 BASES = {
     "sinusoid": {
         "schema_version": 1,
@@ -60,28 +75,21 @@ BASES = {
                        "policy": {"kind": "known-fraction", "expr": "0.5"}},
         "experiment": {**_TINY, "master_seed": 3, "t_star": 0.5, "track": ["mu", "s", "xi2"]},
     },
-    "constant": {
-        "schema_version": 1,
-        "model": {"kind": "builtin", "name": "constant", "driver_variance_scale": 2.0,
-                  "params": {"mu": -1.0, "sigma2": 0.04, "xi2": 0.09},
-                  "x0": {"kind": "normal", "mean": 1.0, "sd": 0.2}},
-        "design": {"n": [20, 30], "r": 4, "noise_law": "uniform",
-                   "design_law": {"kind": "clipped-linear", "floor": 0.3}},
-        "estimation": {"eval_points": 11, "d_mean": 1, "d_cov": 2, "kernel": "gaussian-truncated",
-                       "separation_source": "diag",
-                       "policy": {"kind": "known-sigma", "expr": "0.04"}},
-        "experiment": {**_TINY, "master_seed": 4, "negative_control": False},
-    },
+    "constant": _CONSTANT,
+    # a list of sample sizes, which only an emse study takes (see ONLY)
+    "study": {**_CONSTANT, "design": {**_CONSTANT["design"], "n": [20, 30]}},
     "expressions": {
         "schema_version": 1,
         "model": {"kind": "expressions", "span": [1.0, 3.0], "mu": "-0.5 + 0*t",
-                  "sigma": "0.3", "xi": "0.2 + 0.1*t", "jump_size_law": "uniform[-1,1]"},
+                  "sigma": "0.3", "xi": "0.2 + 0.1*t"},
         "design": {"n": 20, "r": 4},
         "estimation": {"eval_points": 11, "policy": {"kind": "known-xi", "expr": "0.01"}},
         "experiment": {**_TINY, "master_seed": 5, "track": ["mu", "xi2"]},
         "output": {"directory": "out"},
     },
 }
+# base -> the commands its cases run, where not all of COMMANDS
+ONLY = {"study": ("emse",)}
 VALUES = (
     "x", True, None, 0, 1, -1, 1e300, -1e300, 1e-300, [], [1.0, 2.0], {}, {"kind": "x"},
     float("nan"), float("inf"), float("-inf"),
@@ -124,12 +132,19 @@ def _with(config: dict, path: tuple, value) -> dict:
     return out
 
 
+def base_cases() -> list[tuple]:
+    """(command, config, no file) of each base, unmutated, on each command it is used for."""
+    return [(command, base, None) for name, base in BASES.items()
+            for command in ONLY.get(name, COMMANDS)]
+
+
 def config_cases() -> list[tuple]:
     """(command, config, no file) of every config case."""
-    mutated = [_with(base, path, v) for base in BASES.values() for path in _leaves(base) for v in VALUES]
+    cases = [(command, _with(base, path, v), None) for command, base, _ in base_cases()
+             for path in _leaves(base) for v in VALUES]
     first = next(iter(BASES.values()))
-    mutated += [_with(first, path, v) for path, v in EXTREMES]
-    return [(command, config, None) for config in mutated for command in COMMANDS]
+    mutated = [_with(first, path, v) for path, v in EXTREMES]
+    return cases + [(command, config, None) for config in mutated for command in COMMANDS]
 
 
 def _long(rows) -> str:
@@ -289,7 +304,23 @@ def run_battery(cases) -> tuple[Counter, list[tuple[str, str]]]:
     return codes, found
 
 
+def base_failures() -> list[str]:
+    """Each base's unmutated run that shows a defect or exits other than 0 (oracle-check:
+    0 or 1, as its Monte Carlo band over mc_paths 50 paths may fail).  A base that cannot
+    run makes every mutation of it exit 2 before the mutated leaf is read."""
+    failed = []
+    for case in base_cases():
+        codes, found = run_battery([case])
+        if found or set(codes) - ({0, 1} if case[0] == "oracle-check" else {0}):
+            failed.append(f"{describe(case)}: exit {list(codes)} {found}")
+    return failed
+
+
 def main() -> int:
+    failed = base_failures()
+    for case in failed:
+        print(f"BASE FAILS {case}")
+    print(f"bases: {len(base_cases())} unmutated runs, {len(failed)} failing")
     for name, cases in (("config", config_cases()), ("file", file_cases())):
         t0 = time.perf_counter()
         codes, found = run_battery(cases)

@@ -29,7 +29,7 @@ from .model import (
     sinusoid_model,
 )
 from .moments import MomentSolution, H_value, cov_value, solve_moments
-from .simulate import PathGrid, SamplePathSet, simulate_blocks, simulate_ensemble, simulate_path
+from .simulate import PathGrid, SamplePathSet, simulate_blocks, simulate_ensemble
 from .observe import (
     ClippedLinearDesign,
     DesignConfig,

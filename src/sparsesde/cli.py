@@ -148,8 +148,8 @@ def _dispatch(args) -> int:
             results={
                 "rho2_hat": res.rho2_hat,
                 "rho2_floored": res.rho2_floored,
-                "h_m": res.h_m,
-                "h_G": res.h_G,
+                "h_m": res.mean_est.bandwidth,
+                "h_G": res.cov_est.bandwidth,
                 "mu_threshold": res.coeffs.mu_threshold,
                 "surface_fallback_cells": res.cov_est.fallback_cells,
             },

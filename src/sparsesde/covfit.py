@@ -80,7 +80,6 @@ class PairScatter:
     u: np.ndarray
     v: np.ndarray
     p: np.ndarray
-    includes_diagonal: bool = False
 
     @property
     def size(self) -> int:
@@ -109,7 +108,6 @@ def pair_scatter(obs: SparseObservations, include_diagonal: bool = False) -> Pai
         u=np.repeat(obs.t, reps),
         v=obs.t[rows_k],
         p=np.repeat(obs.y, reps) * obs.y[rows_k],
-        includes_diagonal=include_diagonal,
     )
 
 
@@ -137,7 +135,6 @@ class CovEstimate:
     degree: int
     bandwidth: float
     kernel: KernelSpec
-    eps_diag: float
     fallback_cells: int = 0  # cells refitted by fit_cov_at after the factorised solve
 
 
@@ -357,7 +354,6 @@ def fit_cov_grid(
     h = float(h_G)
     nt = eval_times.size
     iu = np.triu_indices(nt)
-    eps = DIAG_EPS_FACTOR * h
     lo, hi = _offset_cells(eval_times, h)
     if sums is None:
         sums = [surface_sums(obs, eval_times, d, h, kernel, offset) for offset in (False, True)]
@@ -410,7 +406,6 @@ def fit_cov_grid(
         degree=d,
         bandwidth=h,
         kernel=kernel,
-        eps_diag=eps,
         fallback_cells=int((~ok).sum()),
     )
 

@@ -80,6 +80,7 @@ from .model import (
     sinusoid_model,
 )
 from .moments import (
+    FD_STEP,
     H_value,
     MomentSolution,
     _fd_first,
@@ -191,7 +192,6 @@ _SCHEMA = {
         "params": ({}, dict, "an object"),
         "span": ([0.0, 1.0], _is_span, "[t0, t1] with t1 > t0"),
         "nu_K": (1.0, _positive, "a positive number"),
-        "jump_size_law": ("uniform[-1,1]", str, "a string"),
         "driver_variance_scale": (1.0, _positive, "a positive number"),
         "x0": ({"kind": "point", "value": 1.0}, dict, "an object"),
         "mu": (None, str | None, "an expression in t"),
@@ -420,9 +420,7 @@ def build_policy(cfg: ExperimentConfig) -> SeparationPolicy | None:
     pol = cfg.estimation["policy"]
     if pol is None:
         return None
-    return SeparationPolicy(
-        kind=pol["kind"], value=expression_function(pol["expr"]), label=pol["expr"]
-    )
+    return SeparationPolicy(kind=pol["kind"], value=expression_function(pol["expr"]))
 
 
 def _single_n(cfg: ExperimentConfig) -> int:
@@ -538,8 +536,6 @@ class EstimateResult:
     coeffs: CoefficientEstimate
     rho2_hat: float
     rho2_floored: bool
-    h_m: float
-    h_G: float
 
 
 def _outcomes(*steps) -> list:
@@ -596,7 +592,7 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
     mean_est, *drift = _ready(drift)
     cov_est, coeffs = _noise_stage(obs, st, drift, (_ready(grid_sums), _ready(offset_sums)))
     rho2, floored = noise_variance_estimate(obs, cov_est, st.kernel, lambda: _ready(smooth))
-    return EstimateResult(mean_est, cov_est, coeffs, rho2, floored, st.h_m, st.h_G)
+    return EstimateResult(mean_est, cov_est, coeffs, rho2, floored)
 
 
 def unit_truth(bundle: ModelBundle):
@@ -777,7 +773,9 @@ def run_bootstrap(
     widened bandwidths, as `bootstrap.point_estimates` widens them, or
     fails; one whose |m_hat| falls below the drift threshold is skipped.
     The reported point estimate comes from `point_estimates` on the
-    original data.  The centre q_0 is the identity resample (all curves
+    original data.  Both the point and the resamples separate the diagonal
+    route to s, max(dD - 2 mu D, 0), whatever `estimation.separation_source`
+    says: a known gap.  The centre q_0 is the identity resample (all curves
     once), row 0 of the gathered draws, so equal resamples give exactly
     zero BMSE.  Requires at least 80% of resamples to succeed.
     """
@@ -852,7 +850,6 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
         return float(sigma2_true(t) + nu_for_target * xi2_true(t))
 
     checks: list[tuple[str, float, float, bool]] = []
-    fd = 1e-4
     fd_edge = 2.0 * float(grid[1] - grid[0])
     ts = np.round(np.arange(0.0, 0.9 + 1e-9, 0.05), 10)
     tol = 1e-4
@@ -860,15 +857,15 @@ def run_oracle_check(cfg: ExperimentConfig, mc: bool = True) -> OracleReport:
     for t in ts:
         t = float(t)
         diag = _fd_first(
-            lambda x: float(sol.second_moment_at(x)), t, fd, grid[0], grid[-1], fd_edge
+            lambda x: float(sol.second_moment_at(x)), t, FD_STEP, grid[0], grid[-1], fd_edge
         )
         diag -= 2.0 * float(sol.coeffs.mu(np.asarray([t]))[0]) * float(sol.second_moment_at(t))
         tau = min(t + 0.05, 1.0)
-        dsG = _fd_first(lambda x: float(cov_value(sol, x, tau)), t, fd, grid[0], tau, fd_edge)
+        dsG = _fd_first(lambda x: float(cov_value(sol, x, tau)), t, FD_STEP, grid[0], tau, fd_edge)
         tri = math.exp(-float(sol.drift_integral(t, tau))) * dsG - float(
             sol.coeffs.mu(np.asarray([t]))[0]
         ) * float(sol.second_moment_at(t))
-        avg = H_value(sol, t, fd)
+        avg = H_value(sol, t)
         worst["diag_vs_tri"] = max(worst["diag_vs_tri"], abs(diag - tri))
         worst["diag_vs_avg"] = max(worst["diag_vs_avg"], abs(diag - avg))
         worst["tri_vs_avg"] = max(worst["tri_vs_avg"], abs(tri - avg))

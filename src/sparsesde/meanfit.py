@@ -36,6 +36,7 @@ from .observe import SparseObservations
 # bounded bandwidth widening for sparse windows
 WIDEN_FACTOR = 1.5
 MAX_WIDEN = 5
+_MAX_FLAGGED = 0.2  # share of grid points `fit_mean_curve` may flag
 
 _COND_LIMIT = 1e12
 # a batched condition check takes the SVD only of the matrices whose
@@ -276,14 +277,13 @@ def fit_mean_curve(
     d: int = 2,
     h_m: float | None = None,
     kernel: KernelSpec = EPANECHNIKOV,
-    max_flagged_frac: float = 0.2,
 ) -> MeanEstimate:
     """Mean fit over a whole grid; fails if > 20% of points are flagged."""
     eval_grid = np.asarray(eval_grid, dtype=float)
     if h_m is None:
         h_m = default_bandwidth_mean(obs, d)
     m, dm, flags = fit_mean_points(obs, eval_grid, d, h_m, kernel)
-    if flags.mean() > max_flagged_frac:
+    if flags.mean() > _MAX_FLAGGED:
         raise EstimationFailedError(
             f"{int(flags.sum())}/{flags.size} mean fit points failed"
         )

@@ -90,14 +90,13 @@ def solve_moments(
     m0: float,
     D0: float,
     grid: np.ndarray | None = None,
-    step: float = DEFAULT_STEP,
 ) -> MomentSolution:
-    """Bundle mean, second moment and the cumulative drift integral."""
+    """Mean, second moment and cumulative drift integral on grid (default: span, step 1e-3)."""
     nu_K = levy.nu_K if isinstance(levy, LevyConfig) else float(levy)
     if D0 < m0**2:
         raise ValidationError("D0 must be >= m0^2")
     if grid is None:
-        grid = _uniform_grid(coeffs.span[0], coeffs.span[1], step)
+        grid = _uniform_grid(coeffs.span[0], coeffs.span[1], DEFAULT_STEP)
     grid = np.asarray(grid, dtype=float)
     # an overflowing solution is caught by validate() below, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,11 +138,7 @@ def _fd_first(f, x: float, h: float, lo: float, hi: float, h_edge: float | None 
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def H_value(
-    solution: MomentSolution,
-    t: float,
-    fd_step: float = FD_STEP,
-) -> float:
+def H_value(solution: MomentSolution, t: float) -> float:
     """Averaged-identity value of the noise sum at t.
 
     Averages exp(-int_t^tau mu) dG/ds(t, tau) over tau in (t, 1], then
@@ -152,9 +147,9 @@ def H_value(
     finite differences plus trapezoid keeps this routine an independent
     check rather than a restatement of the coefficient functions.
 
-    The tau range starts at t + 2*fd_step so the difference stencil never
-    crosses the diagonal; near t = 1 the shrinking interval is still
-    averaged over at least two nodes.
+    The difference stencil has step FD_STEP; the tau range starts at
+    t + 2*FD_STEP so it never crosses the diagonal; near t = 1 the
+    shrinking interval is still averaged over at least two nodes.
     """
     grid = solution.grid
     t = float(t)
@@ -163,8 +158,8 @@ def H_value(
         raise ValidationError(f"t={t} outside [{grid[0]}, {t1})")
     # one-sided stencils must span whole interpolation cells to see the
     # solution's curvature rather than one linear segment
-    h_edge = max(fd_step, 2.0 * (grid[1] - grid[0]))
-    h = h_edge if t - fd_step < grid[0] else fd_step
+    h_edge = max(FD_STEP, 2.0 * (grid[1] - grid[0]))
+    h = h_edge if t - FD_STEP < grid[0] else FD_STEP
     lo = t + 2.0 * h + 1e-12
     if lo >= t1:
         raise ValidationError(f"t={t} too close to {t1} for the averaging stencil")
@@ -172,7 +167,7 @@ def H_value(
     taus = np.concatenate(([lo], taus)) if taus.size else np.array([lo, t1])
     if taus.size < 2:
         taus = np.array([lo, 0.5 * (lo + t1), t1])
-    ds = _fd_first(lambda x: cov_value(solution, x, taus), t, fd_step, grid[0], t1, h_edge)
+    ds = _fd_first(lambda x: cov_value(solution, x, taus), t, FD_STEP, grid[0], t1, h_edge)
     integrand = np.exp(-solution.drift_integral(t, taus)) * ds
     avg = np.trapezoid(integrand, taus) / (taus[-1] - taus[0])
     mu_t = float(solution.coeffs.mu(np.asarray([t]))[0])

@@ -54,7 +54,6 @@ class SeparationPolicy:
 
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in _POLICY_KINDS:

@@ -13,7 +13,8 @@ integral increment.
 Reproducibility: an ensemble derives one uint64 seed per path from the
 master seed via SeedSequence, plus a separate stream for initial values.
 Path i's normals and counts are exactly what np.random.default_rng(seed_i)
-draws, so any path can be regenerated bit-for-bit in isolation.  All PCG64
+draws, so any path can be regenerated bit-for-bit in isolation, as a
+one-path `simulate_ensemble` given its (seed, x0) as `draws`.  All PCG64
 states come from one vectorised pass (_path_states), loaded in turn into one
 generator (_PathStreams).  Path i draws its normals into row i of the result,
 then its Poisson counts, keeping the nonzero ones.
@@ -286,19 +287,6 @@ def _euler_core(
         step = int(np.argmax(bad.any(axis=0)))
         raise SimulationDivergedError(step=step, path=int(np.argmax(bad[:, step])))
     return values
-
-
-def simulate_path(
-    coeffs: CoefficientSet, levy: LevyConfig, grid: PathGrid, x0: float, seed: int
-) -> np.ndarray:
-    """One path on the grid; returns steps+1 values starting at x0.
-
-    seed is an integer in [0, 2**64), the same word an ensemble gives a path.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    _check_span(coeffs, grid)
-    return _euler_core(coeffs, levy, grid, float(x0), [seed])[0]
 
 
 def ensemble_draws(x0_law, n: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:

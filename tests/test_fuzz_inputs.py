@@ -19,3 +19,8 @@ def test_sampled_fuzz_cases_show_no_defect(battery, k):
     codes, found = fuzz.run_battery(fuzz.draw(cases, k, seed=20))
     assert found == []
     assert codes[0] > 0 and codes[2] > 0  # the sample runs commands through, and rejects inputs
+
+
+def test_every_base_config_runs_unmutated():
+    # a base that cannot run would leave its mutations testing only that it cannot
+    assert fuzz.base_failures() == []

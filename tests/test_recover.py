@@ -76,12 +76,11 @@ def cov_from_oracle(sol, grid, noise_sum):
         degree=1,
         bandwidth=0.1,
         kernel=EPANECHNIKOV,
-        eps_diag=1e-4,
     )
 
 
 def ref_solution():
-    return solve_moments(REF, REF_NU, 1.0, 1.0, step=1e-3)
+    return solve_moments(REF, REF_NU, 1.0, 1.0)
 
 
 def flat_mean_estimate(m, dm=None, flags=None):
@@ -166,7 +165,7 @@ def test_oracle_closure_both_routes_recover_noise_sum():
 
 def test_estimate_H_zero_noise_is_zero():
     quiet = constant_model(-1.0, 0.0, 0.0)
-    sol = solve_moments(quiet, 1.0, 1.0, 1.0, step=1e-3)
+    sol = solve_moments(quiet, 1.0, 1.0, 1.0)
     mean_est = mean_from_oracle(sol, GRID)
     cov_est = cov_from_oracle(sol, GRID, 0.0)
     mu, _, _ = estimate_drift(mean_est)

@@ -19,7 +19,6 @@ from sparsesde import (
     ValidationError,
     constant_model,
     simulate_ensemble,
-    simulate_path,
     sinusoid_model,
 )
 from sparsesde import harness, simulate
@@ -60,6 +59,12 @@ def _reference_rows(coeffs, levy, grid, x0, seeds):
     return rows, N
 
 
+def _path(coeffs, levy, grid, x0, seed):
+    """The path of seed word `seed` from x0, regenerated alone as a one-path ensemble."""
+    draws = (np.array([seed], dtype=np.uint64), np.array([x0], dtype=float))
+    return simulate_ensemble(coeffs, levy, grid, PointMass(x0), 1, 0, draws=draws).values[0]
+
+
 def _reference_ensemble(coeffs, levy, grid, x0_law, n, master_seed):
     """The ensemble's seed contract over the oracle: returns (rows, seeds, counts)."""
     seeds = np.random.SeedSequence([master_seed, 0]).generate_state(n, dtype=np.uint64)
@@ -86,7 +91,7 @@ def test_ensemble_matches_column_layout_oracle(n, steps, law, nu_K):
     if nu_K == 500.0 and n == 400:
         assert counts.max() >= 2
         assert np.mean(counts.any(axis=1)) > 0.9
-    x = simulate_path(c, levy, grid, float(rows[0, 0]), seed=int(seeds[0]))
+    x = _path(c, levy, grid, float(rows[0, 0]), seed=int(seeds[0]))
     assert np.array_equal(x, rows[:, 0])
 
 
@@ -226,16 +231,10 @@ def test_oracle_ensembles_take_both_sampler_routes(nu_K, replayed, replay_calls)
     assert len(replay_calls) == (4 if replayed else 0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
-def test_malformed_path_seed_rejected(seed):
-    with pytest.raises(ValidationError):
-        simulate_path(sinusoid_model(), LEVY1, PathGrid(0.0, 1.0, 10), 1.0, seed=seed)
-
-
 def test_path_seed_range_ends_accepted():
     grid = PathGrid(0.0, 1.0, 10)
     for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
-        x = simulate_path(sinusoid_model(), LEVY1, grid, 1.0, seed=seed)
+        x = _path(sinusoid_model(), LEVY1, grid, 1.0, seed=seed)
         ref, _ = _reference_rows(sinusoid_model(), LEVY1, grid, np.array([1.0]), [seed])
         assert np.array_equal(x, ref[:, 0])
 
@@ -300,13 +299,13 @@ def test_buffer_shorter_than_a_block_is_rejected(monkeypatch):
 
 def test_noiseless_ode_limit():
     c = constant_model(-1.0, 0.0, 0.0)
-    x = simulate_path(c, LEVY1, PathGrid(0.0, 1.0, 10_000), 1.0, seed=1)
+    x = _path(c, LEVY1, PathGrid(0.0, 1.0, 10_000), 1.0, seed=1)
     assert abs(x[-1] - math.exp(-1.0)) < 1e-3
 
 
 def test_zero_dynamics_constant_path():
     c = constant_model(0.0, 0.0, 0.0)
-    x = simulate_path(c, LEVY1, PathGrid(0.0, 1.0, 100), 3.25, seed=2)
+    x = _path(c, LEVY1, PathGrid(0.0, 1.0, 100), 3.25, seed=2)
     npt.assert_array_equal(x, 3.25)
 
 
@@ -315,7 +314,7 @@ def test_euler_error_halves_with_step():
     c = constant_model(-1.0, 0.0, 0.0)
     errs = []
     for steps in (2000, 4000):
-        x = simulate_path(c, LEVY1, PathGrid(0.0, 1.0, steps), 1.0, seed=3)
+        x = _path(c, LEVY1, PathGrid(0.0, 1.0, steps), 1.0, seed=3)
         errs.append(abs(x[-1] - math.exp(-1.0)))
     ratio = errs[1] / errs[0]
     assert 0.45 < ratio < 0.55
@@ -336,7 +335,7 @@ def test_ensemble_row_equals_single_path():
     grid = PathGrid(0.0, 1.0, 150)
     ens = simulate_ensemble(c, LEVY1, grid, PointMass(1.0), 5, master_seed=11)
     for i in (0, 2, 4):
-        x = simulate_path(c, LEVY1, grid, 1.0, seed=int(ens.seeds[i]))
+        x = _path(c, LEVY1, grid, 1.0, seed=int(ens.seeds[i]))
         npt.assert_array_equal(ens.values[i], x)
 
 
@@ -401,7 +400,7 @@ def _first_nonfinite(rows):
 def test_divergence_reports_step():
     c = constant_model(1e4, 0.0, 0.0)
     with pytest.raises(SimulationDivergedError) as exc:
-        simulate_path(c, LEVY1, PathGrid(0.0, 1.0, 1000), 1.0, seed=29)
+        _path(c, LEVY1, PathGrid(0.0, 1.0, 1000), 1.0, seed=29)
     rows, _ = _reference_rows(c, LEVY1, PathGrid(0.0, 1.0, 1000), np.array([1.0]), [29])
     assert (exc.value.step, exc.value.path) == _first_nonfinite(rows)
 
@@ -428,13 +427,13 @@ def test_divergence_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SimulationDivergedError):
-            simulate_path(constant_model(1e4, 0.0, 0.0), LEVY1, PathGrid(0.0, 1.0, 1000), 1.0, 29)
+            _path(constant_model(1e4, 0.0, 0.0), LEVY1, PathGrid(0.0, 1.0, 1000), 1.0, 29)
 
 
 def test_span_mismatch_rejected():
     c = constant_model(-1.0, 0.0, 0.0, span=(0.0, 0.5))
     with pytest.raises(ValidationError):
-        simulate_path(c, LEVY1, PathGrid(0.0, 1.0, 10), 1.0, seed=1)
+        _path(c, LEVY1, PathGrid(0.0, 1.0, 10), 1.0, seed=1)
     with pytest.raises(ValidationError):
         simulate_ensemble(c, LEVY1, PathGrid(0.0, 1.0, 10), PointMass(1.0), 0, 1)
 
