@@ -51,6 +51,7 @@ from .kernels import EPANECHNIKOV, KernelSpec
 from .meanfit import (
     MAX_WIDEN,
     WIDEN_FACTOR,
+    _MAX_FLAGGED,
     _WINDOW_MARGIN,
     _clamped_bandwidth,
     _features,
@@ -86,8 +87,8 @@ class PairScatter:
         return self.u.size
 
 
-def pair_scatter(obs: SparseObservations, include_diagonal: bool = False) -> PairScatter:
-    """All ordered within-curve pairs; j = k products only on request.
+def pair_scatter(obs: SparseObservations) -> PairScatter:
+    """All ordered within-curve pairs j != k.
 
     Curve by curve, the pairs (j, k) run over j, then k, in row order.
     """
@@ -99,11 +100,10 @@ def pair_scatter(obs: SparseObservations, include_diagonal: bool = False) -> Pai
     start = np.cumsum(reps) - reps
     rows_k = np.arange(int(reps.sum()))
     rows_k -= np.repeat(start - first, reps)
-    if not include_diagonal:
-        keep = np.ones(rows_k.size, dtype=bool)
-        keep[start + np.arange(obs.total) - first] = False
-        rows_k = rows_k[keep]
-        reps = reps - 1
+    keep = np.ones(rows_k.size, dtype=bool)
+    keep[start + np.arange(obs.total) - first] = False  # drop k = j
+    rows_k = rows_k[keep]
+    reps -= 1
     return PairScatter(
         u=np.repeat(obs.t, reps),
         v=obs.t[rows_k],
@@ -132,9 +132,7 @@ class CovEstimate:
     D_hat: np.ndarray
     dD_hat: np.ndarray
     diag_flags: np.ndarray
-    degree: int
     bandwidth: float
-    kernel: KernelSpec
     fallback_cells: int = 0  # cells refitted by fit_cov_at after the factorised solve
 
 
@@ -149,8 +147,8 @@ def fit_cov_at(
     scatter: PairScatter,
     s: float,
     t: float,
-    d: int = 1,
-    h_G: float | None = None,
+    d: int,
+    h_G: float,
     kernel: KernelSpec = EPANECHNIKOV,
 ) -> tuple[float, float, float]:
     """Surface fit at one point; returns (G_hat, dsG_hat, dtG_hat).
@@ -161,8 +159,6 @@ def fit_cov_at(
     """
     if d < 1:
         raise ValidationError("need degree >= 1 for surface derivatives")
-    if h_G is None:
-        raise ValidationError("h_G is required at this level")
     if h_G <= 0:
         raise ValidationError("bandwidth must be positive")
     expo = _monomial_exponents(d)
@@ -193,8 +189,8 @@ def fit_cov_at(
 def fit_diag(
     scatter: PairScatter,
     t: float,
-    d: int = 1,
-    h_G: float | None = None,
+    d: int,
+    h_G: float,
     kernel: KernelSpec = EPANECHNIKOV,
 ) -> tuple[float, float]:
     """Diagonal level and derivative: (D_hat(t), dD_hat(t)).
@@ -203,8 +199,6 @@ def fit_diag(
     first partials, dD = dsG + dtG, evaluated at (t - eps, t + eps) with
     eps = 1e-3 * h_G, a hair inside the triangle.
     """
-    if h_G is None or h_G <= 0:
-        raise ValidationError("need a positive h_G")
     lo, hi = map(float, _offset_cells(t, h_G))
     D, _, _ = fit_cov_at(scatter, t, t, d, h_G, kernel)
     _, dsG, dtG = fit_cov_at(scatter, lo, hi, d, h_G, kernel)
@@ -331,10 +325,9 @@ def surface_sums(obs, eval_times, d, h, kernel=EPANECHNIKOV, offset=False):
 def fit_cov_grid(
     obs: SparseObservations,
     eval_times: np.ndarray,
-    d: int = 1,
-    h_G: float | None = None,
+    d: int,
+    h_G: float,
     kernel: KernelSpec = EPANECHNIKOV,
-    max_flagged_frac: float = 0.2,
     sums: tuple | None = None,
 ) -> CovEstimate:
     """Fit the surface on every grid pair s <= t plus the diagonal arrays.
@@ -347,8 +340,6 @@ def fit_cov_grid(
     if d < 1:
         raise ValidationError("need degree >= 1 for surface derivatives")
     eval_times = np.asarray(eval_times, dtype=float)
-    if h_G is None:
-        h_G = default_bandwidth_cov(obs, d)
     if h_G <= 0:
         raise ValidationError("bandwidth must be positive")
     h = float(h_G)
@@ -392,7 +383,7 @@ def fit_cov_grid(
     dD_hat = diag_fits[:, 1] + diag_fits[:, 2]
 
     n_bad = int(failed[:ncell].sum())
-    if n_bad > max_flagged_frac * ncell:
+    if n_bad > _MAX_FLAGGED * ncell:
         raise EstimationFailedError(f"{n_bad}/{ncell} surface cells failed")
     return CovEstimate(
         eval_times=eval_times,
@@ -403,9 +394,7 @@ def fit_cov_grid(
         D_hat=D_hat,
         dD_hat=dD_hat,
         diag_flags=diag_flags,
-        degree=d,
         bandwidth=h,
-        kernel=kernel,
         fallback_cells=int((~ok).sum()),
     )
 
@@ -445,8 +434,7 @@ def replace_responses(obs: SparseObservations, new_y: np.ndarray) -> SparseObser
 def noise_variance_estimate(
     obs: SparseObservations,
     cov_est: CovEstimate,
-    kernel: KernelSpec = EPANECHNIKOV,
-    smooth=None,
+    smooth,
 ) -> tuple[float, bool]:
     """Measurement noise variance rho^2 and a flag marking a zero floor.
 
@@ -455,14 +443,15 @@ def noise_variance_estimate(
     taken over all observation times, estimates rho^2.  Averages that are
     negative, or no larger than the rounding of the two smooths
     (`_NOISE_FLOOR_RTOL` times their mean level), are floored at zero and
-    flagged: noiseless data land there with either sign.  `smooth()`, where
-    given, returns the smooth of Y^2 on the grid taken already.
+    flagged: noiseless data land there with either sign.  `smooth()` returns
+    the smooth of Y^2 on the grid (`fit_diagonal_inclusive`); it is called
+    only once the diagonal fit has passed its check.
     """
     grid = cov_est.eval_times
     ok = ~cov_est.diag_flags
     if ok.sum() < 2:
         raise EstimationFailedError("too few diagonal values for noise estimate")
-    V = fit_diagonal_inclusive(obs, grid, h=None, kernel=kernel) if smooth is None else smooth()
+    V = smooth()
     V_at = np.interp(obs.t, grid, V)
     D_at = np.interp(obs.t, grid[ok], cov_est.D_hat[ok])
     rho2 = float(np.mean(V_at - D_at))

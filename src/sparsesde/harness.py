@@ -62,7 +62,7 @@ from .errors import (
     SparseSdeError,
     ValidationError,
 )
-from .kernels import KernelSpec, kernel_by_name
+from .kernels import _BY_NAME, KernelSpec, kernel_by_name
 from .meanfit import (
     MeanEstimate,
     default_bandwidth_mean,
@@ -88,6 +88,7 @@ from .moments import (
     solve_moments,
 )
 from .observe import (
+    _NOISE_KINDS,
     ClippedLinearDesign,
     DesignConfig,
     SparseObservations,
@@ -203,7 +204,7 @@ _SCHEMA = {
         "r": _count(10, 2, 10**6),
         "noise_sd": (0.1, _nonneg, "a number >= 0"),
         "design_law": ({"kind": "uniform"}, dict, "an object"),
-        "noise_law": _choice("gaussian", "uniform"),
+        "noise_law": _choice(*_NOISE_KINDS),
     },
     "estimation": {
         "d_mean": _count(2, 1, 10),
@@ -211,7 +212,7 @@ _SCHEMA = {
         "h_m": ("auto", _auto_or_positive, "'auto' or a positive number"),
         "h_G": ("auto", _auto_or_positive, "'auto' or a positive number"),
         "epsilon": (0.1, _in_unit, "a number in (0, 1)"),
-        "kernel": _choice("epanechnikov", "gaussian-truncated"),
+        "kernel": _choice(*_BY_NAME),
         "eval_points": _count(51, 5, 10**4),
         "mu_threshold": ("auto", _auto_or_positive, "'auto' or a positive number"),
         "separation_source": _choice("tri", "diag"),
@@ -514,7 +515,7 @@ def _noise_stage(
     cov_est = fit_cov_grid(obs, st.grid, st.d_cov, st.h_G, st.kernel, sums=sums)
     s_diag, s_tri, flags = estimate_total_noise(st.grid, mu_hat, cov_est, st.epsilon)
     coeffs = CoefficientEstimate(
-        st.grid, mu_hat, region_A, s_diag, s_tri, sigma2_hat=None, xi2_hat=None,
+        st.grid, mu_hat, s_diag, s_tri, sigma2_hat=None, xi2_hat=None,
         flags={"excluded": ~region_A, **flags}, mu_threshold=threshold,
     )
     if st.policy is not None:
@@ -591,7 +592,7 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
     (drift, grid_sums), (offset_sums, smooth) = found["grid"], found["offset"]
     mean_est, *drift = _ready(drift)
     cov_est, coeffs = _noise_stage(obs, st, drift, (_ready(grid_sums), _ready(offset_sums)))
-    rho2, floored = noise_variance_estimate(obs, cov_est, st.kernel, lambda: _ready(smooth))
+    rho2, floored = noise_variance_estimate(obs, cov_est, lambda: _ready(smooth))
     return EstimateResult(mean_est, cov_est, coeffs, rho2, floored)
 
 
@@ -750,7 +751,6 @@ class BootstrapResult:
     n_success: int
     point: dict[str, float]  # keyed in the order of `bootstrap.KEYS`
     bmse: dict[str, float]
-    used: np.ndarray        # bool per resample: produced estimates
     fallback: int           # resamples whose windows widened past h_m or h_G
 
 
@@ -815,7 +815,6 @@ def run_bootstrap(
         n_success=n_success,
         point=point,
         bmse=bmse,
-        used=used[1:],
         fallback=int(fallback[1:].sum()),
     )
 

@@ -3,8 +3,9 @@
 The mean curve and its derivative are read off a weighted least squares fit
 of Y on powers of (T - t) inside a kernel window: the intercept estimates
 m(t) and the linear coefficient estimates m'(t) directly, because the basis
-uses raw centred powers rather than an orthogonalised system.  Degree 2 is
-the default so the first derivative is not bias-limited at curve ends.
+uses raw centred powers rather than an orthogonalised system.  The
+config's degree 2 (`estimation.d_mean`) keeps the first derivative from
+being bias-limited at curve ends.
 
 `fit_mean_points` fits a whole grid at once.  In the time-sorted data each
 centre's window is one segment of rows; one `np.add.reduceat` per block of
@@ -36,7 +37,7 @@ from .observe import SparseObservations
 # bounded bandwidth widening for sparse windows
 WIDEN_FACTOR = 1.5
 MAX_WIDEN = 5
-_MAX_FLAGGED = 0.2  # share of grid points `fit_mean_curve` may flag
+_MAX_FLAGGED = 0.2  # share of points (`fit_mean_curve`) or cells (`fit_cov_grid`) a fit may flag
 
 _COND_LIMIT = 1e12
 # a batched condition check takes the SVD only of the matrices whose
@@ -101,9 +102,7 @@ class MeanEstimate:
     m_hat: np.ndarray
     dm_hat: np.ndarray
     flags: np.ndarray  # bool, True = failed
-    degree: int
     bandwidth: float
-    kernel: KernelSpec
 
 
 def default_bandwidth_mean(obs: SparseObservations, d: int = 2) -> float:
@@ -132,8 +131,8 @@ def _clamped_bandwidth(obs: SparseObservations, c: float, rate: float) -> float:
 def fit_mean_at(
     obs: SparseObservations,
     t: float,
-    d: int = 2,
-    h_m: float | None = None,
+    d: int,
+    h_m: float,
     kernel: KernelSpec = EPANECHNIKOV,
 ) -> tuple[float, float]:
     """Local polynomial fit of the mean at a single point.
@@ -144,8 +143,6 @@ def fit_mean_at(
     """
     if d < 1:
         raise ValidationError("need degree >= 1 to report a derivative")
-    if h_m is None:
-        h_m = default_bandwidth_mean(obs, d)
     if h_m <= 0:
         raise ValidationError("bandwidth must be positive")
     T, Y = obs.t, obs.y
@@ -274,14 +271,12 @@ def fit_mean_points(
 def fit_mean_curve(
     obs: SparseObservations,
     eval_grid: np.ndarray,
-    d: int = 2,
-    h_m: float | None = None,
+    d: int,
+    h_m: float,
     kernel: KernelSpec = EPANECHNIKOV,
 ) -> MeanEstimate:
     """Mean fit over a whole grid; fails if > 20% of points are flagged."""
     eval_grid = np.asarray(eval_grid, dtype=float)
-    if h_m is None:
-        h_m = default_bandwidth_mean(obs, d)
     m, dm, flags = fit_mean_points(obs, eval_grid, d, h_m, kernel)
     if flags.mean() > _MAX_FLAGGED:
         raise EstimationFailedError(
@@ -292,7 +287,5 @@ def fit_mean_curve(
         m_hat=m,
         dm_hat=dm,
         flags=flags,
-        degree=d,
         bandwidth=float(h_m),
-        kernel=kernel,
     )

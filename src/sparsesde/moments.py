@@ -53,8 +53,6 @@ class MomentSolution:
     M: np.ndarray
     coeffs: CoefficientSet
     nu_K: float
-    m0: float
-    D0: float
 
     def mean_at(self, t) -> np.ndarray:
         return np.interp(t, self.grid, self.m)
@@ -92,7 +90,7 @@ def solve_moments(
     grid: np.ndarray | None = None,
 ) -> MomentSolution:
     """Mean, second moment and cumulative drift integral on grid (default: span, step 1e-3)."""
-    nu_K = levy.nu_K if isinstance(levy, LevyConfig) else float(levy)
+    nu_K = (levy if isinstance(levy, LevyConfig) else LevyConfig(float(levy))).nu_K
     if D0 < m0**2:
         raise ValidationError("D0 must be >= m0^2")
     if grid is None:
@@ -105,9 +103,7 @@ def solve_moments(
         # D' = 2 mu D + sigma^2 + nu_K xi^2 by integrating factor
         forcing = coeffs.sigma(grid) ** 2 + nu_K * coeffs.xi(grid) ** 2
         D = np.exp(2.0 * M) * (D0 + cumulative_trapezoid(np.exp(-2.0 * M) * forcing, grid))
-    sol = MomentSolution(
-        grid=grid, m=m, D=D, M=M, coeffs=coeffs, nu_K=nu_K, m0=m0, D0=D0
-    )
+    sol = MomentSolution(grid=grid, m=m, D=D, M=M, coeffs=coeffs, nu_K=nu_K)
     sol.validate()
     return sol
 

@@ -37,8 +37,6 @@ _CURVE_BLOCK = 256
 class UniformDesign:
     """Uniform design density on [0, 1]; `sample(rng, k * r)` is k `sample(rng, r)` calls."""
 
-    min_density = 1.0
-
     def sample(self, rng: np.random.Generator, r: int) -> np.ndarray:
         return rng.random(r)
 
@@ -56,7 +54,6 @@ class ClippedLinearDesign:
             raise ValidationError("floor must lie in (0, 2]")
         self.floor = float(floor)
         self._Z = 1.0 + self.floor**2 / 4.0
-        self.min_density = self.floor / self._Z
 
     def sample(self, rng: np.random.Generator, r: int) -> np.ndarray:
         q = rng.random(r)

@@ -64,14 +64,13 @@ class SeparationPolicy:
 class CoefficientEstimate:
     """Recovered coefficients on an evaluation grid.
 
-    mu_hat is zero (and excluded from region_A) where the fitted mean is
-    below threshold.  Triangular quantities are NaN beyond 1 - epsilon.
-    Flag arrays record floored values and trimmed grid points.
+    mu_hat is zero (and flagged 'excluded') outside region A, where the
+    fitted mean is below threshold.  Triangular quantities are NaN beyond
+    1 - epsilon.  Flag arrays record floored values and trimmed grid points.
     """
 
     eval_grid: np.ndarray
     mu_hat: np.ndarray
-    region_A: np.ndarray
     s_diag: np.ndarray
     s_tri: np.ndarray
     sigma2_hat: np.ndarray | None

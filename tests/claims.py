@@ -22,6 +22,7 @@ from sparsesde import (
     PathGrid,
     PointMass,
     constant_model,
+    default_bandwidth_cov,
     fit_cov_grid,
     fit_diagonal_inclusive,
     observe,
@@ -67,7 +68,7 @@ def measure_c4(seed: int) -> dict:
     paths = simulate_ensemble(*model, PointMass(1.0), 400, seed)
     obs = observe(paths, DesignConfig(r=10, noise_sd=0.5), seed=seed)
     grid = np.linspace(0.0, 1.0, 21)
-    cov = fit_cov_grid(obs, grid)
+    cov = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
     interior = (grid >= 0.1) & (grid <= 0.9)
     incl = fit_diagonal_inclusive(obs, grid[interior], h=cov.bandwidth)
     return {

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line entry points."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -747,3 +748,22 @@ def test_estimate_wide_without_id_column(tmp_path):
 def test_malformed_wide_file_exits_2_naming_the_line(tmp_path, capsys, text, line):
     assert _wide_run(tmp_path, text) == 2
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def _perfbench_module(monkeypatch, name):
+    """`perfbench/<name>.py` loaded from that directory, as the benchmark loads it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_finds_every_name_it_pins(monkeypatch):
+    """The benchmark's trace targets and imports all resolve in the package: a
+    target that goes missing only drops its per-layer metrics, with a note."""
+    tracing = _perfbench_module(monkeypatch, "tracing")
+    with tracing.Tracer().installed() as missing:
+        assert missing == []
+    assert _perfbench_module(monkeypatch, "workloads").WORKLOADS

@@ -62,12 +62,9 @@ def test_pair_scatter_counts_and_values():
     assert sc.size == 2  # both orientations of the single off-diagonal pair
     npt.assert_array_equal(np.sort(sc.u), [0.2, 0.8])
     npt.assert_array_equal(sc.p, [6.0, 6.0])
-    with_diag = pair_scatter(obs, include_diagonal=True)
-    assert with_diag.size == 4
-    assert np.sum(with_diag.p) == pytest.approx(6.0 + 6.0 + 4.0 + 9.0)
 
 
-def _loop_pair_scatter(obs, include_diagonal):
+def _loop_pair_scatter(obs):
     """Curve-by-curve reference for pair_scatter: (u, v, p) arrays."""
     us, vs, ps = [], [], []
     for sl in curve_slices(obs):
@@ -75,24 +72,23 @@ def _loop_pair_scatter(obs, include_diagonal):
         r = T.size
         for j in range(r):
             for k in range(r):
-                if include_diagonal or j != k:
+                if j != k:
                     us.append(T[j])
                     vs.append(T[k])
                     ps.append(Y[j] * Y[k])
     return np.array(us), np.array(vs), np.array(ps)
 
 
-@pytest.mark.parametrize("include_diagonal", [False, True])
-def test_pair_scatter_matches_loop_reference(rng, include_diagonal):
+def test_pair_scatter_matches_loop_reference(rng):
     sizes = [2, 7, 3, 2, 11, 5]
     obs = make_obs([(np.sort(rng.random(r)), rng.standard_normal(r)) for r in sizes])
-    sc = pair_scatter(obs, include_diagonal)
-    u, v, p = _loop_pair_scatter(obs, include_diagonal)
+    sc = pair_scatter(obs)
+    u, v, p = _loop_pair_scatter(obs)
     # same elements in the same order, bit for bit
     npt.assert_array_equal(sc.u, u)
     npt.assert_array_equal(sc.v, v)
     npt.assert_array_equal(sc.p, p)
-    assert sc.size == sum(r * r if include_diagonal else r * (r - 1) for r in sizes)
+    assert sc.size == sum(r * (r - 1) for r in sizes)
 
 
 def test_pair_scatter_stays_within_curve():
@@ -129,8 +125,8 @@ def test_fit_is_symmetric_under_argument_swap(rng):
     t = np.sort(rng.random(8))
     obs = make_obs([(t, rng.standard_normal(8) + 2.0) for _ in range(40)])
     sc = pair_scatter(obs)
-    G1, ds1, dt1 = fit_cov_at(sc, 0.3, 0.6, h_G=0.25)
-    G2, ds2, dt2 = fit_cov_at(sc, 0.6, 0.3, h_G=0.25)
+    G1, ds1, dt1 = fit_cov_at(sc, 0.3, 0.6, 1, 0.25)
+    G2, ds2, dt2 = fit_cov_at(sc, 0.6, 0.3, 1, 0.25)
     assert G1 == pytest.approx(G2, rel=1e-9)
     assert ds1 == pytest.approx(dt2, rel=1e-9)
     assert dt1 == pytest.approx(ds2, rel=1e-9)
@@ -143,7 +139,7 @@ def test_constant_curves_give_flat_surface(rng):
         curves.append((t, np.full(4, 2.0)))
     obs = make_obs(curves)
     grid = np.linspace(0.1, 0.9, 5)
-    est = fit_cov_grid(obs, grid, h_G=0.3)
+    est = fit_cov_grid(obs, grid, 1, 0.3)
     iu = np.triu_indices(5)
     npt.assert_allclose(est.G2[iu], 4.0, atol=1e-8)
     npt.assert_allclose(est.D_hat, 4.0, atol=1e-8)
@@ -159,28 +155,26 @@ def test_surface_scale_equivariance(rng):
     ys = [rng.standard_normal(6) + 1.5 for _ in range(25)]
     obs1 = make_obs([(t, y) for y in ys])
     obs3 = make_obs([(t, 3.0 * y) for y in ys])
-    a = fit_cov_at(pair_scatter(obs1), 0.4, 0.7, h_G=0.3)
-    b = fit_cov_at(pair_scatter(obs3), 0.4, 0.7, h_G=0.3)
+    a = fit_cov_at(pair_scatter(obs1), 0.4, 0.7, 1, 0.3)
+    b = fit_cov_at(pair_scatter(obs3), 0.4, 0.7, 1, 0.3)
     npt.assert_allclose(b, 9.0 * np.asarray(a), rtol=1e-9)
 
 
 def test_fit_linear_in_single_observation(rng):
     """Perturbing one Y enters every retained product linearly, so the
-    second difference of the fit in the perturbation vanishes; including
-    same-index products would add a quadratic term."""
+    second difference of the fit in the perturbation vanishes; same-index
+    products, which the scatter leaves out, would add a quadratic term."""
     t = np.sort(rng.random(5))
     ys = [rng.standard_normal(5) + 2.0 for _ in range(20)]
 
-    def fit(delta, include_diagonal):
+    def fit(delta):
         curves = [(t, y.copy()) for y in ys]
         curves[0][1][2] += delta
-        sc = pair_scatter(make_obs(curves), include_diagonal)
-        return fit_cov_at(sc, float(t[2]), float(t[3]), h_G=0.5)[0]
+        sc = pair_scatter(make_obs(curves))
+        return fit_cov_at(sc, float(t[2]), float(t[3]), 1, 0.5)[0]
 
-    second_diff = fit(0.0, False) - 2.0 * fit(1.0, False) + fit(2.0, False)
+    second_diff = fit(0.0) - 2.0 * fit(1.0) + fit(2.0)
     assert abs(second_diff) < 1e-8
-    second_diff_diag = fit(0.0, True) - 2.0 * fit(1.0, True) + fit(2.0, True)
-    assert abs(second_diff_diag) > 1e-4
 
 
 def test_diag_derivative_error_shrinks_with_n():
@@ -201,6 +195,12 @@ def test_diag_derivative_error_shrinks_with_n():
     assert med_big < 0.01
 
 
+def _noise_variance(obs, grid):
+    """The noise variance on the surface and the smooth of Y^2 at the default bandwidths."""
+    cov = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
+    return noise_variance_estimate(obs, cov, lambda: fit_diagonal_inclusive(obs, grid))
+
+
 def test_noise_variance_recovered():
     """Median over 20 seeds at n=400, r=10 lands within 20% of the truth."""
     flat = constant_model(0.0, 0.0, 0.0)
@@ -211,7 +211,7 @@ def test_noise_variance_recovered():
             flat, LevyConfig(1.0), PathGrid(0.0, 1.0, 50), PointMass(1.0), 400, seed
         )
         obs = observe(paths, DesignConfig(r=10, noise_sd=0.5), seed=seed)
-        val, floored = noise_variance_estimate(obs, fit_cov_grid(obs, grid))
+        val, floored = _noise_variance(obs, grid)
         assert not floored
         return val
 
@@ -232,7 +232,7 @@ def test_surface_fit_error_shrinks_with_n():
         )
         obs = observe(paths, DesignConfig(r=10, noise_sd=0.0), seed=seed)
         sc = pair_scatter(obs)
-        G, _, _ = fit_cov_at(sc, 0.3, 0.6, h_G=default_bandwidth_cov(obs))
+        G, _, _ = fit_cov_at(sc, 0.3, 0.6, 1, default_bandwidth_cov(obs, 1))
         return abs(G - target)
 
     med_small = np.median([err(50, s) for s in range(90, 105)])
@@ -248,7 +248,7 @@ def test_noise_variance_floored_when_noiseless():
         flat, LevyConfig(1.0), PathGrid(0.0, 1.0, 50), PointMass(1.0), 400, 60
     )
     obs = observe(paths, DesignConfig(r=10, noise_sd=0.0), seed=60)
-    rho2, floored = noise_variance_estimate(obs, fit_cov_grid(obs, grid))
+    rho2, floored = _noise_variance(obs, grid)
     assert floored
     assert rho2 == 0.0
 
@@ -299,7 +299,7 @@ def test_grid_fit_fails_when_most_cells_unreachable(rng):
     curves = [(np.sort(rng.random(4)) * 0.2, np.ones(4)) for _ in range(15)]
     obs = make_obs(curves)
     with pytest.raises(EstimationFailedError):
-        fit_cov_grid(obs, np.linspace(0, 1, 6), h_G=0.01)
+        fit_cov_grid(obs, np.linspace(0, 1, 6), 1, 0.01)
 
 
 def test_grid_smoke_dense_design(rng):
@@ -309,7 +309,7 @@ def test_grid_smoke_dense_design(rng):
     )
     obs = observe(paths, DesignConfig(r=8, noise_sd=0.05), seed=77)
     grid = np.linspace(0.0, 1.0, 21)
-    est = fit_cov_grid(obs, grid)
+    est = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
     iu = np.triu_indices(21)
     assert not est.pair_flags[iu].any()
     assert not est.diag_flags.any()
@@ -329,13 +329,11 @@ def test_default_bandwidth_cov_formula_and_clamp():
 def test_surface_argument_validation(rng):
     sc = plane_scatter(rng, npts=50)
     with pytest.raises(ValidationError):
-        fit_cov_at(sc, 0.5, 0.5, d=1, h_G=None)
-    with pytest.raises(ValidationError):
         fit_cov_at(sc, 0.5, 0.5, d=0, h_G=0.3)
     with pytest.raises(ValidationError):
         fit_cov_at(sc, 0.5, 0.5, d=1, h_G=-0.2)
     with pytest.raises(ValidationError):
-        fit_diag(sc, 0.5, 1, None)
+        fit_diag(sc, 0.5, 1, -0.2)
 
 
 @pytest.mark.parametrize("d, h_G", [(0, 0.3), (1, 0.0), (1, -0.2)])
@@ -417,7 +415,7 @@ def test_grid_fit_matches_per_cell_fits(d, kernel, panel):
         obs = _half_covered_panel()
         h = 0.05
     grid = np.linspace(0.0, 1.0, 11)
-    est = fit_cov_grid(obs, grid, d, h, kernel, max_flagged_frac=1.0)
+    est = fit_cov_grid(obs, grid, d, h, kernel)
     cells, diag = _grid_reference(obs, grid, d, h, kernel)
 
     for (i, j), ref in cells.items():
@@ -565,10 +563,11 @@ def _peak_panel():
 def test_grid_fit_peak_memory_within_dense_peak(d):
     obs = _peak_panel()
     grid = np.linspace(0.0, 1.0, 51)
-    fit_cov_grid(obs, grid, d)
+    h = default_bandwidth_cov(obs, d)
+    fit_cov_grid(obs, grid, d, h)
     tracemalloc.start()
     try:
-        fit_cov_grid(obs, grid, d)
+        fit_cov_grid(obs, grid, d, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -598,7 +597,7 @@ def test_grid_fit_bytes_do_not_depend_on_blas_threads():
         for threads in (1, lanes._cpu_count()):
             for _, put in controls:
                 put(threads)
-            est = fit_cov_grid(obs, grid, 1)
+            est = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
             fits.append([a.tobytes() for a in (est.G2, est.ds2, est.dt2, est.D_hat, est.dD_hat)])
     finally:
         for (_, put), threads in zip(controls, saved):

@@ -55,7 +55,6 @@ from sparsesde.harness import (
     write_manifest,
     write_table,
 )
-from sparsesde.kernels import EPANECHNIKOV
 from sparsesde.observe import SparseObservations
 
 from conftest import make_obs
@@ -343,7 +342,7 @@ def test_run_estimate_smoke():
     paths = simulate_paths(cfg, bundle, 99, 200)
     obs = observe(paths, build_design(cfg), 99)
     res = run_estimate(cfg, obs)
-    assert res.coeffs.region_A.mean() > 0.8
+    assert (~res.coeffs.flags["excluded"]).mean() > 0.8
     assert res.rho2_hat >= 0.0
     assert res.mean_est.bandwidth > 0 and res.cov_est.bandwidth > 0
     assert res.coeffs.mu_threshold > 0
@@ -453,7 +452,7 @@ def test_bootstrap_point_matches_estimate_at_t_star():
     coeffs = run_estimate(cfg, obs).coeffs
     point = run_bootstrap(cfg, obs).point
     (i,) = np.flatnonzero(coeffs.eval_grid == 0.5)
-    assert coeffs.region_A[i]
+    assert not coeffs.flags["excluded"][i]
     assert point["mu"] == coeffs.mu_hat[i]
     s_boot = point["sigma2"] + bundle.unit_levy.nu_K * point["xi2"]
     assert s_boot == pytest.approx(coeffs.s_diag[i], rel=1e-10, abs=0.0)
@@ -516,7 +515,7 @@ def _low_mean_panel():
 
 @pytest.mark.parametrize("d_mean, d_cov", [(1, 1), (2, 2), (2, 1), (1, 2)])
 @pytest.mark.parametrize("panel", ["simulated", "gap", "low-mean"])
-def test_bootstrap_matches_per_resample_chain(panel, d_mean, d_cov):
+def test_bootstrap_matches_per_resample_chain(monkeypatch, panel, d_mean, d_cov):
     est = {"d_mean": d_mean, "d_cov": d_cov, "eval_points": 21}
     est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
     if panel == "simulated":
@@ -532,9 +531,14 @@ def test_bootstrap_matches_per_resample_chain(panel, d_mean, d_cov):
         est["mu_threshold"] = 0.012
         cfg = parse_config(cfg_dict(estimation=est, experiment={"B": 60}))
         obs = _low_mean_panel()
+    gathered = []  # the (est, used, fallback) of run_bootstrap's batched route
+    real = bootstrap.gathered_estimates
+    monkeypatch.setattr(
+        bootstrap, "gathered_estimates", lambda *a: gathered.append(real(*a)) or gathered[0]
+    )
     result = run_bootstrap(cfg, obs)
     used, bmse = _chain_bootstrap(cfg, obs)
-    npt.assert_array_equal(result.used, used)
+    npt.assert_array_equal(gathered[0][1][1:], used)
     assert result.n_success == int(used.sum())
     for key, ref in bmse.items():
         assert result.bmse[key] == pytest.approx(ref, rel=1e-10, abs=0.0), key
@@ -674,7 +678,7 @@ def test_emse_rows_match_estimate_on_regenerated_panels():
         seed = int(seq.generate_state(1)[0])
         obs = observe(simulate_paths(cfg, bundle, seed, row["n"]), build_design(cfg), seed)
         c = run_estimate(cfg, obs).coeffs
-        err2 = np.where(c.region_A, (c.mu_hat - mu_true(c.eval_grid)) ** 2, 0.0)
+        err2 = np.where(~c.flags["excluded"], (c.mu_hat - mu_true(c.eval_grid)) ** 2, 0.0)
         assert row["emse_mu"] == float(np.trapezoid(err2, c.eval_grid))
 
 
@@ -1000,7 +1004,7 @@ def test_surface_csv_equals_the_per_cell_write(tmp_path, monkeypatch, block):
     cov = CovEstimate(
         eval_times=times, G2=G2, ds2=ds2, dt2=dt2, pair_flags=flags,
         D_hat=np.diag(G2).copy(), dD_hat=np.zeros(nt), diag_flags=np.diag(flags).copy(),
-        degree=1, bandwidth=0.1, kernel=EPANECHNIKOV,
+        bandwidth=0.1,
     )
     harness.export_surface_csv(cov, tmp_path / "got.csv")
     iu = np.triu_indices(nt)

@@ -109,8 +109,8 @@ def test_affine_equivariance_in_response(rng):
     y = rng.standard_normal(60)
     base = make_obs([(t, y)])
     shifted = make_obs([(t, 2.5 - 4.0 * y)])
-    m0, dm0 = fit_mean_at(base, 0.5, h_m=0.3)
-    m1, dm1 = fit_mean_at(shifted, 0.5, h_m=0.3)
+    m0, dm0 = fit_mean_at(base, 0.5, 2, 0.3)
+    m1, dm1 = fit_mean_at(shifted, 0.5, 2, 0.3)
     assert m1 == pytest.approx(2.5 - 4.0 * m0, rel=1e-10)
     assert dm1 == pytest.approx(-4.0 * dm0, rel=1e-10)
 
@@ -121,7 +121,7 @@ def test_kernel_weights_are_local(rng):
     full = make_obs([(t, y)])
     keep = np.abs(t - 0.5) < 0.2  # strictly inside the support of the window
     trimmed = make_obs([(t[keep], y[keep])])
-    assert fit_mean_at(full, 0.5, h_m=0.2) == fit_mean_at(trimmed, 0.5, h_m=0.2)
+    assert fit_mean_at(full, 0.5, 2, 0.2) == fit_mean_at(trimmed, 0.5, 2, 0.2)
 
 
 def test_bandwidth_widening_recovers_sparse_gap():
@@ -143,9 +143,9 @@ def test_sparse_window_error_reports_location():
 def test_fit_mean_at_argument_validation():
     obs = make_obs([(np.linspace(0, 1, 10), np.zeros(10))])
     with pytest.raises(ValidationError):
-        fit_mean_at(obs, 0.5, d=0)
+        fit_mean_at(obs, 0.5, d=0, h_m=0.1)
     with pytest.raises(ValidationError):
-        fit_mean_at(obs, 0.5, h_m=-0.1)
+        fit_mean_at(obs, 0.5, d=2, h_m=-0.1)
 
 
 @pytest.mark.parametrize("d, h_m", [(0, 0.1), (1, 0.0), (1, -0.1)])
@@ -158,7 +158,7 @@ def test_fit_mean_points_argument_validation(d, h_m):
 def test_fit_mean_curve_flags_unreachable_points():
     t = np.linspace(0.0, 0.7, 36)
     obs = make_obs([(t, t)])
-    est = fit_mean_curve(obs, np.linspace(0, 1, 11), h_m=0.02)
+    est = fit_mean_curve(obs, np.linspace(0, 1, 11), 2, 0.02)
     npt.assert_array_equal(est.flags, np.arange(11) >= 9)
     assert np.all(np.isnan(est.m_hat[est.flags]))
     assert np.all(np.isfinite(est.m_hat[~est.flags]))
@@ -168,7 +168,7 @@ def test_fit_mean_curve_too_many_failures():
     t = np.linspace(0.0, 0.1, 12)
     obs = make_obs([(t, t)])
     with pytest.raises(EstimationFailedError):
-        fit_mean_curve(obs, np.linspace(0, 1, 11), h_m=0.02)
+        fit_mean_curve(obs, np.linspace(0, 1, 11), 2, 0.02)
 
 
 def test_default_bandwidth_formula_and_clamps():
@@ -204,7 +204,7 @@ def test_smoke_grid_fit_fully_resolved():
         coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 200), PointMass(1.0), 100, 31
     )
     obs = observe(paths, DesignConfig(r=5, noise_sd=0.1), seed=31)
-    est = fit_mean_curve(obs, np.linspace(0, 1, 101))
+    est = fit_mean_curve(obs, np.linspace(0, 1, 101), 2, default_bandwidth_mean(obs, 2))
     assert not est.flags.any()
     assert np.all(np.isfinite(est.m_hat)) and np.all(np.isfinite(est.dm_hat))
 
@@ -216,8 +216,8 @@ def test_fit_mean_curve_deterministic():
     )
     obs = observe(paths, DesignConfig(r=6, noise_sd=0.1), seed=5)
     grid = np.linspace(0, 1, 31)
-    a = fit_mean_curve(obs, grid, h_m=0.15)
-    b = fit_mean_curve(obs, grid, h_m=0.15)
+    a = fit_mean_curve(obs, grid, 2, 0.15)
+    b = fit_mean_curve(obs, grid, 2, 0.15)
     assert np.array_equal(a.m_hat, b.m_hat)
     assert np.array_equal(a.dm_hat, b.dm_hat)
     assert np.array_equal(a.flags, b.flags)
@@ -235,7 +235,7 @@ def test_mean_fit_error_shrinks_with_n():
             coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 200), PointMass(1.0), n, seed
         )
         obs = observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=seed)
-        est = fit_mean_curve(obs, eval_pts, h_m=0.1)
+        est = fit_mean_curve(obs, eval_pts, 2, 0.1)
         return float(np.max(np.abs(est.m_hat - m_true)))
 
     errs_small = np.median([sup_err(50, s) for s in range(7000, 7020)])
@@ -274,7 +274,7 @@ def _cond_at(obs, t, d, h, kernel):
 @pytest.mark.parametrize("panel", ["simulated", "half-covered"])
 def test_mean_curve_matches_per_point_fits(panel, kernel, d):
     obs = {"simulated": _simulated_panel, "half-covered": _half_covered_panel}[panel]()
-    h = None if panel == "simulated" else 0.03
+    h = default_bandwidth_mean(obs, d) if panel == "simulated" else 0.03
     grid = np.linspace(0.0, 1.0, 51)
     est = fit_mean_curve(obs, grid, d, h, kernel)
     ref = np.full((grid.size, 2), np.nan)

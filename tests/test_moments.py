@@ -34,13 +34,13 @@ def ref_solution():
 
 
 def test_solve_mean_exponential_decay():
-    m = solve_moments(constant_model(-1.0, 0.0, 0.0), 0.0, 1.0, 1.0, GRID).m
+    m = solve_moments(constant_model(-1.0, 0.0, 0.0), 1.0, 1.0, 1.0, GRID).m
     assert abs(m[-1] - math.exp(-1.0)) < 1e-6
 
 
 def test_solve_mean_zero_drift_and_zero_start():
     c0 = constant_model(0.0, 0.04, 0.0)
-    npt.assert_allclose(solve_moments(c0, 0.0, 2.5, 6.25, GRID).m, 2.5)
+    npt.assert_allclose(solve_moments(c0, 1.0, 2.5, 6.25, GRID).m, 2.5)
     npt.assert_allclose(solve_moments(REF, REF_NU, 0.0, 1.0, GRID).m, 0.0)
 
 
@@ -68,6 +68,12 @@ def test_noise_channels_interchangeable():
 def test_solve_moments_rejects_cauchy_schwarz_violation():
     with pytest.raises(ValidationError):
         solve_moments(REF, REF_NU, m0=1.0, D0=0.5)
+
+
+@pytest.mark.parametrize("nu_K", [0.0, -0.05, -1.0])
+def test_scalar_jump_activity_gets_the_levy_config_check(nu_K):
+    with pytest.raises(ValidationError, match="nu_K must be finite and > 0"):
+        solve_moments(REF, nu_K, 1.0, 1.0)
 
 
 def test_levy_config_accepted_in_place_of_scalar():

@@ -63,7 +63,6 @@ def test_pooled_uniform_design_ks_distance(rng):
 def test_clipped_linear_density_bound():
     """Design density max(2t, 0.1)/Z keeps interval mass below 2.1 * length
     on every dyadic interval, the evenness condition the theory needs."""
-    law = ClippedLinearDesign(0.1)
     Z = 1.0 + 0.1**2 / 4.0
     worst = 0.0
     for m in range(1, 7):
@@ -73,7 +72,6 @@ def test_clipped_linear_density_bound():
             mass = np.trapezoid(np.maximum(2.0 * g, 0.1) / Z, g)
             worst = max(worst, mass / (b - a))
     assert worst <= 2.1
-    assert law.min_density > 0
 
 
 def test_clipped_linear_sampler_matches_cdf(rng):
@@ -87,8 +85,6 @@ def test_clipped_linear_sampler_matches_cdf(rng):
 
 def test_degenerate_design_law_staggered():
     class AlwaysHalf:
-        min_density = 1.0
-
         def sample(self, rng, r):
             return np.full(r, 0.5)
 
@@ -323,8 +319,6 @@ def test_validate_names_lowest_failing_curve():
 
 class _LatticeDesign:
     """Uniform draws rounded to a 1/32 lattice, so some curves draw tied times."""
-
-    min_density = 1.0
 
     def sample(self, rng, r):
         return np.round(rng.random(r) * 32.0) / 32.0
@@ -610,8 +604,6 @@ def test_stream_draws_once_and_alternates_simulate_and_observe(monkeypatch):
 
 class _LastTimeDesign:
     """Uniform times, except that the last of every draw is `last`."""
-
-    min_density = 1.0
 
     def __init__(self, last: float):
         self.last = last

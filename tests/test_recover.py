@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from sparsesde import (
-    EPANECHNIKOV,
     CovEstimate,
     DesignConfig,
     LevyConfig,
@@ -18,6 +17,8 @@ from sparsesde import (
     SparseQuadratureError,
     ValidationError,
     constant_model,
+    default_bandwidth_cov,
+    default_bandwidth_mean,
     estimate_drift,
     estimate_total_noise,
     fit_cov_grid,
@@ -44,9 +45,7 @@ def mean_from_oracle(sol, grid):
         m_hat=m,
         dm_hat=dm,
         flags=np.zeros(grid.size, dtype=bool),
-        degree=2,
         bandwidth=0.1,
-        kernel=EPANECHNIKOV,
     )
 
 
@@ -73,9 +72,7 @@ def cov_from_oracle(sol, grid, noise_sum):
         D_hat=D,
         dD_hat=dD,
         diag_flags=np.zeros(nt, dtype=bool),
-        degree=1,
         bandwidth=0.1,
-        kernel=EPANECHNIKOV,
     )
 
 
@@ -90,9 +87,7 @@ def flat_mean_estimate(m, dm=None, flags=None):
         m_hat=m,
         dm_hat=np.zeros(m.size) if dm is None else np.asarray(dm, dtype=float),
         flags=np.zeros(m.size, dtype=bool) if flags is None else flags,
-        degree=2,
         bandwidth=0.1,
-        kernel=EPANECHNIKOV,
     )
 
 
@@ -319,8 +314,9 @@ def test_route_gap_shrinks_with_sample_size():
             coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 500), PointMass(1.0), n, seed
         )
         obs = observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=seed)
-        mu, _, _ = estimate_drift(fit_mean_curve(obs, grid), threshold=0.05)
-        cov = fit_cov_grid(obs, grid)
+        mean_est = fit_mean_curve(obs, grid, 2, default_bandwidth_mean(obs, 2))
+        mu, _, _ = estimate_drift(mean_est, threshold=0.05)
+        cov = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
         s_diag, s_tri, _ = estimate_total_noise(grid, mu, cov)
         keep = (grid <= 0.8) & np.isfinite(s_diag) & np.isfinite(s_tri)
         return float(np.max(np.abs(s_diag[keep] - s_tri[keep])))
@@ -341,7 +337,8 @@ def test_drift_sup_error_shrinks_with_n():
             coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 500), PointMass(1.0), n, seed
         )
         obs = observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=seed)
-        mu, region, _ = estimate_drift(fit_mean_curve(obs, grid), threshold=0.05)
+        mean_est = fit_mean_curve(obs, grid, 2, default_bandwidth_mean(obs, 2))
+        mu, region, _ = estimate_drift(mean_est, threshold=0.05)
         return float(np.max(np.abs(mu[region] - mu_true[region])))
 
     med_small = np.median([sup_err(100, s) for s in range(1100, 1120)])
@@ -389,7 +386,7 @@ def _half_covered_fit():
     obs = make_obs(
         [(np.sort(rng.uniform(0.0, 0.55, 6)), rng.standard_normal(6) + 1.0) for _ in range(40)]
     )
-    return fit_cov_grid(obs, GRID, 1, 0.05, max_flagged_frac=1.0)
+    return fit_cov_grid(obs, GRID, 1, 0.05)
 
 
 @pytest.mark.parametrize("surface", ["holey-oracle", "half-covered-fit"])
