@@ -1,6 +1,6 @@
 """Report-only hashes of every CLI artifact, to show that a change keeps them.
 
-Runs all six subcommands in-process (`sparsesde.cli.main`) on three small
+Runs all six subcommands in-process (`sparsesde.cli.main`) on four small
 configs at master seeds 7 and 8, each run into a fresh temporary directory:
 
   fraction  known-fraction policy, tracking mu, s and xi2
@@ -9,6 +9,9 @@ configs at master seeds 7 and 8, each run into a fresh temporary directory:
   sparse    a sparse panel (n = 25, r = 3, narrow bandwidths) whose mean
             and surface windows widen, known-xi policy, t* = 0.37 between
             grid points
+  jumpy     nu_K = 1000, so each path carries ~1,000 jumps and the
+            simulator keeps dense counts (the other configs' ~1 jump a
+            path takes its Poisson replay), known-fraction policy
 
 For each run it prints the exit code, then one sha256 per output file and
 one each for stdout and stderr, with the temporary directory masked as
@@ -66,6 +69,15 @@ CONFIGS = {
             "policy": {"kind": "known-xi", "expr": "sin(t)**2"},
         },
         "experiment": {**_SMALL, "t_star": 0.37},
+    },
+    "jumpy": {
+        "model": {"nu_K": 1000.0},
+        "design": {"n": 60, "r": 8},
+        "estimation": {
+            "eval_points": 21,
+            "policy": {"kind": "known-fraction", "expr": "0.5"},
+        },
+        "experiment": dict(_SMALL),
     },
 }
 

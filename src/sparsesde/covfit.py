@@ -56,7 +56,6 @@ from .meanfit import (
     _clamped_bandwidth,
     _features,
     _solve_cells,
-    default_bandwidth_mean,
     fit_mean_points,
     solve_wls,
 )
@@ -136,7 +135,7 @@ class CovEstimate:
     fallback_cells: int = 0  # cells refitted by fit_cov_at after the factorised solve
 
 
-def default_bandwidth_cov(obs: SparseObservations, d: int = 1) -> float:
+def default_bandwidth_cov(obs: SparseObservations, d: int) -> float:
     """Surface bandwidth c * (n * rbar^2)^(-1/(2d+4)), clamped like the mean rule."""
     counts = obs.counts()
     rbar = float(counts.mean())
@@ -402,10 +401,10 @@ def fit_cov_grid(
 def fit_diagonal_inclusive(
     obs: SparseObservations,
     eval_times: np.ndarray,
-    h: float | None = None,
+    h: float,
     kernel: KernelSpec = EPANECHNIKOV,
 ) -> np.ndarray:
-    """1-D smooth of the squared observations Y_ij^2 along the diagonal.
+    """1-D smooth of the squared observations Y_ij^2 along the diagonal, at bandwidth h.
 
     This is the fit that does NOT exclude same-index products, so it
     estimates D(t) + rho^2 rather than D(t).  It serves as the biased
@@ -415,8 +414,6 @@ def fit_diagonal_inclusive(
     SparseWindowError.
     """
     sq = replace_responses(obs, obs.y**2)
-    if h is None:
-        h = default_bandwidth_mean(sq, 1)
     eval_times = np.asarray(eval_times, dtype=float)
     out, _, flags = fit_mean_points(sq, eval_times, 1, h, kernel)
     if flags.any():

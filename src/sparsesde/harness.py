@@ -10,8 +10,9 @@ fixed (config, seed) pair.
 
 The estimate, emse and bootstrap runs share one pipeline, assembled in
 one place.  `_resolve_settings` turns the estimation section into concrete
-settings for one observation set (kernel, grid, bandwidths, drift
-threshold, epsilon, separation policy and source, unit-scale nu_K);
+settings for one observation set (kernel, grid, bandwidths, the Y^2
+smooth's too, drift threshold, epsilon, separation policy and source,
+unit-scale nu_K), the only place that decides one;
 `_drift_stage` runs mean fit -> drift; `_noise_stage` runs surface fit ->
 total noise -> separation and returns the surface with the
 `CoefficientEstimate` record.  The three runs differ only in what they
@@ -116,12 +117,6 @@ _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 # `_walk` default of a key that must be given
 _REQUIRED = ...
-
-
-def _reject_unknown(where: str, given, allowed) -> None:
-    unknown = set(given) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _is_int(v) -> bool:
@@ -256,7 +251,9 @@ _POLICIES = {kind: {"expr": (_REQUIRED, str, "an expression in t")} for kind in 
 def _walk(where: str, given: dict, table: dict, label: str = "") -> dict:
     """`given` with copies of the defaults of `table` filled in; a key that is
     unknown, missing without a default, or fails its check raises ConfigError."""
-    _reject_unknown(f"'{where}'{label}", given, table)
+    unknown = set(given) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown keys in '{where}'{label}: {sorted(unknown)}")
     missing = [key for key, entry in table.items() if entry[0] is _REQUIRED and key not in given]
     if missing:
         raise ConfigError(f"{where}{label} missing {missing}")
@@ -404,14 +401,8 @@ def build_model(cfg: ExperimentConfig) -> ModelBundle:
 
 
 def build_design(cfg: ExperimentConfig) -> DesignConfig:
-    d = cfg.design
-    law_cfg = d["design_law"]
-    if law_cfg["kind"] == "uniform":
-        _reject_unknown("'design.design_law' (uniform)", law_cfg, {"kind"})
-        law = UniformDesign()
-    else:
-        _reject_unknown("'design.design_law' (clipped-linear)", law_cfg, {"kind", "floor"})
-        law = ClippedLinearDesign(float(law_cfg.get("floor", 0.1)))
+    d, law = cfg.design, cfg.design["design_law"]  # checked by `parse_config`
+    law = UniformDesign() if law["kind"] == "uniform" else ClippedLinearDesign(float(law["floor"]))
     return DesignConfig(
         r=d["r"], noise_sd=float(d["noise_sd"]), design_law=law, noise_law=d["noise_law"]
     )
@@ -460,6 +451,7 @@ class _Settings(NamedTuple):
     d_cov: int
     h_m: float
     h_G: float
+    h_Y2: float                 # of the smooth of Y^2 (`fit_diagonal_inclusive`)
     mu_threshold: float | None  # None: the default rule of `estimate_drift`
     epsilon: float
     policy: SeparationPolicy | None
@@ -478,6 +470,7 @@ def _resolve_settings(cfg: ExperimentConfig, obs: SparseObservations) -> _Settin
         d_cov=e["d_cov"],
         h_m=default_bandwidth_mean(obs, e["d_mean"]) if e["h_m"] == "auto" else float(e["h_m"]),
         h_G=default_bandwidth_cov(obs, e["d_cov"]) if e["h_G"] == "auto" else float(e["h_G"]),
+        h_Y2=default_bandwidth_mean(obs, 1),  # Y^2 shares the panel's times
         mu_threshold=None if e["mu_threshold"] == "auto" else float(e["mu_threshold"]),
         epsilon=float(e["epsilon"]),
         policy=build_policy(cfg),
@@ -576,8 +569,7 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
     """
     from . import lanes  # the process fan-out, compiled on first use
 
-    st = _resolve_settings(cfg, obs)
-    obs.time_order  # taken once here, not once per lane
+    st = _resolve_settings(cfg, obs)  # its bandwidth rules take obs.time_order, once for both lanes
     tasks = {
         "grid": (
             lambda: _drift_stage(obs, st),
@@ -585,7 +577,7 @@ def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResu
         ),
         "offset": (
             lambda: surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel, offset=True),
-            lambda: fit_diagonal_inclusive(obs, st.grid, kernel=st.kernel),
+            lambda: fit_diagonal_inclusive(obs, st.grid, st.h_Y2, st.kernel),
         ),
     }
     found = lanes.fan_out(list(tasks), lambda task: 1, lambda task: _outcomes(*tasks[task]))
@@ -755,13 +747,11 @@ class BootstrapResult:
 
 
 @_overflow_fails()
-def run_bootstrap(
-    cfg: ExperimentConfig,
-    obs: SparseObservations,
-    t_star: float | None = None,
-    B: int | None = None,
-) -> BootstrapResult:
+def run_bootstrap(cfg: ExperimentConfig, obs: SparseObservations) -> BootstrapResult:
     """Curve-level bootstrap of the pointwise estimators at t_star.
+
+    t_star and the resample count B are the config's `experiment.t_star` and
+    `experiment.B`; a run at other values runs a copy of the config.
 
     Resamples whole curves with replacement (same n) and reports
     BMSE(q) = mean (q_b - q_0)^2 over the resamples that produced
@@ -781,10 +771,7 @@ def run_bootstrap(
     """
     from . import bootstrap  # the batched route, compiled only when a bootstrap runs
 
-    if t_star is None:
-        t_star = float(cfg.experiment["t_star"])
-    if B is None:
-        B = int(cfg.experiment["B"])
+    t_star, B = float(cfg.experiment["t_star"]), cfg.experiment["B"]
     # bandwidths and drift threshold resolved once on the original data
     st = _resolve_settings(cfg, obs)
     if st.policy is None:

@@ -105,7 +105,7 @@ class MeanEstimate:
     bandwidth: float
 
 
-def default_bandwidth_mean(obs: SparseObservations, d: int = 2) -> float:
+def default_bandwidth_mean(obs: SparseObservations, d: int) -> float:
     """Rule-of-thumb bandwidth c * (total observations)^(-1/(2d+3)).
 
     The constant is 0.6 times the design range; the result is clamped to
@@ -117,15 +117,13 @@ def default_bandwidth_mean(obs: SparseObservations, d: int = 2) -> float:
 
 def _clamped_bandwidth(obs: SparseObservations, c: float, rate: float) -> float:
     """c * (design range) * rate, clamped to [3 * median design gap, 0.5]."""
-    t_sorted = np.sort(obs.t)
+    t_sorted = obs.t[obs.time_order]
     rng = float(t_sorted[-1] - t_sorted[0])
     if rng <= 0:
         raise ValidationError("design has zero time range")
-    h = c * rng * rate
     gaps = np.diff(t_sorted)
-    gaps = gaps[gaps > 0]
-    lo = 3.0 * float(np.median(gaps)) if gaps.size else 0.0
-    return min(max(h, lo), 0.5)
+    lo = 3.0 * float(np.median(gaps[gaps > 0]))  # a positive range has a positive gap
+    return min(max(c * rng * rate, lo), 0.5)
 
 
 def fit_mean_at(

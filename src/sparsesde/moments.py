@@ -117,20 +117,18 @@ def cov_value(solution: MomentSolution, s, t) -> np.ndarray:
     return np.exp(solution.drift_integral(s, t)) * solution.second_moment_at(s)
 
 
-def _fd_first(f, x: float, h: float, lo: float, hi: float, h_edge: float | None = None):
+def _fd_first(f, x: float, h: float, lo: float, hi: float, h_edge: float):
     """Second-order first derivative of f at x, one-sided at the domain edges.
 
-    One-sided stencils use ``h_edge`` (default ``h``); callers working on a
+    One-sided stencils use step ``h_edge``; callers working on a
     piecewise-linear interpolant should pass a multiple of its cell width
     so the stencil sees curvature rather than a single linear segment.
     f may return an array, which is differenced elementwise.
     """
     if x - h < lo:
-        he = h if h_edge is None else h_edge
-        return (-3.0 * f(x) + 4.0 * f(x + he) - f(x + 2 * he)) / (2.0 * he)
+        return (-3.0 * f(x) + 4.0 * f(x + h_edge) - f(x + 2 * h_edge)) / (2.0 * h_edge)
     if x + h > hi:
-        he = h if h_edge is None else h_edge
-        return (3.0 * f(x) - 4.0 * f(x - he) + f(x - 2 * he)) / (2.0 * he)
+        return (3.0 * f(x) - 4.0 * f(x - h_edge) + f(x - 2 * h_edge)) / (2.0 * h_edge)
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 

@@ -49,7 +49,7 @@ class ClippedLinearDesign:
     per point, so `sample(rng, k * r)` is k consecutive `sample(rng, r)` calls.
     """
 
-    def __init__(self, floor: float = 0.1):
+    def __init__(self, floor: float):
         if not 0 < floor <= 2:
             raise ValidationError("floor must lie in (0, 2]")
         self.floor = float(floor)

@@ -35,7 +35,6 @@ from .errors import (
 from .meanfit import MeanEstimate
 from .moments import cumulative_trapezoid
 
-DEFAULT_EPSILON = 0.1
 # drift threshold as a fraction of the largest fitted |m|
 DRIFT_THRESHOLD_FACTOR = 1e-3
 
@@ -131,7 +130,7 @@ def estimate_total_noise(
     grid: np.ndarray,
     mu_hat: np.ndarray,
     cov_est: CovEstimate,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Both routes to s(t) on the grid, floored at zero.
 

@@ -17,7 +17,9 @@ draws, so any path can be regenerated bit-for-bit in isolation, as a
 one-path `simulate_ensemble` given its (seed, x0) as `draws`.  All PCG64
 states come from one vectorised pass (_path_states), loaded in turn into one
 generator (_PathStreams).  Path i draws its normals into row i of the result,
-then its Poisson counts, keeping the nonzero ones.
+then its Poisson counts, kept below _REPLAY_JUMPS expected jumps a path as
+(path, step, count) triples of the nonzero ones and else as one dense int32
+row a path (`_dense_jumps`): at no rate do the counts outweigh the paths.
 
 For rates lam < 10 numpy multiplies `Generator.random` values while the
 product exceeds exp(-lam), so a step jumps exactly where its first uniform
@@ -103,7 +105,6 @@ class SamplePathSet:
 
     grid: PathGrid
     values: np.ndarray  # shape (n, steps+1)
-    seeds: np.ndarray  # uint64 per path
 
     @property
     def n(self) -> int:
@@ -209,6 +210,34 @@ def _replay_jumps(streams: _PathStreams, lam: float, steps: int):
     return tuple(map(np.concatenate, zip(*jumps)))
 
 
+def _sparse_jumps(jumps, xi_k: np.ndarray, lam: float, m: int):
+    """(k0, k1) -> the (k1 - k0, m) jump increments xi(t_k) (N_k - lam) of steps
+    [k0, k1), from the (path, step, count) arrays `jumps` of the nonzero N_k."""
+    paths, steps, counts = jumps
+    order = np.argsort(steps, kind="stable")
+    jump_step, jump_path = steps[order], paths[order]
+    no_jump, jump_inc = xi_k * (0.0 - lam), xi_k[jump_step] * (counts[order] - lam)
+
+    def block(k0: int, k1: int) -> np.ndarray:
+        jump = np.repeat(no_jump[k0:k1, None], m, axis=1)
+        hit = slice(*np.searchsorted(jump_step, [k0, k1]))
+        jump[jump_step[hit] - k0, jump_path[hit]] = jump_inc[hit]
+        return jump
+
+    return block
+
+
+def _dense_jumps(streams: _PathStreams, lam: float, steps: int, xi_k: np.ndarray):
+    """`_sparse_jumps` of every path's counts rng.poisson(lam, steps), one dense row a
+    path: at 10 or more jumps a path, triples would outweigh the paths.  The rows
+    are int32 up to a rate of 2**30, where a count past 2**31 - 1 lies some 2**15
+    or more standard deviations above the rate, and int64 above it."""
+    counts = np.empty((len(streams.states), steps), np.int32 if lam <= 2.0**30 else np.int64)
+    for i, row in enumerate(counts):
+        row[:] = streams.start(i).poisson(lam, steps)
+    return lambda k0, k1: xi_k[k0:k1, None] * (counts[:, k0:k1].T - lam)
+
+
 def _path_view(out, rows: int, steps: int) -> np.ndarray:
     """A new (rows, steps+1) array, or, given the flat float64 buffer `out`,
     a view of that shape on its head."""
@@ -235,7 +264,7 @@ def _euler_core(
 
     Time is walked in blocks of _BLOCK steps: the block's normals are copied
     out transposed and scaled by sigma(t_k) sqrt(dt), its jump increments
-    xi(t_k) (N_k - nu_K dt) are built from the sparse counts, all paths step
+    xi(t_k) (N_k - nu_K dt) are built from the counts, all paths step
     ahead, and the states overwrite the normals they used.  Each element sees
     ((x + mu x dt) + sigma sqrt(dt) Z) + xi (N - nu_K dt) in that order for
     any number of paths, so single-path and ensemble runs agree bitwise.
@@ -247,33 +276,24 @@ def _euler_core(
     values = _path_view(out, m, grid.steps)
     values[:, 0] = x0
     streams = _PathStreams(seeds, values)
-    if comp * grid.steps < _REPLAY_JUMPS:
-        paths, steps, counts = _replay_jumps(streams, comp, grid.steps)
-    else:
-        found = [_poisson_jumps(streams.start(i), i, comp, grid.steps) for i in range(m)]
-        paths, steps, counts = map(np.concatenate, zip(*found))
-    order = np.argsort(steps, kind="stable")
-    jump_step, jump_path = steps[order], paths[order]
-
     tk = grid.points[:-1]
     mu_k, sigma_k, xi_k = coeffs.mu(tk), coeffs.sigma(tk), coeffs.xi(tk)
+    if comp * grid.steps < _REPLAY_JUMPS:
+        jumps = _sparse_jumps(_replay_jumps(streams, comp, grid.steps), xi_k, comp, m)
+    else:
+        jumps = _dense_jumps(streams, comp, grid.steps, xi_k)
+
     scale = sigma_k * np.sqrt(dt)
-    no_jump = xi_k * (0.0 - comp)
-    jump_inc = xi_k[jump_step] * (counts[order] - comp)
-    bounds = np.searchsorted(jump_step, np.arange(0, grid.steps + _BLOCK, _BLOCK))
     x = values[:, 0]
     tmp = np.empty(m)
     mu_k, mul, add = mu_k.tolist(), np.multiply, np.add
-    for b, k0 in enumerate(range(0, grid.steps, _BLOCK)):
+    for k0 in range(0, grid.steps, _BLOCK):
         k1 = min(k0 + _BLOCK, grid.steps)
         inc = values[:, k0 + 1 : k1 + 1].T.copy()
         inc *= scale[k0:k1, None]
-        jump = np.repeat(no_jump[k0:k1, None], m, axis=1)
-        hit = slice(bounds[b], bounds[b + 1])
-        jump[jump_step[hit] - k0, jump_path[hit]] = jump_inc[hit]
         # positional outputs and row iteration keep the per-step call cost,
         # paid once per block of `simulate_blocks`, low
-        for mu, x_next, jump_j in zip(mu_k[k0:k1], inc, jump):
+        for mu, x_next, jump_j in zip(mu_k[k0:k1], inc, jumps(k0, k1)):
             mul(mu, x, tmp)
             mul(tmp, dt, tmp)
             add(tmp, x, tmp)
@@ -323,7 +343,7 @@ def simulate_ensemble(
     _check_span(coeffs, grid)
     seeds, x0 = ensemble_draws(x0_law, n, master_seed) if draws is None else draws
     values = _euler_core(coeffs, levy, grid, x0, seeds, out)
-    return SamplePathSet(grid=grid, values=values, seeds=seeds)
+    return SamplePathSet(grid=grid, values=values)
 
 
 def block_bounds(n: int, steps: int) -> list[tuple[int, int]]:

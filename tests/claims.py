@@ -149,7 +149,9 @@ def measure_c7(seed: int) -> dict:
     t0 = time.perf_counter()
     base = run_bootstrap(cfg, obs)
     elapsed = time.perf_counter() - t0
-    doubled = run_bootstrap(cfg, obs, B=2000)
+    doubled = run_bootstrap(
+        parse_config({**cfg.raw, "experiment": {"B": 2000, "master_seed": seed}}), obs
+    )
     rel = {key: abs(doubled.bmse[key] - v) / v for key, v in base.bmse.items()}
     return {"B": base.B, "n_success": base.n_success, "bmse": base.bmse, "rel": rel,
             "result": base, "elapsed": elapsed}

@@ -10,7 +10,7 @@ from sparsesde import CovEstimate, MomentSolution, ValidationError, cov_value
 from sparsesde.covfit import _window_runs
 from sparsesde.meanfit import _features
 from sparsesde.moments import FD_STEP, _fd_first, cumulative_trapezoid
-from sparsesde.recover import DEFAULT_EPSILON, _tri_node
+from sparsesde.recover import _tri_node
 
 
 def noise_sum_at(solution: MomentSolution, t) -> np.ndarray:
@@ -45,9 +45,11 @@ def verify_pde_identity(
     mu_t = float(solution.coeffs.mu(np.asarray([t]))[0])
     mu_s = float(solution.coeffs.mu(np.asarray([s]))[0])
     G = float(cov_value(solution, s, t))
-    dG_dt = float(_fd_first(lambda x: cov_value(solution, s, x), t, fd_step, s, grid[-1]))
+    dG_dt = float(
+        _fd_first(lambda x: cov_value(solution, s, x), t, fd_step, s, grid[-1], fd_step)
+    )
     residual_t = dG_dt - mu_t * G
-    dG_ds = float(_fd_first(lambda x: cov_value(solution, x, t), s, fd_step, grid[0], t))
+    dG_ds = float(_fd_first(lambda x: cov_value(solution, x, t), s, fd_step, grid[0], t, fd_step))
     left = np.exp(-float(solution.drift_integral(s, t))) * dG_ds - mu_s * float(
         solution.second_moment_at(s)
     )
@@ -87,7 +89,7 @@ def estimate_H(
     mu_hat: np.ndarray,
     cov_est: CovEstimate,
     t: float,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float = 0.1,
 ) -> float:
     """Triangular (averaged-identity) estimate of s(t).
 

@@ -186,7 +186,7 @@ def test_diag_derivative_error_shrinks_with_n():
         )
         obs = observe(paths, DesignConfig(r=12, noise_sd=0.0), seed=seed)
         sc = pair_scatter(obs)
-        _, dD = fit_diag(sc, 0.5, 1, default_bandwidth_cov(obs))
+        _, dD = fit_diag(sc, 0.5, 1, default_bandwidth_cov(obs, 1))
         return abs(dD + 2.0 * np.exp(-1.0))
 
     med_small = np.median([err(100, s) for s in range(50, 55)])
@@ -198,7 +198,8 @@ def test_diag_derivative_error_shrinks_with_n():
 def _noise_variance(obs, grid):
     """The noise variance on the surface and the smooth of Y^2 at the default bandwidths."""
     cov = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
-    return noise_variance_estimate(obs, cov, lambda: fit_diagonal_inclusive(obs, grid))
+    h = default_bandwidth_mean(obs, 1)
+    return noise_variance_estimate(obs, cov, lambda: fit_diagonal_inclusive(obs, grid, h))
 
 
 def test_noise_variance_recovered():
@@ -256,7 +257,7 @@ def test_noise_variance_floored_when_noiseless():
 def test_diagonal_inclusive_targets_level_plus_noise(rng):
     curves = [(np.sort(rng.random(5)), np.full(5, 2.0)) for _ in range(20)]
     obs = make_obs(curves)
-    vals = fit_diagonal_inclusive(obs, np.linspace(0.2, 0.8, 5), h=0.3)
+    vals = fit_diagonal_inclusive(obs, np.linspace(0.2, 0.8, 5), 0.3)
     npt.assert_allclose(vals, 4.0, atol=1e-8)
 
 
@@ -278,13 +279,13 @@ def test_diagonal_inclusive_matches_per_point_fits(panel, h):
         "common-grid": _common_grid_panel,
     }[panel]()
     grid = np.linspace(0.0, 0.7, 36)
-    got = fit_diagonal_inclusive(obs, grid, h=h)
+    h = default_bandwidth_mean(obs, 1) if h is None else h  # None: the rule `run_estimate` uses
+    got = fit_diagonal_inclusive(obs, grid, h)
     sq = replace_responses(obs, obs.y**2)
-    h_ref = default_bandwidth_mean(sq, 1) if h is None else h
-    ref = np.array([fit_mean_at(sq, float(t), d=1, h_m=h_ref)[0] for t in grid])
+    ref = np.array([fit_mean_at(sq, float(t), d=1, h_m=h)[0] for t in grid])
     npt.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
     # the sparse panels hold windows with < 2 distinct times at h, which widen
-    distinct = [np.unique(obs.t[np.abs(obs.t - t) < h_ref]).size for t in grid]
+    distinct = [np.unique(obs.t[np.abs(obs.t - t) < h]).size for t in grid]
     assert (min(distinct) < 2) == (panel != "simulated")
 
 
@@ -323,7 +324,7 @@ def test_default_bandwidth_cov_formula_and_clamp():
     wide = make_obs(
         [(np.array([0.0, 1.0]), np.zeros(2)), (np.array([0.45, 0.55]), np.zeros(2))]
     )
-    assert default_bandwidth_cov(wide) == 0.5
+    assert default_bandwidth_cov(wide, 1) == 0.5
 
 
 def test_surface_argument_validation(rng):

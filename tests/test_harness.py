@@ -34,7 +34,12 @@ from sparsesde import (
 )
 from sparsesde import bootstrap, harness, lanes, simulate
 from sparsesde.bootstrap import gathered_estimates, point_estimates
-from sparsesde.covfit import CovEstimate, surface_sums
+from sparsesde.covfit import (
+    CovEstimate,
+    fit_diagonal_inclusive,
+    noise_variance_estimate,
+    surface_sums,
+)
 from sparsesde.errors import (
     EstimationFailedError,
     SimulationDivergedError,
@@ -55,6 +60,7 @@ from sparsesde.harness import (
     write_manifest,
     write_table,
 )
+from sparsesde.meanfit import default_bandwidth_mean
 from sparsesde.observe import SparseObservations
 
 from conftest import make_obs
@@ -306,10 +312,6 @@ def test_build_design_law_dispatch():
     design = build_design(cfg)
     assert isinstance(design.design_law, ClippedLinearDesign)
     assert design.design_law.floor == 0.2
-    bad = parse_config(cfg_dict(design={"design_law": {"kind": "uniform"}}))
-    bad.design["design_law"] = {"kind": "uniform", "floor": 0.2}
-    with pytest.raises(ConfigError):
-        build_design(bad)
 
 
 def test_build_policy_from_expression():
@@ -429,11 +431,14 @@ def test_bootstrap_on_simulated_data():
 
 def test_bootstrap_t_star_domain():
     cfg = parse_config(
-        cfg_dict(estimation={"policy": {"kind": "known-fraction", "expr": "0.5"}})
+        cfg_dict(
+            estimation={"policy": {"kind": "known-fraction", "expr": "0.5"}},
+            experiment={"t_star": 0.95},
+        )
     )
     obs = make_obs([(np.linspace(0.05, 0.95, 8), np.full(8, 2.0))] * 10)
     with pytest.raises(Exception) as exc:
-        run_bootstrap(cfg, obs, t_star=0.95)
+        run_bootstrap(cfg, obs)
     assert "epsilon" in str(exc.value)
 
 
@@ -1098,6 +1103,26 @@ def _estimate_bytes(result) -> list[bytes]:
     arrays = (cov.G2, cov.ds2, cov.dt2, cov.D_hat, cov.dD_hat, mean.m_hat, mean.dm_hat,
               result.coeffs.s_tri, np.float64(result.rho2_hat))
     return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("h_m", ["auto", 0.3])
+def test_estimate_smooths_y2_at_the_degree_1_mean_rule(h_m):
+    # rho2_hat reads the smooth of Y^2 at default_bandwidth_mean(obs, 1), whatever
+    # bandwidth (and degree) the mean fit takes
+    est = {"eval_points": 11, "h_m": h_m, "policy": {"kind": "known-fraction", "expr": "0.5"}}
+    cfg = parse_config(cfg_dict(design={"n": 200, "r": 8}, estimation=est))
+    obs = _estimate_panel(cfg)
+    st = _resolve_settings(cfg, obs)
+    h = default_bandwidth_mean(obs, 1)
+    assert st.h_Y2 == h and st.h_m != h
+    result = run_estimate(cfg, obs)
+
+    def rho2(h):
+        smooth = fit_diagonal_inclusive(obs, st.grid, h, st.kernel)
+        return noise_variance_estimate(obs, result.cov_est, lambda: smooth)
+
+    assert (result.rho2_hat, result.rho2_floored) == rho2(h)
+    assert rho2(st.h_m)[0] != result.rho2_hat
 
 
 def test_forked_estimate_equals_in_process_estimate(monkeypatch):

@@ -178,16 +178,16 @@ def test_default_bandwidth_formula_and_clamps():
     wide = make_obs(
         [(np.array([0.0, 1.0]), np.zeros(2)), (np.array([0.45, 0.55]), np.zeros(2))]
     )
-    assert default_bandwidth_mean(wide) == 0.5
+    assert default_bandwidth_mean(wide, 2) == 0.5
     # 13 copies of an 11-point grid: floor 3 * 0.1 binds from below
     coarse = make_obs([(np.linspace(0, 1, 11), np.zeros(11))] * 13)
-    assert default_bandwidth_mean(coarse) == pytest.approx(0.3)
+    assert default_bandwidth_mean(coarse, 2) == pytest.approx(0.3)
 
 
 def test_default_bandwidth_shrinks_with_sample_size():
     small = make_obs([(np.linspace(0.0, 1.0, 100), np.zeros(100))])
     big = make_obs([(np.linspace(0.0, 1.0, 10000), np.zeros(10000))])
-    assert default_bandwidth_mean(small) > default_bandwidth_mean(big)
+    assert default_bandwidth_mean(small, 2) > default_bandwidth_mean(big, 2)
 
 
 def test_default_bandwidth_zero_range():
@@ -195,7 +195,7 @@ def test_default_bandwidth_zero_range():
         curve_id=np.array([0, 1]), t=np.array([0.5, 0.5]), y=np.array([1.0, 2.0])
     )
     with pytest.raises(ValidationError):
-        default_bandwidth_mean(obs)
+        default_bandwidth_mean(obs, 2)
 
 
 def test_smoke_grid_fit_fully_resolved():

@@ -554,12 +554,11 @@ def test_streamed_observations_equal_one_shot(monkeypatch, n, law, nu_K):
     ens = simulate_ensemble(c, levy, grid, law, n, 41)
     # each block is a view of one path buffer that the next overwrites: copy it
     stream = simulate_blocks(c, levy, grid, law, n, 41)
-    blocks = [(rows, p.values.copy(), p.seeds) for rows, p in stream]
-    sizes = [rows.stop - rows.start for rows, _, _ in blocks]
+    blocks = [(rows, p.values.copy()) for rows, p in stream]
+    sizes = [rows.stop - rows.start for rows, _ in blocks]
     assert len(sizes) == -(-n // PER_BLOCK) and max(sizes) - min(sizes) <= 1
-    assert [rows.start for rows, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
-    assert np.array_equal(np.vstack([values for _, values, _ in blocks]), ens.values)
-    assert np.array_equal(np.concatenate([seeds for _, _, seeds in blocks]), ens.seeds)
+    assert [rows.start for rows, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+    assert np.array_equal(np.vstack([values for _, values in blocks]), ens.values)
     got = observe_ensemble(c, levy, grid, law, n, cfg, 41)
     ref = observe(ens, cfg, 41)
     for col in ("curve_id", "t", "y"):

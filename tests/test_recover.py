@@ -148,7 +148,7 @@ def test_oracle_closure_both_routes_recover_noise_sum():
     mean_est = mean_from_oracle(sol, GRID)
     cov_est = cov_from_oracle(sol, GRID, REF_S)
     mu, A, _ = estimate_drift(mean_est)
-    s_diag, s_tri, flags = estimate_total_noise(GRID, mu, cov_est)
+    s_diag, s_tri, flags = estimate_total_noise(GRID, mu, cov_est, 0.1)
     npt.assert_allclose(s_diag, REF_S, atol=1e-10)
     trimmed = GRID > 0.9 + 1e-12
     npt.assert_array_equal(flags["trimmed"], trimmed)
@@ -209,9 +209,9 @@ def test_total_noise_grid_must_match_surface_grid():
     cov_est = cov_from_oracle(ref_solution(), GRID, REF_S)
     mu = np.full(21, -1.0)
     with pytest.raises(ValidationError, match="must coincide"):
-        estimate_total_noise(GRID[:-1], mu[:-1], cov_est)
+        estimate_total_noise(GRID[:-1], mu[:-1], cov_est, 0.1)
     with pytest.raises(ValidationError, match="must coincide"):
-        estimate_total_noise(0.99 * GRID, mu, cov_est)
+        estimate_total_noise(0.99 * GRID, mu, cov_est, 0.1)
 
 
 def test_total_noise_floor_and_failure_flags():
@@ -221,7 +221,7 @@ def test_total_noise_floor_and_failure_flags():
     cov_est = cov_from_oracle(sol, GRID, REF_S)
     cov_est.dD_hat[3] -= 10.0  # push the diagonal route negative
     cov_est.diag_flags[5] = True
-    s_diag, s_tri, flags = estimate_total_noise(GRID, mu, cov_est)
+    s_diag, s_tri, flags = estimate_total_noise(GRID, mu, cov_est, 0.1)
     assert s_diag[3] == 0.0 and flags["floored_diag"][3]
     assert np.isnan(s_diag[5]) and flags["failed_diag"][5]
     assert flags["failed_tri"][5] and np.isnan(s_tri[5])
@@ -317,7 +317,7 @@ def test_route_gap_shrinks_with_sample_size():
         mean_est = fit_mean_curve(obs, grid, 2, default_bandwidth_mean(obs, 2))
         mu, _, _ = estimate_drift(mean_est, threshold=0.05)
         cov = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
-        s_diag, s_tri, _ = estimate_total_noise(grid, mu, cov)
+        s_diag, s_tri, _ = estimate_total_noise(grid, mu, cov, 0.1)
         keep = (grid <= 0.8) & np.isfinite(s_diag) & np.isfinite(s_tri)
         return float(np.max(np.abs(s_diag[keep] - s_tri[keep])))
 
@@ -393,7 +393,7 @@ def _half_covered_fit():
 def test_total_noise_matches_per_node_estimate_H(surface):
     cov_est = _holey_surface() if surface == "holey-oracle" else _half_covered_fit()
     mu = np.sin(3.0 * GRID) - 0.5
-    s_diag, s_tri, flags = estimate_total_noise(GRID, mu, cov_est)
+    s_diag, s_tri, flags = estimate_total_noise(GRID, mu, cov_est, 0.1)
     ref, floored, failed = _per_node_total_noise(GRID, mu, cov_est)
     npt.assert_array_equal(s_tri.view(np.int64), ref.view(np.int64))
     npt.assert_array_equal(flags["floored_tri"], floored)
