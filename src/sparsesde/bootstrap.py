@@ -2,11 +2,11 @@
 
 The pointwise estimate at t* (mean fit, drift threshold, diagonal surface
 fit, separation) reads only window sums, and each window sum is a sum over
-curves: the mean fit's kernel moments and responses directly, the surface
-fit's pair sums because a curve's sum over its pairs j != k is the product
-of its two feature sums minus its j = k terms.  So one n x k table of
-per-curve sums gives every resample's sums by adding up the rows of its
-drawn curves, and all resamples are solved in one batch.  Each fit that
+curves: the mean fit's kernel moments, responses and active rows directly,
+the surface fit's pair sums and active pairs because a curve's sum over its
+pairs j != k is the product of its two feature sums minus its j = k terms.
+So one n x k table of per-curve sums gives every resample's sums by adding
+up the rows of its drawn curves, and all resamples are solved in one batch.  Each fit that
 fails a check is solved again at 1.5x its bandwidth, up to `MAX_WIDEN`
 times, from the table rebuilt there and gathered for the failing resamples
 only, as the pointwise chain `point_estimates` widens it.
@@ -105,69 +105,57 @@ def _from_corner(kept: np.ndarray, k: int) -> np.ndarray:
 def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
     """Per-curve sums behind the fits of `point_estimates` at bandwidths h_m and h_G.
 
-    Returns (table, shapes, own, shared).  Row i of the (n, k) table holds curve
-    i's mean-fit sums K(u)u^P and K(u)u^p Y at t_star, then its pair sums and
-    active-pair counts at the cells (t*, t*) and (t* - eps, t* + eps) of
-    `fit_diag` (`covfit._offset_cells` at st.h_G); of the pair sums it keeps only
-    the `_corner` entries the surface solve reads.  `shapes` gives each block's
-    leading shape.  `fit_mean_at` counts the distinct design times in the mean
-    window: own[i] times held by curve i alone, plus the columns of the (n, S)
-    presence matrix `shared` for times held by several observations.  The
-    weights' common factors 1/h and 1/h^2 cancel in the solves and are left out.
+    Returns (table, shapes).  Row i of the (n, k) table holds curve i's
+    mean-fit sums K(u)u^P and K(u)u^p Y and its count of active rows at
+    t_star, then its pair sums and active-pair counts at the cells (t*, t*)
+    and (t* - eps, t* + eps) of `fit_diag` (`covfit._offset_cells` at
+    st.h_G); of the pair sums it keeps only the `_corner` entries the surface
+    solve reads.  `shapes` gives each block's leading shape.  The weights'
+    common factors 1/h and 1/h^2 cancel in the solves and are left out.
     """
-    bounds = obs.curve_bounds()
-    n = bounds.size - 1
-    mom, resp, ind = _window_features(obs, np.asarray([t_star]), h_m, st.kernel, st.d_mean)
+    starts = obs.curve_bounds()[:-1]
+    n = starts.size
     # the single centre axis stands for the exponent q = 0 of `_solve_cells`
-    mean_M = np.add.reduceat(mom, bounds[:-1], axis=-1)
-    mean_R = np.add.reduceat(resp, bounds[:-1], axis=-1)
+    mean_M, mean_R, mean_count = (
+        np.add.reduceat(x, starts, axis=-1)
+        for x in _window_features(obs, np.asarray([t_star]), h_m, st.kernel, st.d_mean)
+    )
     lo, hi = _offset_cells(t_star, st.h_G)
     cells = np.asarray([[t_star, lo], [t_star, hi]])
     M, R, count = _curve_pair_sums(obs, h_G, st.kernel, st.d_cov, *cells)
-    parts = [mean_M, mean_R, M[_corner(M.shape[0])], R[_corner(R.shape[0])], count[0, 0]]
+    M, R = M[_corner(M.shape[0])], R[_corner(R.shape[0])]
+    parts = [mean_M, mean_R, mean_count[0, 0], M, R, count[0, 0]]
     table = np.concatenate([p.reshape(-1, n) for p in parts]).T.copy()
-
-    active = np.flatnonzero(ind[0, 0])
-    curve = np.repeat(np.arange(n), np.diff(bounds))[active]
-    _, which, holders = np.unique(obs.t[active], return_inverse=True, return_counts=True)
-    present = np.zeros((n, holders.size), dtype=bool)
-    present[curve, which] = True
-    own, shared = present[:, holders == 1].sum(axis=1), present[:, holders > 1]
-    return table, [p.shape[:-1] for p in parts], own, shared
+    return table, [p.shape[:-1] for p in parts]
 
 
-def _resample_sums(table, own, shared, draws):
-    """Table sums and distinct mean-window times of each row of draws.
+def _resample_sums(table, draws):
+    """Table sums of each row of draws.
 
     One draw position at a time, gathered into one reused slab of rows x k,
     keeps the working set small; the rows are added in draw order, so the
     sums are those of `sums += table[c]`.  `mode="clip"` lets `take` write
     straight into the slab (the default "raise" buffers it); every draw is
-    a valid curve index.  A curve's own times count once however often it
-    is drawn.
+    a valid curve index.
     """
-    n_rows = draws.shape[0]
-    sums = np.zeros((n_rows, table.shape[1]))
+    sums = np.zeros((draws.shape[0], table.shape[1]))
     slab = np.empty_like(sums)
-    drawn = np.zeros((n_rows, table.shape[0]), dtype=bool)
-    rows = np.arange(n_rows)
     for c in draws.T:
         sums += table.take(c, axis=0, out=slab, mode="clip")
-        drawn[rows, c] = True
-    return sums, np.einsum("rn,n->r", drawn, own) + (drawn @ shared).sum(axis=1)
+    return sums
 
 
 def gathered_estimates(obs, t_star: float, st, thr: float, draws: np.ndarray):
     """Batched estimates of each resample, a row of curve indices in draws.
 
     Returns (est, used, fallback), est being (rows, 3).  Each of a row's
-    fits, the mean (checks of `fit_mean_at`) and the cells (t*, t*) and
-    (t* - eps, t* + eps) (checks of `solve_wls`), keeps the first of the
-    bandwidths h, 1.5h, ... at which it passes; a row stops widening once its
-    mean falls below the drift threshold.  Used rows passed all three and
-    the threshold; fallback rows failed a check at h_m or h_G and widened.
-    The condition checks decide as `solve_wls` does, with the SVD taken only
-    of the normal matrices a determinant-trace bound does not clear.
+    fits, the mean and the cells (t*, t*) and (t* - eps, t* + eps), keeps
+    the first of the bandwidths h, 1.5h, ... at which it passes the checks
+    of `solve_wls`; a row stops widening once its mean falls below the drift
+    threshold.  Used rows passed all three and the threshold; fallback rows
+    failed a check at h_m or h_G and widened.  The checks decide as
+    `solve_wls` does, with the SVD taken only of the normal matrices a
+    determinant-trace bound does not clear.
     """
     n_rows = draws.shape[0]
     fit = np.full((4, n_rows), np.nan)  # m, dm, D, dD
@@ -176,12 +164,14 @@ def gathered_estimates(obs, t_star: float, st, thr: float, draws: np.ndarray):
     mean_expo, cell_expo = [(p, 0) for p in range(st.d_mean + 1)], _monomial_exponents(st.d_cov)
     h_m, h_G = st.h_m, st.h_G
     for k in range(MAX_WIDEN + 1):
-        table, shapes, own, shared = _curve_statistics(obs, t_star, st, h_m, h_G)
-        sums, distinct = _resample_sums(table, own, shared, draws[rows])
+        table, shapes = _curve_statistics(obs, t_star, st, h_m, h_G)
+        sums = _resample_sums(table, draws[rows])
         blocks = np.split(sums.T, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-        mean_M, mean_R, M, R, count = (b.reshape(sh + (-1,)) for b, sh in zip(blocks, shapes))
+        mean_M, mean_R, mean_count, M, R, count = (
+            b.reshape(sh + (-1,)) for b, sh in zip(blocks, shapes)
+        )
         M, R = _from_corner(M, 2 * st.d_cov + 1), _from_corner(R, st.d_cov + 1)
-        mean_beta, mean_ok = _solve_cells(mean_M, mean_R, distinct, mean_expo)
+        mean_beta, mean_ok = _solve_cells(mean_M, mean_R, mean_count, mean_expo)
         beta, cell_ok = _solve_cells(M, R, count, cell_expo)
         dD = beta[1, :, 1] / h_G + beta[1, :, 2] / h_G
         now = np.stack((mean_beta[:, 0], mean_beta[:, 1] / h_m, beta[0, :, 0], dD))

@@ -153,15 +153,15 @@ def fit_cov_at(
     """Surface fit at one point; returns (G_hat, dsG_hat, dtG_hat).
 
     Product-kernel weights with a common bandwidth in both directions; the
-    window widens by 1.5x (at most five times) when it holds fewer usable
-    pairs than the monomial basis has columns.
+    window widens by 1.5x (at most five times) while `solve_wls` rejects it
+    (fewer active pairs than the monomial basis has columns, or a singular
+    normal matrix).
     """
     if d < 1:
         raise ValidationError("need degree >= 1 for surface derivatives")
     if h_G <= 0:
         raise ValidationError("bandwidth must be positive")
     expo = _monomial_exponents(d)
-    ncols = len(expo)
     u, v, p = scatter.u, scatter.v, scatter.p
     h = float(h_G)
     for _ in range(MAX_WIDEN + 1):
@@ -169,19 +169,17 @@ def fit_cov_at(
         b = (v - t) / h
         w = kernel.values(a) * kernel.values(b) / (h * h)
         active = np.flatnonzero(w > 0)
-        if active.size >= ncols:
-            aa = a[active]
-            bb = b[active]
-            basis = np.empty((active.size, ncols))
-            for col, (pe, qe) in enumerate(expo):
-                basis[:, col] = aa**pe * bb**qe
-            try:
-                beta, _ = solve_wls(basis, w[active], p[active])
-            except SingularFitError:
-                pass
-            else:
-                return float(beta[0]), float(beta[1] / h), float(beta[2] / h)
-        h *= WIDEN_FACTOR
+        aa = a[active]
+        bb = b[active]
+        basis = np.empty((active.size, len(expo)))
+        for col, (pe, qe) in enumerate(expo):
+            basis[:, col] = aa**pe * bb**qe
+        try:
+            beta, _ = solve_wls(basis, w[active], p[active])
+        except SingularFitError:
+            h *= WIDEN_FACTOR
+        else:
+            return float(beta[0]), float(beta[1] / h), float(beta[2] / h)
     raise SparseWindowError((s, t))
 
 

@@ -9,11 +9,12 @@ being bias-limited at curve ends.
 
 `fit_mean_points` fits a whole grid at once.  In the time-sorted data each
 centre's window is one segment of rows; one `np.add.reduceat` per block of
-centres sums its kernel moments, responses and distinct active times, and
-one batched solve applies the checks of `fit_mean_at` (distinct times
->= d + 1, condition <= its limit).  The batch decides the condition check
-exactly as `solve_wls` does, but takes the SVD only of the normal matrices
-that a determinant-trace bound does not clear (`_cond_screen`).  A centre
+centres sums its kernel moments, responses and active rows, and one batched
+solve applies the checks of `solve_wls` (active rows >= d + 1, condition <=
+its limit; a window with fewer distinct times than columns is singular, so
+the condition check rejects it).  The batch decides them exactly as
+`solve_wls` does, but takes the SVD only of the normal matrices that a
+determinant-trace bound does not clear (`_cond_screen`).  A centre
 failing the checks is refitted by `fit_mean_at`, which widens its window or
 flags it.  A centre reads only its own segment, so it fits the same
 whatever other centres share the call.
@@ -117,13 +118,8 @@ def default_bandwidth_mean(obs: SparseObservations, d: int) -> float:
 
 def _clamped_bandwidth(obs: SparseObservations, c: float, rate: float) -> float:
     """c * (design range) * rate, clamped to [3 * median design gap, 0.5]."""
-    t_sorted = obs.t[obs.time_order]
-    rng = float(t_sorted[-1] - t_sorted[0])
-    if rng <= 0:
-        raise ValidationError("design has zero time range")
-    gaps = np.diff(t_sorted)
-    lo = 3.0 * float(np.median(gaps[gaps > 0]))  # a positive range has a positive gap
-    return min(max(c * rng * rate, lo), 0.5)
+    rng, gap = obs.design_scale
+    return min(max(c * rng * rate, 3.0 * gap), 0.5)
 
 
 def fit_mean_at(
@@ -135,9 +131,10 @@ def fit_mean_at(
 ) -> tuple[float, float]:
     """Local polynomial fit of the mean at a single point.
 
-    Returns (m_hat(t), dm_hat(t)).  If the kernel window holds fewer than
-    d+1 distinct design points, the bandwidth is widened by 1.5x up to five
-    times before SparseWindowError is raised.
+    Returns (m_hat(t), dm_hat(t)).  While `solve_wls` rejects the kernel
+    window (too few active rows, or a singular normal matrix, as when it
+    holds fewer than d+1 distinct design times), the bandwidth is widened by
+    1.5x up to five times before SparseWindowError is raised.
     """
     if d < 1:
         raise ValidationError("need degree >= 1 to report a derivative")
@@ -149,17 +146,14 @@ def fit_mean_at(
         u = (T - t) / h
         w = kernel.values(u) / h
         active = w > 0
-        if np.unique(T[active]).size >= d + 1:
-            # scaled powers keep the normal matrix well conditioned
-            ua = u[active]
-            basis = np.vander(ua, d + 1, increasing=True)
-            try:
-                beta, _ = solve_wls(basis, w[active], Y[active])
-            except SingularFitError:
-                pass
-            else:
-                return float(beta[0]), float(beta[1] / h)
-        h *= WIDEN_FACTOR
+        # scaled powers keep the normal matrix well conditioned
+        basis = np.vander(u[active], d + 1, increasing=True)
+        try:
+            beta, _ = solve_wls(basis, w[active], Y[active])
+        except SingularFitError:
+            h *= WIDEN_FACTOR
+        else:
+            return float(beta[0]), float(beta[1] / h)
     raise SparseWindowError(t)
 
 
@@ -240,17 +234,15 @@ def fit_mean_points(
     centres = np.asarray(centres, dtype=float)
     order = obs.time_order
     T, Y = obs.t[order], obs.y[order]
-    first = np.diff(T, prepend=-np.inf) > 0  # equal times share a window; count each once
     lo = np.searchsorted(T, centres - _WINDOW_MARGIN * h)
     size = np.searchsorted(T, centres + _WINDOW_MARGIN * h, "right") - lo
-    sums = np.zeros((3 * d + 3, centres.size))  # `_features`, counting distinct times
+    sums = np.zeros((3 * d + 3, centres.size))  # `_features`, the last row counting active rows
     step = max(1, _PAIR_BLOCK // max(int(size.max(initial=0)), 1))
     for c0 in range(0, centres.size, step):
         sz = size[c0 : c0 + step]
         starts = np.cumsum(sz) - sz
         rows = np.arange(int(sz.sum())) + np.repeat(lo[c0 : c0 + step] - starts, sz)
         F = _features((T[rows] - np.repeat(centres[c0 : c0 + step], sz)) / h, Y[rows], kernel, d)
-        F[-1] *= first[rows]
         nz = np.flatnonzero(sz)  # an empty segment keeps its zeros
         if nz.size:
             sums[:, c0 + nz] = np.add.reduceat(F, starts[nz], axis=1)

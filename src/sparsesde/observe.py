@@ -110,6 +110,17 @@ class SparseObservations:
         """Stable argsort of `t`, taken on first use; the fits read rows in this order."""
         return np.argsort(self.t, kind="stable")
 
+    @cached_property
+    def design_scale(self) -> tuple[float, float]:
+        """(range, median positive gap) of the design times, taken on first use;
+        the bandwidth rules read it."""
+        t_sorted = self.t[self.time_order]
+        rng = float(t_sorted[-1] - t_sorted[0])
+        if rng <= 0:
+            raise ValidationError("design has zero time range")
+        gaps = np.diff(t_sorted)
+        return rng, float(np.median(gaps[gaps > 0]))  # a positive range has a positive gap
+
     def counts(self) -> np.ndarray:
         return np.bincount(self.curve_id, minlength=self.n)
 

@@ -33,6 +33,13 @@ def make_obs(curves) -> SparseObservations:
     return obs
 
 
+def common_grid_panel() -> SparseObservations:
+    """12 curves that all see the same 21 times, so windows hold few distinct times."""
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 1.0, 21)
+    return make_obs([(t, 1.0 + t + 0.3 * rng.standard_normal(21)) for _ in range(12)])
+
+
 def curve_slices(obs: SparseObservations) -> list[slice]:
     """One row slice per curve, from `curve_bounds`."""
     bounds = obs.curve_bounds()

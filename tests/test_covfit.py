@@ -45,7 +45,7 @@ from sparsesde.covfit import (
 )
 from sparsesde.meanfit import _features
 
-from conftest import curve_slices, make_obs
+from conftest import common_grid_panel, curve_slices, make_obs
 from reference import centre_major_curve_sums
 
 
@@ -261,13 +261,6 @@ def test_diagonal_inclusive_targets_level_plus_noise(rng):
     npt.assert_allclose(vals, 4.0, atol=1e-8)
 
 
-def _common_grid_panel():
-    # every curve sees the same 21 times, so windows hold few distinct times
-    rng = np.random.default_rng(5)
-    t = np.linspace(0.0, 1.0, 21)
-    return make_obs([(t, 1.0 + t + 0.3 * rng.standard_normal(21)) for _ in range(12)])
-
-
 @pytest.mark.parametrize(
     "panel, h",
     [("simulated", None), ("half-covered", 0.05), ("common-grid", 0.04)],
@@ -276,7 +269,7 @@ def test_diagonal_inclusive_matches_per_point_fits(panel, h):
     obs = {
         "simulated": _simulated_panel,
         "half-covered": _half_covered_panel,
-        "common-grid": _common_grid_panel,
+        "common-grid": common_grid_panel,
     }[panel]()
     grid = np.linspace(0.0, 0.7, 36)
     h = default_bandwidth_mean(obs, 1) if h is None else h  # None: the rule `run_estimate` uses
@@ -493,7 +486,7 @@ _WINDOWED_PANELS = {
     "simulated": (_simulated_panel, None, np.linspace(0.0, 1.0, 11)),
     "multi-block": (_multi_block_panel, None, np.array([0.5, 0.1, 0.9, 0.0, 0.5, 1.0, 0.3])),
     "half-covered": (_half_covered_panel, 0.05, np.linspace(0.0, 1.0, 11)),
-    "common-grid": (_common_grid_panel, 0.1, np.linspace(0.0, 1.0, 21)),
+    "common-grid": (common_grid_panel, 0.1, np.linspace(0.0, 1.0, 21)),
     "empty-windows": (_half_covered_panel, 0.05, np.array([-0.4, 0.2, 0.8, 0.95, 1.6])),
 }
 

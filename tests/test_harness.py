@@ -63,7 +63,7 @@ from sparsesde.harness import (
 from sparsesde.meanfit import default_bandwidth_mean
 from sparsesde.observe import SparseObservations
 
-from conftest import make_obs
+from conftest import common_grid_panel, make_obs
 
 
 def cfg_dict(**sections) -> dict:
@@ -519,7 +519,7 @@ def _low_mean_panel():
 
 
 @pytest.mark.parametrize("d_mean, d_cov", [(1, 1), (2, 2), (2, 1), (1, 2)])
-@pytest.mark.parametrize("panel", ["simulated", "gap", "low-mean"])
+@pytest.mark.parametrize("panel", ["simulated", "gap", "low-mean", "common-grid"])
 def test_bootstrap_matches_per_resample_chain(monkeypatch, panel, d_mean, d_cov):
     est = {"d_mean": d_mean, "d_cov": d_cov, "eval_points": 21}
     est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
@@ -532,6 +532,13 @@ def test_bootstrap_matches_per_resample_chain(monkeypatch, panel, d_mean, d_cov)
         est.update(h_m=0.1, h_G=0.1)
         cfg = parse_config(cfg_dict(estimation=est, experiment={"B": 60}))
         obs = _gap_panel()
+    elif panel == "common-grid":
+        # the mean window at t* = 0.5 holds the 12 curves' rows at 0.5 alone
+        est.update(h_m=0.04, h_G=0.08)
+        cfg = parse_config(cfg_dict(estimation=est, experiment={"B": 60}))
+        obs = common_grid_panel()
+        window = np.abs(obs.t - 0.5) < 0.04
+        assert np.count_nonzero(window) >= d_mean + 1 > np.unique(obs.t[window]).size
     else:
         est["mu_threshold"] = 0.012
         cfg = parse_config(cfg_dict(estimation=est, experiment={"B": 60}))
@@ -547,7 +554,7 @@ def test_bootstrap_matches_per_resample_chain(monkeypatch, panel, d_mean, d_cov)
     assert result.n_success == int(used.sum())
     for key, ref in bmse.items():
         assert result.bmse[key] == pytest.approx(ref, rel=1e-10, abs=0.0), key
-    if panel == "gap":
+    if panel in ("gap", "common-grid"):
         assert result.fallback > 0
     else:
         assert result.fallback == 0
@@ -614,17 +621,12 @@ def test_bootstrap_widens_without_pointwise_refits(monkeypatch):
     assert len(calls) == 1
 
 
-def _plain_resample_sums(table, own, shared, draws):
-    """Reference: a fresh gather of table[c] per draw position, and the distinct
-    mean-window times of each row counted from its set of drawn curves."""
+def _plain_resample_sums(table, draws):
+    """Reference: a fresh gather of table[c] per draw position."""
     sums = np.zeros((draws.shape[0], table.shape[1]))
     for c in draws.T:
         sums += table[c]
-    distinct = []
-    for row in draws:
-        curves = np.unique(row)
-        distinct.append(own[curves].sum() + shared[curves].any(axis=0).sum())
-    return sums, np.asarray(distinct)
+    return sums
 
 
 def test_resample_sums_equal_the_plain_gather_loop_bit_for_bit():
@@ -634,24 +636,20 @@ def test_resample_sums_equal_the_plain_gather_loop_bit_for_bit():
     table = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 9, (n, k))
     table[:, 2] = -0.0  # a sum of -0.0 alone is +0.0 only if it starts from +0.0
     table[3] = -0.0
-    own = rng.integers(0, 4, n)
-    shared = rng.random((n, 5)) < 0.3
     # repeated curves in every row, and a row that draws one curve n times
     draws = np.vstack((np.arange(n), rng.integers(0, 4, (30, n)), np.full(n, 3)))
-    sums, distinct = bootstrap._resample_sums(table, own, shared, draws)
-    ref_sums, ref_distinct = _plain_resample_sums(table, own, shared, draws)
-    assert sums.tobytes() == ref_sums.tobytes()
+    sums = bootstrap._resample_sums(table, draws)
+    assert sums.tobytes() == _plain_resample_sums(table, draws).tobytes()
     assert np.signbit(sums[-1]).sum() == 0
-    npt.assert_array_equal(distinct, ref_distinct)
 
 
 @pytest.mark.parametrize(
     "d_mean, d_cov, columns",
     [
-        # mean M (2 d_mean + 1) and R (d_mean + 1); pair sums M[P, Q] with
-        # P + Q <= 2 d_cov and R[p, q] with p + q <= d_cov at 2 cells; 2 counts
-        (2, 1, 5 + 3 + 2 * 6 + 2 * 3 + 2),
-        (1, 2, 3 + 2 + 2 * 15 + 2 * 6 + 2),
+        # mean M (2 d_mean + 1), R (d_mean + 1) and count; pair sums M[P, Q]
+        # with P + Q <= 2 d_cov and R[p, q] with p + q <= d_cov at 2 cells; 2 counts
+        (2, 1, 5 + 3 + 1 + 2 * 6 + 2 * 3 + 2),
+        (1, 2, 3 + 2 + 1 + 2 * 15 + 2 * 6 + 2),
     ],
 )
 def test_bootstrap_table_holds_only_the_columns_its_solves_read(d_mean, d_cov, columns):
@@ -659,7 +657,7 @@ def test_bootstrap_table_holds_only_the_columns_its_solves_read(d_mean, d_cov, c
     est["policy"] = {"kind": "known-fraction", "expr": "0.5"}
     obs = _gap_panel()
     st = _resolve_settings(parse_config(cfg_dict(estimation=est)), obs)
-    table, shapes, _, _ = bootstrap._curve_statistics(obs, 0.5, st, st.h_m, st.h_G)
+    table, shapes = bootstrap._curve_statistics(obs, 0.5, st, st.h_m, st.h_G)
     assert table.shape == (obs.n, columns)
     assert sum(math.prod(shape) for shape in shapes) == columns
 

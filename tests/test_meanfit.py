@@ -36,7 +36,7 @@ from sparsesde.meanfit import (
     fit_mean_points,
 )
 
-from conftest import make_obs
+from conftest import common_grid_panel, make_obs
 
 
 def test_kernel_mass_both_families():
@@ -271,9 +271,13 @@ def _cond_at(obs, t, d, h, kernel):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN_TRUNCATED])
-@pytest.mark.parametrize("panel", ["simulated", "half-covered"])
+@pytest.mark.parametrize("panel", ["simulated", "half-covered", "common-grid"])
 def test_mean_curve_matches_per_point_fits(panel, kernel, d):
-    obs = {"simulated": _simulated_panel, "half-covered": _half_covered_panel}[panel]()
+    obs = {
+        "simulated": _simulated_panel,
+        "half-covered": _half_covered_panel,
+        "common-grid": common_grid_panel,
+    }[panel]()
     h = default_bandwidth_mean(obs, d) if panel == "simulated" else 0.03
     grid = np.linspace(0.0, 1.0, 51)
     est = fit_mean_curve(obs, grid, d, h, kernel)
@@ -292,10 +296,16 @@ def test_mean_curve_matches_per_point_fits(panel, kernel, d):
     for got, want in ((est.m_hat, ref[:, 0]), (est.dm_hat, ref[:, 1])):
         dev = np.abs(got - want) / np.abs(want)
         assert np.all((dev <= rtol) | (np.isnan(got) & np.isnan(want))), np.nanmax(dev / rtol)
-    # the half-covered panel has windows that widen and points that stay flagged
-    distinct = [np.unique(obs.t[np.abs(obs.t - t) < est.bandwidth]).size for t in grid]
-    assert (min(distinct) < d + 1) == (panel == "half-covered")
+    # the sparse panels have windows that widen, the half-covered one points
+    # that stay flagged; the common grid's windows hold d + 1 rows or more
+    # but fewer distinct times, which only the condition check rejects
+    window = [np.abs(obs.t - t) < est.bandwidth for t in grid]
+    distinct = np.array([np.unique(obs.t[w]).size for w in window])
+    assert (min(distinct) < d + 1) == (panel != "simulated")
     assert est.flags.any() == (panel == "half-covered")
+    if panel == "common-grid":
+        rows = np.array([np.count_nonzero(w) for w in window])
+        assert np.any((rows >= d + 1) & (distinct < d + 1))
 
 
 def test_mean_points_do_not_depend_on_other_centres():
