@@ -1,6 +1,6 @@
 """Report-only hashes of every CLI artifact, to show that a change keeps them.
 
-Runs all six subcommands in-process (`sparsesde.cli.main`) on four small
+Runs all six subcommands in-process (`sparsesde.cli.main`) on five small
 configs at master seeds 7 and 8, each run into a fresh temporary directory:
 
   fraction  known-fraction policy, tracking mu, s and xi2
@@ -12,6 +12,8 @@ configs at master seeds 7 and 8, each run into a fresh temporary directory:
   jumpy     nu_K = 1000, so each path carries ~1,000 jumps and the
             simulator keeps dense counts (the other configs' ~1 jump a
             path takes its Poisson replay), known-fraction policy
+  cubic     d_mean 3, d_cov 3, so the fits read the degree-3 feature rows
+            and bases, known-fraction policy
 
 and then `estimate` and `bootstrap` at each seed on a wide CSV it writes
 (`--obs-csv --wide`): 40 curves on 24 midpoint columns, about half the
@@ -81,6 +83,16 @@ CONFIGS = {
         "model": {"nu_K": 1000.0},
         "design": {"n": 60, "r": 8},
         "estimation": {
+            "eval_points": 21,
+            "policy": {"kind": "known-fraction", "expr": "0.5"},
+        },
+        "experiment": dict(_SMALL),
+    },
+    "cubic": {
+        "design": {"n": 60, "r": 8},
+        "estimation": {
+            "d_mean": 3,
+            "d_cov": 3,
             "eval_points": 21,
             "policy": {"kind": "known-fraction", "expr": "0.5"},
         },

@@ -7,8 +7,8 @@ the surface fit's pair sums and active pairs because a curve's sum over its
 pairs j != k is the product of its two feature sums minus its j = k terms.
 So one n x k table of per-curve sums gives every resample's sums by adding
 up the rows of its drawn curves, and all resamples are solved in one batch.  Each fit that
-fails a check is solved again at 1.5x its bandwidth, up to `MAX_WIDEN`
-times, from the table rebuilt there and gathered for the failing resamples
+fails a check is solved again at the next bandwidth of `meanfit`'s window
+rule, from the table rebuilt there and gathered for the failing resamples
 only, as the pointwise chain `point_estimates` widens it.
 
 `harness.run_bootstrap` loads this module on its first call, so the other
@@ -23,7 +23,7 @@ import numpy as np
 
 from .covfit import _monomial_exponents, _offset_cells, fit_diag, pair_scatter
 from .errors import EstimationFailedError, SparseWindowError
-from .meanfit import MAX_WIDEN, WIDEN_FACTOR, _features, _solve_cells, fit_mean_points
+from .meanfit import _bandwidths, _features, _kinds, _solve_cells, _solve_mean, fit_mean_points
 from .recover import separate
 
 KEYS = ("mu", "sigma2", "xi2")
@@ -52,16 +52,6 @@ def point_estimates(data, t_star: float, st, thr: float) -> tuple[float, float, 
     return float(mu), float(sigma2[0]), float(xi2[0])
 
 
-def _window_features(obs, centres, h, kernel, d):
-    """`meanfit._features` of every observation at each centre c, with a = (T - c)/h.
-
-    Returns its moments, responses and window indicator, each stacked as
-    (power, centre, observation).
-    """
-    F = _features((obs.t[None] - centres[:, None]) / h, obs.y, kernel, d)
-    return F[: 2 * d + 1], F[2 * d + 1 : -1], F[-1:]
-
-
 def _curve_pair_sums(obs, h, kernel, d, s_pts, t_pts):
     """Per-curve sums over within-curve pairs j != k at the cells (s_pts[c], t_pts[c]).
 
@@ -71,10 +61,12 @@ def _curve_pair_sums(obs, h, kernel, d, s_pts, t_pts):
     summed over the curves they are `_pair_sums(obs, h, kernel, d, s_pts, t_pts)`.
     """
     starts = obs.curve_bounds()[:-1]
-    left = _window_features(obs, s_pts, h, kernel, d)
-    right = _window_features(obs, t_pts, h, kernel, d)
+    left, right = (
+        _features((obs.t[None] - c[:, None]) / h, obs.y, kernel, d) for c in (s_pts, t_pts)
+    )
     out = []
-    for x, y in zip(left, right):
+    for k in _kinds(d):
+        x, y = left[k], right[k]
         cx = np.add.reduceat(x, starts, axis=-1)
         cy = np.add.reduceat(y, starts, axis=-1)
         same = np.stack([np.add.reduceat(xp * y, starts, axis=-1) for xp in x])
@@ -106,25 +98,22 @@ def _curve_statistics(obs, t_star: float, st, h_m: float, h_G: float):
     """Per-curve sums behind the fits of `point_estimates` at bandwidths h_m and h_G.
 
     Returns (table, shapes).  Row i of the (n, k) table holds curve i's
-    mean-fit sums K(u)u^P and K(u)u^p Y and its count of active rows at
-    t_star, then its pair sums and active-pair counts at the cells (t*, t*)
-    and (t* - eps, t* + eps) of `fit_diag` (`covfit._offset_cells` at
-    st.h_G); of the pair sums it keeps only the `_corner` entries the surface
-    solve reads.  `shapes` gives each block's leading shape.  The weights'
-    common factors 1/h and 1/h^2 cancel in the solves and are left out.
+    mean-window sums of `meanfit._features` at t_star, then its pair sums
+    and active-pair counts at the cells (t*, t*) and (t* - eps, t* + eps) of
+    `fit_diag` (`covfit._offset_cells` at st.h_G); of the pair sums it keeps
+    only the `_corner` entries the surface solve reads.  `shapes` gives each
+    block's leading shape.  The weights' common factors 1/h and 1/h^2
+    cancel in the solves and are left out.
     """
     starts = obs.curve_bounds()[:-1]
     n = starts.size
-    # the single centre axis stands for the exponent q = 0 of `_solve_cells`
-    mean_M, mean_R, mean_count = (
-        np.add.reduceat(x, starts, axis=-1)
-        for x in _window_features(obs, np.asarray([t_star]), h_m, st.kernel, st.d_mean)
-    )
+    mean = _features((obs.t - t_star) / h_m, obs.y, st.kernel, st.d_mean)
+    mean = np.add.reduceat(mean, starts, axis=-1)
     lo, hi = _offset_cells(t_star, st.h_G)
     cells = np.asarray([[t_star, lo], [t_star, hi]])
     M, R, count = _curve_pair_sums(obs, h_G, st.kernel, st.d_cov, *cells)
     M, R = M[_corner(M.shape[0])], R[_corner(R.shape[0])]
-    parts = [mean_M, mean_R, mean_count[0, 0], M, R, count[0, 0]]
+    parts = [mean, M, R, count[0, 0]]
     table = np.concatenate([p.reshape(-1, n) for p in parts]).T.copy()
     return table, [p.shape[:-1] for p in parts]
 
@@ -150,29 +139,25 @@ def gathered_estimates(obs, t_star: float, st, thr: float, draws: np.ndarray):
 
     Returns (est, used, fallback), est being (rows, 3).  Each of a row's
     fits, the mean and the cells (t*, t*) and (t* - eps, t* + eps), keeps
-    the first of the bandwidths h, 1.5h, ... at which it passes the checks
-    of `solve_wls`; a row stops widening once its mean falls below the drift
-    threshold.  Used rows passed all three and the threshold; fallback rows
-    failed a check at h_m or h_G and widened.  The checks decide as
-    `solve_wls` does, with the SVD taken only of the normal matrices a
-    determinant-trace bound does not clear.
+    the first bandwidth of `meanfit._bandwidths` at which it passes the
+    checks of `solve_wls`, decided as `meanfit._solve_cells` decides them; a
+    row stops widening once its mean falls below the drift threshold.  Used
+    rows passed all three and the threshold; fallback rows failed a check at
+    h_m or h_G and widened.
     """
     n_rows = draws.shape[0]
     fit = np.full((4, n_rows), np.nan)  # m, dm, D, dD
     ok = np.zeros((3, n_rows), dtype=bool)  # mean, (t*, t*) cell, offset cell
     rows = slice(None)  # the first pass reads every row of draws without a copy
-    mean_expo, cell_expo = [(p, 0) for p in range(st.d_mean + 1)], _monomial_exponents(st.d_cov)
-    h_m, h_G = st.h_m, st.h_G
-    for k in range(MAX_WIDEN + 1):
+    expo = _monomial_exponents(st.d_cov)
+    for k, (h_m, h_G) in enumerate(zip(_bandwidths(st.h_m), _bandwidths(st.h_G))):
         table, shapes = _curve_statistics(obs, t_star, st, h_m, h_G)
         sums = _resample_sums(table, draws[rows])
         blocks = np.split(sums.T, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-        mean_M, mean_R, mean_count, M, R, count = (
-            b.reshape(sh + (-1,)) for b, sh in zip(blocks, shapes)
-        )
+        mean, M, R, count = (b.reshape(sh + (-1,)) for b, sh in zip(blocks, shapes))
         M, R = _from_corner(M, 2 * st.d_cov + 1), _from_corner(R, st.d_cov + 1)
-        mean_beta, mean_ok = _solve_cells(mean_M, mean_R, mean_count, mean_expo)
-        beta, cell_ok = _solve_cells(M, R, count, cell_expo)
+        mean_beta, mean_ok = _solve_mean(mean, st.d_mean)
+        beta, cell_ok = _solve_cells(M, R, count, expo)
         dD = beta[1, :, 1] / h_G + beta[1, :, 2] / h_G
         now = np.stack((mean_beta[:, 0], mean_beta[:, 1] / h_m, beta[0, :, 0], dD))
         passed = np.stack((mean_ok, *cell_ok)) & ~ok[:, rows]  # each fit keeps its first pass
@@ -184,7 +169,6 @@ def gathered_estimates(obs, t_star: float, st, thr: float, draws: np.ndarray):
         rows = np.flatnonzero(retry)
         if not rows.size:
             break
-        h_m, h_G = h_m * WIDEN_FACTOR, h_G * WIDEN_FACTOR
 
     m, dm, D, dD = fit
     used = ok.all(axis=0) & (np.abs(m) >= thr)

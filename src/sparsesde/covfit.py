@@ -22,17 +22,13 @@ matrix products of per-curve kernel sums, taken over blocks of curves, and
 one batched solve; the offset cells (t - eps, t + eps) behind D' come from
 one more pass that pairs each s with its own t.  The kernel has compact
 support, so the sums are windowed: an observation is paired only with the
-band of sorted centres within the window margin of `meanfit` around its
-time, and the j = k terms come from chunks of observations in time order,
-each with the run of centres its span reaches.  The per-curve sums are
-binned curve-major; centre-major bins put a full block's curves
-`_CURVE_BLOCK` doubles apart, and the scatters then hit one cache set.  A
-cell whose window at h_G holds fewer active pairs than basis columns, or
-whose normal matrix fails the condition check of `solve_wls`, is refitted
-by `fit_cov_at`, which widens its window or flags the cell.  The batch
-decides that check exactly as `solve_wls` does, but takes the SVD only of
-the normal matrices that a determinant-trace bound does not clear
-(`meanfit._cond_screen`).
+band of sorted centres whose windows reach its time, and the j = k terms
+come from chunks of observations in time order, each with the run of
+centres its span reaches.  The per-curve sums are binned curve-major;
+centre-major bins put a full block's curves `_CURVE_BLOCK` doubles apart,
+and the scatters then hit one cache set.  Windows, their checks, widening
+and flagging follow the window rule of `meanfit`: a cell that fails at h_G
+is refitted by `fit_cov_at`.
 """
 
 from __future__ import annotations
@@ -41,21 +37,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    EstimationFailedError,
-    SingularFitError,
-    SparseWindowError,
-    ValidationError,
-)
+from .errors import EstimationFailedError, SingularFitError, SparseWindowError
 from .kernels import EPANECHNIKOV, KernelSpec
 from .meanfit import (
-    MAX_WIDEN,
-    WIDEN_FACTOR,
-    _MAX_FLAGGED,
-    _WINDOW_MARGIN,
+    _bandwidths,
+    _check_fit,
+    _check_flagged,
     _clamped_bandwidth,
     _features,
+    _kinds,
     _solve_cells,
+    _window_runs,
     fit_mean_points,
     solve_wls,
 )
@@ -153,18 +145,14 @@ def fit_cov_at(
     """Surface fit at one point; returns (G_hat, dsG_hat, dtG_hat).
 
     Product-kernel weights with a common bandwidth in both directions; the
-    window widens by 1.5x (at most five times) while `solve_wls` rejects it
+    window widens along `meanfit._bandwidths` while `solve_wls` rejects it
     (fewer active pairs than the monomial basis has columns, or a singular
     normal matrix).
     """
-    if d < 1:
-        raise ValidationError("need degree >= 1 for surface derivatives")
-    if h_G <= 0:
-        raise ValidationError("bandwidth must be positive")
+    _check_fit(d, h_G, "for surface derivatives")
     expo = _monomial_exponents(d)
     u, v, p = scatter.u, scatter.v, scatter.p
-    h = float(h_G)
-    for _ in range(MAX_WIDEN + 1):
+    for h in _bandwidths(h_G):
         a = (u - s) / h
         b = (v - t) / h
         w = kernel.values(a) * kernel.values(b) / (h * h)
@@ -177,9 +165,8 @@ def fit_cov_at(
         try:
             beta, _ = solve_wls(basis, w[active], p[active])
         except SingularFitError:
-            h *= WIDEN_FACTOR
-        else:
-            return float(beta[0]), float(beta[1] / h), float(beta[2] / h)
+            continue
+        return float(beta[0]), float(beta[1] / h), float(beta[2] / h)
     raise SparseWindowError((s, t))
 
 
@@ -200,13 +187,6 @@ def fit_diag(
     D, _, _ = fit_cov_at(scatter, t, t, d, h_G, kernel)
     _, dsG, dtG = fit_cov_at(scatter, lo, hi, d, h_G, kernel)
     return D, dsG + dtG
-
-
-def _window_runs(sorted_centres, t, h):
-    """Bounds [lo, hi) of the run of sorted centres within `_WINDOW_MARGIN` h of each time."""
-    reach = _WINDOW_MARGIN * h
-    lo = np.searchsorted(sorted_centres, t - reach)
-    return lo, np.searchsorted(sorted_centres, t + reach, "right")
 
 
 def _curve_sums(obs, starts, centres, h, kernel, d):
@@ -248,7 +228,7 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
     Only (centre, observation) pairs near a kernel window are formed: the
     feature sums come from `_curve_sums`, a block of curves at a time, and
     the j = k terms from chunks of observations in time order, each taken
-    on the run of sorted s_pts within `_WINDOW_MARGIN` h of its time span.
+    on the run of sorted s_pts that `meanfit._window_runs` gives its time span.
     """
     grid = t_pts is None
     s_pts = np.asarray(s_pts, dtype=float)
@@ -269,8 +249,7 @@ def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
                 xy = (x[:, None] * y[None]).sum(axis=-1)
             return xy
 
-    nf = 3 * d + 3
-    kinds = (slice(0, 2 * d + 1), slice(2 * d + 1, nf - 1), slice(nf - 1, nf))
+    kinds = _kinds(d)
     bounds = obs.curve_bounds()
     sums = [0.0, 0.0, 0.0]
     for c0 in range(0, bounds.size - 1, _CURVE_BLOCK):
@@ -334,11 +313,8 @@ def fit_cov_grid(
     `fit_cov_at`, which widens or flags it.  `sums` holds the grid and
     the offset pass of `surface_sums` at h_G where they are taken already.
     """
-    if d < 1:
-        raise ValidationError("need degree >= 1 for surface derivatives")
+    _check_fit(d, h_G, "for surface derivatives")
     eval_times = np.asarray(eval_times, dtype=float)
-    if h_G <= 0:
-        raise ValidationError("bandwidth must be positive")
     h = float(h_G)
     nt = eval_times.size
     iu = np.triu_indices(nt)
@@ -379,9 +355,7 @@ def fit_cov_grid(
     D_hat = diag_fits[:, 0]
     dD_hat = diag_fits[:, 1] + diag_fits[:, 2]
 
-    n_bad = int(failed[:ncell].sum())
-    if n_bad > _MAX_FLAGGED * ncell:
-        raise EstimationFailedError(f"{n_bad}/{ncell} surface cells failed")
+    _check_flagged(int(failed[:ncell].sum()), ncell, "surface cells")
     return CovEstimate(
         eval_times=eval_times,
         G2=G2,

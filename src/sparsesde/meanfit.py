@@ -7,17 +7,22 @@ uses raw centred powers rather than an orthogonalised system.  The
 config's degree 2 (`estimation.d_mean`) keeps the first derivative from
 being bias-limited at curve ends.
 
-`fit_mean_points` fits a whole grid at once.  In the time-sorted data each
-centre's window is one segment of rows; one `np.add.reduceat` per block of
-centres sums its kernel moments, responses and active rows, and one batched
-solve applies the checks of `solve_wls` (active rows >= d + 1, condition <=
-its limit; a window with fewer distinct times than columns is singular, so
-the condition check rejects it).  The batch decides them exactly as
-`solve_wls` does, but takes the SVD only of the normal matrices that a
-determinant-trace bound does not clear (`_cond_screen`).  A centre
-failing the checks is refitted by `fit_mean_at`, which widens its window or
-flags it.  A centre reads only its own segment, so it fits the same
-whatever other centres share the call.
+This module owns the local-window rule that `covfit` and `bootstrap` read.
+A window holds the rows within `_WINDOW_MARGIN` bandwidths of its centre
+(`_window_runs`) and is summed as the rows of `_features` (`_kinds`).  It
+passes the checks of `solve_wls`: active rows or pairs >= columns, then
+condition <= its limit (a window with fewer distinct times than columns is
+singular).  `_solve_cells` decides them in a batch, taking the SVD only of
+the normal matrices that a determinant-trace bound does not clear
+(`_cond_screen`).  A window that fails is refitted along `_bandwidths` and
+flagged if none passes; a fit fails when more than `_MAX_FLAGGED` of its
+points or cells are flagged (`_check_flagged`).
+
+`fit_mean_points` fits a whole grid at once: in the time-sorted data each
+centre's window is one segment of rows, one `np.add.reduceat` per block of
+centres sums its features, and `_solve_mean` solves them; `fit_mean_at`
+refits a failing centre.  A centre reads only its own segment, so it fits
+the same whatever other centres share the call.
 """
 
 from __future__ import annotations
@@ -122,6 +127,36 @@ def _clamped_bandwidth(obs: SparseObservations, c: float, rate: float) -> float:
     return min(max(c * rng * rate, 3.0 * gap), 0.5)
 
 
+def _check_fit(d: int, h: float, need: str) -> None:
+    """Reject a degree below 1 (`need` says what for) or a nonpositive bandwidth."""
+    if d < 1:
+        raise ValidationError(f"need degree >= 1 {need}")
+    if h <= 0:
+        raise ValidationError("bandwidth must be positive")
+
+
+def _bandwidths(h: float):
+    """The bandwidths a widening fit tries: h, then each time `WIDEN_FACTOR`
+    times the last, `MAX_WIDEN` times."""
+    h = float(h)
+    for _ in range(MAX_WIDEN + 1):
+        yield h
+        h *= WIDEN_FACTOR
+
+
+def _check_flagged(n_bad: int, n: int, what: str) -> None:
+    """Fail a fit that flags more than `_MAX_FLAGGED` of its n points or cells."""
+    if n_bad > _MAX_FLAGGED * n:
+        raise EstimationFailedError(f"{n_bad}/{n} {what} failed")
+
+
+def _window_runs(sorted_x, t, h):
+    """Bounds [lo, hi) of the run of sorted_x within `_WINDOW_MARGIN` h of each t."""
+    reach = _WINDOW_MARGIN * h
+    lo = np.searchsorted(sorted_x, t - reach)
+    return lo, np.searchsorted(sorted_x, t + reach, "right")
+
+
 def fit_mean_at(
     obs: SparseObservations,
     t: float,
@@ -136,13 +171,9 @@ def fit_mean_at(
     holds fewer than d+1 distinct design times), the bandwidth is widened by
     1.5x up to five times before SparseWindowError is raised.
     """
-    if d < 1:
-        raise ValidationError("need degree >= 1 to report a derivative")
-    if h_m <= 0:
-        raise ValidationError("bandwidth must be positive")
+    _check_fit(d, h_m, "to report a derivative")
     T, Y = obs.t, obs.y
-    h = float(h_m)
-    for _ in range(MAX_WIDEN + 1):
+    for h in _bandwidths(h_m):
         u = (T - t) / h
         w = kernel.values(u) / h
         active = w > 0
@@ -151,9 +182,8 @@ def fit_mean_at(
         try:
             beta, _ = solve_wls(basis, w[active], Y[active])
         except SingularFitError:
-            h *= WIDEN_FACTOR
-        else:
-            return float(beta[0]), float(beta[1] / h)
+            continue
+        return float(beta[0]), float(beta[1] / h)
     raise SparseWindowError(t)
 
 
@@ -204,15 +234,29 @@ def _solve_cells(M, R, count, expo):
     return beta, ok
 
 
+def _kinds(d: int) -> tuple[slice, slice, slice]:
+    """The moment, response and indicator rows of `_features` at degree d."""
+    return slice(0, 2 * d + 1), slice(2 * d + 1, 3 * d + 2), slice(3 * d + 2, 3 * d + 3)
+
+
 def _features(a: np.ndarray, y: np.ndarray, kernel: KernelSpec, d: int) -> np.ndarray:
     """Stacked rows K(a)a^P (P = 0..2d), K(a)a^p y (p = 0..d) and K(a) > 0 at offsets a."""
-    F = np.empty((3 * d + 3,) + a.shape)
+    moments, responses, active = _kinds(d)
+    F = np.empty((active.stop,) + a.shape)
     F[0] = kernel.values(a)
-    for P in range(1, 2 * d + 1):
+    for P in range(1, moments.stop):
         F[P] = F[P - 1] * a
-    F[2 * d + 1 : 3 * d + 2] = F[: d + 1] * y
-    F[-1] = F[0] > 0
+    F[responses] = F[: d + 1] * y
+    F[active] = F[0] > 0
     return F
+
+
+def _solve_mean(sums: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_solve_cells` of mean windows (exponents (p, 0)) from their `_features` sums."""
+    moments, responses, active = _kinds(d)
+    return _solve_cells(
+        sums[moments, None], sums[responses, None], sums[active][0], [(p, 0) for p in range(d + 1)]
+    )
 
 
 def fit_mean_points(
@@ -226,17 +270,14 @@ def fit_mean_points(
 
     Flagged centres failed even after widening and hold NaN.
     """
-    if d < 1:
-        raise ValidationError("need degree >= 1 to report a derivative")
-    if h_m <= 0:
-        raise ValidationError("bandwidth must be positive")
+    _check_fit(d, h_m, "to report a derivative")
     h = float(h_m)
     centres = np.asarray(centres, dtype=float)
     order = obs.time_order
     T, Y = obs.t[order], obs.y[order]
-    lo = np.searchsorted(T, centres - _WINDOW_MARGIN * h)
-    size = np.searchsorted(T, centres + _WINDOW_MARGIN * h, "right") - lo
-    sums = np.zeros((3 * d + 3, centres.size))  # `_features`, the last row counting active rows
+    lo, hi = _window_runs(T, centres, h)
+    size = hi - lo
+    sums = np.zeros((_kinds(d)[2].stop, centres.size))
     step = max(1, _PAIR_BLOCK // max(int(size.max(initial=0)), 1))
     for c0 in range(0, centres.size, step):
         sz = size[c0 : c0 + step]
@@ -246,8 +287,7 @@ def fit_mean_points(
         nz = np.flatnonzero(sz)  # an empty segment keeps its zeros
         if nz.size:
             sums[:, c0 + nz] = np.add.reduceat(F, starts[nz], axis=1)
-    M, R = sums[: 2 * d + 1, None], sums[2 * d + 1 : -1, None]
-    beta, ok = _solve_cells(M, R, sums[-1], [(p, 0) for p in range(d + 1)])
+    beta, ok = _solve_mean(sums, d)
     m, dm = beta[:, 0], beta[:, 1] / h
     flags = np.zeros(centres.size, dtype=bool)
     for i in np.flatnonzero(~ok):
@@ -268,10 +308,7 @@ def fit_mean_curve(
     """Mean fit over a whole grid; fails if > 20% of points are flagged."""
     eval_grid = np.asarray(eval_grid, dtype=float)
     m, dm, flags = fit_mean_points(obs, eval_grid, d, h_m, kernel)
-    if flags.mean() > _MAX_FLAGGED:
-        raise EstimationFailedError(
-            f"{int(flags.sum())}/{flags.size} mean fit points failed"
-        )
+    _check_flagged(int(flags.sum()), flags.size, "mean fit points")
     return MeanEstimate(
         eval_grid=eval_grid,
         m_hat=m,

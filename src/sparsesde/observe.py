@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -74,8 +74,8 @@ class DesignConfig:
 
     r: int
     noise_sd: float
-    design_law: object = field(default_factory=UniformDesign)
-    noise_law: str = "gaussian"
+    design_law: object
+    noise_law: str
 
     def __post_init__(self):
         if self.r < 2:

@@ -21,6 +21,7 @@ from sparsesde import (
     LevyConfig,
     PathGrid,
     PointMass,
+    UniformDesign,
     constant_model,
     default_bandwidth_cov,
     fit_cov_grid,
@@ -66,7 +67,8 @@ def measure_c4(seed: int) -> dict:
     panel: the level 1 and the noise variance 0.25, as deviations from 1."""
     model = (constant_model(0.0, 0.0, 0.0), LevyConfig(1.0), PathGrid(0.0, 1.0, 200))
     paths = simulate_ensemble(*model, PointMass(1.0), 400, seed)
-    obs = observe(paths, DesignConfig(r=10, noise_sd=0.5), seed=seed)
+    scheme = DesignConfig(r=10, noise_sd=0.5, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(paths, scheme, seed=seed)
     grid = np.linspace(0.0, 1.0, 21)
     cov = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
     interior = (grid >= 0.1) & (grid <= 0.9)

@@ -7,8 +7,7 @@ to a quantity the package computes another way, kept here as an oracle.
 import numpy as np
 
 from sparsesde import CovEstimate, MomentSolution, ValidationError, cov_value
-from sparsesde.covfit import _window_runs
-from sparsesde.meanfit import _features
+from sparsesde.meanfit import _features, _window_runs
 from sparsesde.moments import FD_STEP, _fd_first, cumulative_trapezoid
 from sparsesde.recover import _tri_node
 

@@ -240,6 +240,25 @@ def test_bootstrap_cli(tmp_path, capsys):
     assert "mu(t=0.5):" in capsys.readouterr().out
 
 
+def test_bootstrap_with_an_empty_mean_window_at_t_star_exits_2(tmp_path, capsys):
+    # data end by 0.7; h_m 0.02 widened five times reaches 0.02 * 1.5**5 * 1.01 < 0.2
+    rng = np.random.default_rng(3)
+    lines = ["curve_id,t,y"]
+    for i in range(40):
+        for t in np.sort(rng.uniform(0.0, 0.7, 8)):
+            lines.append(f"{i},{float(t)!r},{float(1.0 + t + 0.1 * rng.standard_normal())!r}")
+    csv = tmp_path / "obs.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(
+        tmp_path,
+        estimation={"h_m": 0.02, "policy": {"kind": "known-fraction", "expr": "0.5"}},
+        experiment={"t_star": 0.9, "B": 10},
+    )
+    out = str(tmp_path / "out")
+    assert main(["bootstrap", "--config", cfg, "--obs-csv", str(csv), "--out", out]) == 2
+    assert capsys.readouterr().err == "error: at 0.9: window too sparse after maximal widening\n"
+
+
 def test_bootstrap_manifest_reports_resamples(tmp_path):
     cfg = write_cfg(
         tmp_path,

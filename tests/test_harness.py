@@ -739,6 +739,25 @@ def test_oracle_report_negative_control():
     assert by_name["identity web diag_vs_tri sup on [0,0.9]"]
 
 
+@pytest.mark.parametrize("nu_K", [100.0, 1000.0])
+def test_identity_web_tolerance_scales_with_the_noise_sum(nu_K):
+    # the routes agree to ~4e-6 relative here, which an absolute 1e-4 failed at nu_K = 1000
+    reports = [
+        run_oracle_check(
+            parse_config(cfg_dict(model={"nu_K": nu_K}, experiment={"negative_control": neg})),
+            mc=False,
+        )
+        for neg in (False, True)
+    ]
+    good, control = ({name: (val, tol, ok) for name, val, tol, ok in r.checks} for r in reports)
+    assert reports[0].passed
+    web = "identity web web_vs_target sup on [0,0.9]"
+    # the tolerance is 1e-4 times the true noise sum's sup, not the wrong target's
+    assert good[web][1] == control[web][1] > 1e-4 * nu_K * 0.5
+    val, tol, ok = control[web]
+    assert not ok and val > 1e3 * tol
+
+
 # ------------------------------------------------------- forked study lanes
 
 

@@ -16,6 +16,7 @@ from sparsesde import (
     SingularFitError,
     SparseObservations,
     SparseWindowError,
+    UniformDesign,
     ValidationError,
     default_bandwidth_mean,
     fit_mean_at,
@@ -203,7 +204,8 @@ def test_smoke_grid_fit_fully_resolved():
     paths = simulate_ensemble(
         coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 200), PointMass(1.0), 100, 31
     )
-    obs = observe(paths, DesignConfig(r=5, noise_sd=0.1), seed=31)
+    scheme = DesignConfig(r=5, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(paths, scheme, seed=31)
     est = fit_mean_curve(obs, np.linspace(0, 1, 101), 2, default_bandwidth_mean(obs, 2))
     assert not est.flags.any()
     assert np.all(np.isfinite(est.m_hat)) and np.all(np.isfinite(est.dm_hat))
@@ -214,7 +216,8 @@ def test_fit_mean_curve_deterministic():
     paths = simulate_ensemble(
         coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 100), PointMass(1.0), 40, 5
     )
-    obs = observe(paths, DesignConfig(r=6, noise_sd=0.1), seed=5)
+    scheme = DesignConfig(r=6, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(paths, scheme, seed=5)
     grid = np.linspace(0, 1, 31)
     a = fit_mean_curve(obs, grid, 2, 0.15)
     b = fit_mean_curve(obs, grid, 2, 0.15)
@@ -234,7 +237,8 @@ def test_mean_fit_error_shrinks_with_n():
         paths = simulate_ensemble(
             coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 200), PointMass(1.0), n, seed
         )
-        obs = observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=seed)
+        scheme = DesignConfig(r=10, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+        obs = observe(paths, scheme, seed=seed)
         est = fit_mean_curve(obs, eval_pts, 2, 0.1)
         return float(np.max(np.abs(est.m_hat - m_true)))
 
@@ -256,7 +260,8 @@ def _simulated_panel():
     paths = simulate_ensemble(
         sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 200), PointMass(1.0), 150, 8
     )
-    return observe(paths, DesignConfig(r=6, noise_sd=0.1), seed=8)
+    scheme = DesignConfig(r=6, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+    return observe(paths, scheme, seed=8)
 
 
 def _cond_at(obs, t, d, h, kernel):

@@ -94,7 +94,8 @@ def test_degenerate_design_law_staggered():
 
 def test_observe_zero_noise_interpolates_paths():
     paths = make_paths(n=3)
-    obs = observe(paths, DesignConfig(r=4, noise_sd=0.0), seed=2)
+    scheme = DesignConfig(r=4, noise_sd=0.0, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(paths, scheme, seed=2)
     for i, sl in enumerate(curve_slices(obs)):
         latent = np.interp(obs.t[sl], paths.grid.points, paths.values[i])
         npt.assert_array_equal(obs.y[sl], latent)
@@ -102,7 +103,8 @@ def test_observe_zero_noise_interpolates_paths():
 
 def test_observe_counts_and_ordering():
     paths = make_paths(n=2)
-    obs = observe(paths, DesignConfig(r=5, noise_sd=0.1), seed=3)
+    scheme = DesignConfig(r=5, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(paths, scheme, seed=3)
     assert obs.total == 10
     assert obs.n == 2
     for sl in curve_slices(obs):
@@ -112,7 +114,8 @@ def test_observe_counts_and_ordering():
 def test_observe_noise_moments():
     # residuals against the interpolated latent paths are the U draws
     paths = make_paths(n=10_000, steps=50, coeffs=constant_model(0.0, 0.0, 0.0))
-    obs = observe(paths, DesignConfig(r=10, noise_sd=0.3), seed=5)
+    scheme = DesignConfig(r=10, noise_sd=0.3, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(paths, scheme, seed=5)
     resid = obs.y - 1.0  # latent paths are constant 1
     se = resid.std(ddof=1) / math.sqrt(resid.size)
     assert abs(resid.mean()) < 4.0 * se
@@ -121,7 +124,8 @@ def test_observe_noise_moments():
 
 def test_uniform_noise_law_supported():
     paths = make_paths(n=200, coeffs=constant_model(0.0, 0.0, 0.0))
-    obs = observe(paths, DesignConfig(r=10, noise_sd=0.5, noise_law="uniform"), seed=11)
+    scheme = DesignConfig(r=10, noise_sd=0.5, design_law=UniformDesign(), noise_law="uniform")
+    obs = observe(paths, scheme, seed=11)
     resid = obs.y - 1.0
     assert abs(resid.var() / 0.25 - 1.0) < 0.1
     assert np.max(np.abs(resid)) <= 0.5 * math.sqrt(3.0) + 1e-12
@@ -129,16 +133,17 @@ def test_uniform_noise_law_supported():
 
 def test_design_config_validation():
     with pytest.raises(ValidationError):
-        DesignConfig(r=1, noise_sd=0.1)
+        DesignConfig(r=1, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
     with pytest.raises(ValidationError):
-        DesignConfig(r=5, noise_sd=-0.5)
+        DesignConfig(r=5, noise_sd=-0.5, design_law=UniformDesign(), noise_law="gaussian")
     with pytest.raises(ValidationError):
-        DesignConfig(r=5, noise_sd=0.1, noise_law="cauchy")
+        DesignConfig(r=5, noise_sd=0.1, design_law=UniformDesign(), noise_law="cauchy")
 
 
 def test_csv_round_trip(tmp_path):
     paths = make_paths(n=3)
-    obs = observe(paths, DesignConfig(r=4, noise_sd=0.1), seed=13)
+    scheme = DesignConfig(r=4, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(paths, scheme, seed=13)
     dest = tmp_path / "obs.csv"
     export_observations_csv(obs, dest)
     back = ingest_csv(dest)
@@ -416,7 +421,8 @@ def _record_ingest(source, time_span=None) -> SparseObservations:
 
 def _long_csv(style: str) -> tuple[str, tuple | None]:
     """A simulated panel as long-format CSV text in the given style."""
-    obs = observe(make_paths(n=30), DesignConfig(r=5, noise_sd=0.1), seed=21)
+    scheme = DesignConfig(r=5, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+    obs = observe(make_paths(n=30), scheme, seed=21)
     rng = np.random.default_rng(8)
     ids = rng.permutation([-12, -3, 0, 1, 4, 9, 17, 250, 1001, 65536] + list(range(30, 50)))
     span = (10.0, 375.0) if style in ("time-span", "all") else None
@@ -550,7 +556,7 @@ def test_streamed_observations_equal_one_shot(monkeypatch, n, law, nu_K):
     steps = 65
     _paths_per_block(monkeypatch, PER_BLOCK, steps)
     c, levy, grid = sinusoid_model(), LevyConfig(nu_K), PathGrid(0.0, 1.0, steps)
-    cfg = DesignConfig(r=4, noise_sd=0.1)
+    cfg = DesignConfig(r=4, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
     ens = simulate_ensemble(c, levy, grid, law, n, 41)
     # each block is a view of one path buffer that the next overwrites: copy it
     stream = simulate_blocks(c, levy, grid, law, n, 41)
@@ -594,7 +600,7 @@ def test_stream_draws_once_and_alternates_simulate_and_observe(monkeypatch):
         record(module, name)
     obs = observe_ensemble(
         sinusoid_model(), LevyConfig(1.0), PathGrid(0.0, 1.0, 20), PointMass(1.0), 10,
-        DesignConfig(r=3, noise_sd=0.1), 5,
+        DesignConfig(r=3, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian"), 5,
     )
     assert obs.n == 10
     blocks = [("simulate_ensemble", 0), ("observe", 0)] * 3
@@ -645,7 +651,7 @@ def test_streamed_failure_is_the_one_shot_failure(monkeypatch, case):
     # lands in the last block only
     last = {"out-of-span": 1.5, "past-one": 1.0 + 1e-13}.get(case.rsplit("-and-", 1)[-1])
     design = UniformDesign() if last is None else _LastTimeDesign(last)
-    cfg = DesignConfig(r=3, noise_sd=noise_sd, design_law=design)
+    cfg = DesignConfig(r=3, noise_sd=noise_sd, design_law=design, noise_law="gaussian")
     ref = _error(lambda: observe(simulate_ensemble(c, levy, grid, law, n, seed), cfg, seed))
     got = _error(lambda: observe_ensemble(c, levy, grid, law, n, cfg, seed))
     assert got == ref

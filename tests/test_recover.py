@@ -15,6 +15,7 @@ from sparsesde import (
     PolicyError,
     SeparationPolicy,
     SparseQuadratureError,
+    UniformDesign,
     ValidationError,
     constant_model,
     default_bandwidth_cov,
@@ -313,7 +314,8 @@ def test_route_gap_shrinks_with_sample_size():
         paths = simulate_ensemble(
             coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 500), PointMass(1.0), n, seed
         )
-        obs = observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=seed)
+        scheme = DesignConfig(r=10, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+        obs = observe(paths, scheme, seed=seed)
         mean_est = fit_mean_curve(obs, grid, 2, default_bandwidth_mean(obs, 2))
         mu, _, _ = estimate_drift(mean_est, threshold=0.05)
         cov = fit_cov_grid(obs, grid, 1, default_bandwidth_cov(obs, 1))
@@ -336,7 +338,8 @@ def test_drift_sup_error_shrinks_with_n():
         paths = simulate_ensemble(
             coeffs, LevyConfig(1.0), PathGrid(0.0, 1.0, 500), PointMass(1.0), n, seed
         )
-        obs = observe(paths, DesignConfig(r=10, noise_sd=0.1), seed=seed)
+        scheme = DesignConfig(r=10, noise_sd=0.1, design_law=UniformDesign(), noise_law="gaussian")
+        obs = observe(paths, scheme, seed=seed)
         mean_est = fit_mean_curve(obs, grid, 2, default_bandwidth_mean(obs, 2))
         mu, region, _ = estimate_drift(mean_est, threshold=0.05)
         return float(np.max(np.abs(mu[region] - mu_true[region])))
