@@ -59,6 +59,7 @@ from .covfit import (
     fit_diagonal_inclusive,
     noise_variance_estimate,
     pair_scatter,
+    smooth_squares,
 )
 from .recover import (
     CoefficientEstimate,

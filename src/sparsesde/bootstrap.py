@@ -57,8 +57,7 @@ def _curve_pair_sums(obs, h, kernel, d, s_pts, t_pts):
 
     A curve's pair sum is the product of its two feature sums minus its
     j = k terms.  Returns M, R and the active-pair count as
-    `covfit._pair_sums` defines them, each with trailing axes (cell, curve);
-    summed over the curves they are `_pair_sums(obs, h, kernel, d, s_pts, t_pts)`.
+    `covfit.surface_sums` defines them, each with trailing axes (cell, curve).
     """
     starts = obs.curve_bounds()[:-1]
     left, right = (

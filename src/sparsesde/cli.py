@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__, harness
 from .errors import ConfigError, SparseSdeError
 from .observe import export_observations_csv, ingest_csv, ingest_wide_csv
+from .recover import route_gap
 from .simulate import export_paths_csv
 
 
@@ -152,6 +153,9 @@ def _dispatch(args) -> int:
                 "h_G": res.cov_est.bandwidth,
                 "mu_threshold": res.coeffs.mu_threshold,
                 "surface_fallback_cells": res.cov_est.fallback_cells,
+                "s_route_gap": route_gap(res.coeffs),
+                "s_diag_floored": int(res.coeffs.flags["floored_diag"].sum()),
+                "s_tri_floored": int(res.coeffs.flags["floored_tri"].sum()),
             },
         )
         for name in ("mean.csv", "surface.csv", "surface_diag.csv", "coefficients.csv"):

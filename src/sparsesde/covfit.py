@@ -3,15 +3,17 @@
 For curves observed as Y_ij = X_i(T_ij) + U_ij, the off-diagonal products
 Y_ij * Y_ik (k != j) have conditional mean G(T_ij, T_ik) = E[X(s)X(t)]:
 measurement noise cancels because U_ij and U_ik are independent.  Products
-with j = k would instead target G(t, t) + rho^2, so the fits here exclude
-them; that exclusion is the entire trick for separating the surface from
-the noise floor.
+with j = k would instead target G(t, t) + rho^2, so the surface fits here
+exclude them; that exclusion is the entire trick for separating the
+surface from the noise floor.
 
 Both orientations of each pair enter the design, making the scatter
 symmetric about the diagonal.  A fit in raw centred monomials returns the
-surface value and both first partials directly.  Diagonal quantities
-combine the two partials, D'(t) = d/dt G(t,t), evaluated a hair inside the
-triangle to keep the arithmetic one-sided.
+surface value and both first partials directly.  D(t) = G(t, t) is fitted
+at the cell (t, t).  With homoscedastic measurement noise E[Y^2 | T = t] =
+D(t) + rho^2, so D' is the slope of a local fit of Y_ij^2 (`smooth_squares`),
+with no pair products and no fit at the kink of G on the diagonal, and the
+level of that fit gives rho^2 (`noise_variance_estimate`).
 
 `fit_cov_at` fits one point from an explicit pair scatter.  `fit_cov_grid`
 never builds the scatter unless it must: with a product kernel every
@@ -19,16 +21,14 @@ normal-matrix and response entry at (s, t) is a sum over curves of
 (sum_j K(a_ij) a_ij^p Y_ij)(sum_k K(b_ik) b_ik^q Y_ik) minus the j = k
 terms, with a = (T - s)/h and b = (T - t)/h.  So the whole grid comes from
 matrix products of per-curve kernel sums, taken over blocks of curves, and
-one batched solve; the offset cells (t - eps, t + eps) behind D' come from
-one more pass that pairs each s with its own t.  The kernel has compact
-support, so the sums are windowed: an observation is paired only with the
-band of sorted centres whose windows reach its time, and the j = k terms
-come from chunks of observations in time order, each with the run of
-centres its span reaches.  The per-curve sums are binned curve-major;
-centre-major bins put a full block's curves `_CURVE_BLOCK` doubles apart,
-and the scatters then hit one cache set.  Windows, their checks, widening
-and flagging follow the window rule of `meanfit`: a cell that fails at h_G
-is refitted by `fit_cov_at`.
+one batched solve.  The kernel has compact support, so the sums are
+windowed: an observation is paired only with the band of sorted centres
+whose windows reach its time, and the j = k terms come from chunks of
+observations in time order, each with the run of centres its span reaches.
+The per-curve sums are binned curve-major; centre-major bins put a full
+block's curves `_CURVE_BLOCK` doubles apart, and the scatters then hit one
+cache set.  Windows, their checks, widening and flagging follow the window
+rule of `meanfit`: a cell that fails at h_G is refitted by `fit_cov_at`.
 """
 
 from __future__ import annotations
@@ -53,8 +53,11 @@ from .meanfit import (
 )
 from .observe import SparseObservations
 
-# diagonal evaluation offset, as a fraction of the bandwidth
+# diagonal evaluation offset of the pointwise D', as a fraction of the bandwidth
 DIAG_EPS_FACTOR = 1e-3
+# degree of the smooth of Y^2 whose slope is D': p - 1 odd, as Fan & Gijbels
+# (1996, ch. 3) advise for a first derivative
+SQUARES_DEGREE = 2
 # a noise variance estimate within this fraction of the level of Y^2 is rounding
 _NOISE_FLOOR_RTOL = 1e-12
 
@@ -112,7 +115,8 @@ class CovEstimate:
 
     Square arrays are indexed [i, j] for the pair (eval_times[i],
     eval_times[j]) with i <= j; the lower triangle holds NaN.  Diagonal
-    arrays carry D_hat and its derivative along the diagonal.
+    arrays carry D_hat, the surface at (t, t), and dD_hat, the slope of the
+    smooth of Y^2, both NaN where diag_flags marks a failed cell or smooth.
     """
 
     eval_times: np.ndarray
@@ -181,7 +185,8 @@ def fit_diag(
 
     The level is the surface fit at (t, t).  The derivative combines both
     first partials, dD = dsG + dtG, evaluated at (t - eps, t + eps) with
-    eps = 1e-3 * h_G, a hair inside the triangle.
+    eps = 1e-3 * h_G, a hair inside the triangle.  This is the bootstrap's
+    route to D' at t*; `fit_cov_grid` takes D' from `smooth_squares`.
     """
     lo, hi = map(float, _offset_cells(t, h_G))
     D, _, _ = fit_cov_at(scatter, t, t, d, h_G, kernel)
@@ -213,89 +218,62 @@ def _curve_sums(obs, starts, centres, h, kernel, d):
     return sums
 
 
-def _pair_sums(obs, h, kernel, d, s_pts, t_pts=None):
-    """Sums over within-curve pairs j != k of products of window features.
+def _contract(x, y):
+    """Sum over the last axis of x[p, i] y[q, j], shaped (p, q, i, j)."""
+    xy = x.reshape(-1, x.shape[-1]) @ y.reshape(-1, y.shape[-1]).T
+    return xy.reshape(x.shape[:2] + y.shape[:2]).swapaxes(1, 2)
 
-    For each cell (s, t) the pair (T_ij, T_ik) enters through
-    a = (T_ij - s)/h and b = (T_ik - t)/h.  Returns M[P, Q] = sum
-    K(a)a^P K(b)b^Q, R[p, q] = sum K(a)a^p Y_ij K(b)b^q Y_ik and the count of
-    pairs with K(a)K(b) > 0.  A curve's pair sum is the product of its two
+
+def surface_sums(obs, eval_times, d, h, kernel=EPANECHNIKOV):
+    """Sums over within-curve pairs j != k of products of window features,
+    for the grid cells (s, t) = (eval_times[i], eval_times[j]) of `fit_cov_grid`.
+
+    The pair (T_ij, T_ik) enters through a = (T_ij - s)/h and
+    b = (T_ik - t)/h.  Returns M[P, Q] = sum K(a)a^P K(b)b^Q, R[p, q] = sum
+    K(a)a^p Y_ij K(b)b^q Y_ik and the count of pairs with K(a)K(b) > 0, with
+    trailing axes (i, j).  A curve's pair sum is the product of its two
     feature sums minus its j = k terms (`bootstrap._curve_pair_sums` keeps
-    them per curve), so the trailing axes come from products summed over
-    curves: (i, j) for the cells (s_pts[i], s_pts[j]), or, given t_pts, one
-    axis c for the cells (s_pts[c], t_pts[c]).
+    them per curve), so the sums are matrix products over curves.
 
     Only (centre, observation) pairs near a kernel window are formed: the
     feature sums come from `_curve_sums`, a block of curves at a time, and
-    the j = k terms from chunks of observations in time order, each taken
-    on the run of sorted s_pts that `meanfit._window_runs` gives its time span.
-    """
-    grid = t_pts is None
-    s_pts = np.asarray(s_pts, dtype=float)
-    if grid:
-        t_pts = s_pts
-
-        def contract(x, y):
-            xy = x.reshape(-1, x.shape[-1]) @ y.reshape(-1, y.shape[-1]).T
-            return xy.reshape(x.shape[:2] + y.shape[:2]).swapaxes(1, 2)
-    else:
-        t_pts = np.asarray(t_pts, dtype=float)
-
-        def contract(x, y):
-            xy = np.einsum("pcn,qcn->pqc", x, y)
-            if not np.isfinite(xy).all():
-                # einsum ignores np.errstate; the same sums by ufuncs raise or
-                # warn on an overflow as it sets, as the grid pass's matmul does
-                xy = (x[:, None] * y[None]).sum(axis=-1)
-            return xy
-
-    kinds = _kinds(d)
-    bounds = obs.curve_bounds()
-    sums = [0.0, 0.0, 0.0]
-    for c0 in range(0, bounds.size - 1, _CURVE_BLOCK):
-        starts = bounds[c0 : c0 + _CURVE_BLOCK + 1]
-        cx = _curve_sums(obs, starts, s_pts, h, kernel, d)
-        cy = cx if grid else _curve_sums(obs, starts, t_pts, h, kernel, d)
-        sums = [total + contract(cx[k], cy[k]) for total, k in zip(sums, kinds)]
-
-    order = np.argsort(s_pts, kind="stable")
-    by_time = obs.time_order
-    for r0 in range(0, obs.total, _ROW_CHUNK):
-        rows = by_time[r0 : r0 + _ROW_CHUNK]
-        t = obs.t[rows]
-        lo, hi = _window_runs(s_pts[order], t[[0, -1]], h)
-        run = order[lo[0] : hi[1]]
-        x = _features((t - s_pts[run, None]) / h, obs.y[rows], kernel, d)
-        y = x if grid else _features((t - t_pts[run, None]) / h, obs.y[rows], kernel, d)
-        cells = np.ix_(run, run) if grid else (run,)
-        for total, k in zip(sums, kinds):
-            total[(...,) + cells] -= contract(x[k], y[k])
-    M, R, count = sums
-    return M, R, count[0, 0]
-
-
-def _offset_cells(eval_times, h):
-    """The cells (t - eps, t + eps) behind D', eps = DIAG_EPS_FACTOR * h, clipped
-    to [0, 1]: (s, t), each shaped as eval_times.  The grid, pointwise
-    (`fit_diag`) and bootstrap routes all place D' here."""
-    eps = DIAG_EPS_FACTOR * h
-    return np.maximum(eval_times - eps, 0.0), np.minimum(eval_times + eps, 1.0)
-
-
-def surface_sums(obs, eval_times, d, h, kernel=EPANECHNIKOV, offset=False):
-    """`_pair_sums` of one pass of `fit_cov_grid` at bandwidth h: the grid
-    cells (s_i, t_j), or with `offset` the cells (t - eps, t + eps).
-
-    The pass runs at one BLAS thread: the order in which the matrix
+    the j = k terms from chunks of observations in time order, each taken on
+    the run of sorted centres that `meanfit._window_runs` gives its time
+    span.  The pass runs at one BLAS thread: the order in which the matrix
     products sum, and so the bytes of the fit, must not depend on the
     thread count.
     """
     from .lanes import _one_blas_thread  # compiled on the first call, not at import
 
-    eval_times = np.asarray(eval_times, dtype=float)
-    cells = _offset_cells(eval_times, h) if offset else (eval_times,)
+    pts = np.asarray(eval_times, dtype=float)
+    kinds = _kinds(d)
+    bounds = obs.curve_bounds()
+    sums = [0.0, 0.0, 0.0]
     with _one_blas_thread():
-        return _pair_sums(obs, h, kernel, d, *cells)
+        for c0 in range(0, bounds.size - 1, _CURVE_BLOCK):
+            cx = _curve_sums(obs, bounds[c0 : c0 + _CURVE_BLOCK + 1], pts, h, kernel, d)
+            sums = [total + _contract(cx[k], cx[k]) for total, k in zip(sums, kinds)]
+
+        order = np.argsort(pts, kind="stable")
+        by_time = obs.time_order
+        for r0 in range(0, obs.total, _ROW_CHUNK):
+            rows = by_time[r0 : r0 + _ROW_CHUNK]
+            t = obs.t[rows]
+            lo, hi = _window_runs(pts[order], t[[0, -1]], h)
+            run = order[lo[0] : hi[1]]
+            x = _features((t - pts[run, None]) / h, obs.y[rows], kernel, d)
+            for total, k in zip(sums, kinds):
+                total[..., run[:, None], run] -= _contract(x[k], x[k])
+    M, R, count = sums
+    return M, R, count[0, 0]
+
+
+def _offset_cells(eval_times, h):
+    """The cells (t - eps, t + eps) behind the pointwise D', eps = DIAG_EPS_FACTOR * h,
+    clipped to [0, 1]: (s, t), each shaped as eval_times.  `fit_diag` and the
+    bootstrap place D' here."""
+    eps = DIAG_EPS_FACTOR * h
+    return np.maximum(eval_times - eps, 0.0), np.minimum(eval_times + eps, 1.0)
 
 
 def fit_cov_grid(
@@ -305,57 +283,48 @@ def fit_cov_grid(
     h_G: float,
     kernel: KernelSpec = EPANECHNIKOV,
     sums: tuple | None = None,
+    squares: tuple | None = None,
 ) -> CovEstimate:
     """Fit the surface on every grid pair s <= t plus the diagonal arrays.
 
     Every cell is first solved at h_G from factorised pair sums; a cell
     whose window fails the `solve_wls` checks there is refitted by
-    `fit_cov_at`, which widens or flags it.  `sums` holds the grid and
-    the offset pass of `surface_sums` at h_G where they are taken already.
+    `fit_cov_at`, which widens or flags it.  `sums` holds the `surface_sums`
+    pass at h_G and `squares` the `smooth_squares` fit behind dD_hat where
+    they are taken already; else that smooth is taken at bandwidth h_G.
     """
     _check_fit(d, h_G, "for surface derivatives")
     eval_times = np.asarray(eval_times, dtype=float)
     h = float(h_G)
     nt = eval_times.size
     iu = np.triu_indices(nt)
-    lo, hi = _offset_cells(eval_times, h)
     if sums is None:
-        sums = [surface_sums(obs, eval_times, d, h, kernel, offset) for offset in (False, True)]
-    M, R, count = (
-        np.concatenate((g[..., iu[0], iu[1]], o), axis=-1) for g, o in zip(*sums)
-    )
+        sums = surface_sums(obs, eval_times, d, h, kernel)
+    M, R, count = (x[..., iu[0], iu[1]] for x in sums)
     beta, ok = _solve_cells(M, R, count, _monomial_exponents(d))
     fits = np.stack((beta[:, 0], beta[:, 1] / h, beta[:, 2] / h), axis=1)
-    cell_s = np.concatenate((eval_times[iu[0]], lo))
-    cell_t = np.concatenate((eval_times[iu[1]], hi))
     failed = np.zeros(ok.size, dtype=bool)
     scatter = None
     for c in np.flatnonzero(~ok):
         if scatter is None:
             scatter = pair_scatter(obs)
+        s, t = float(eval_times[iu[0][c]]), float(eval_times[iu[1][c]])
         try:
-            fits[c] = fit_cov_at(scatter, float(cell_s[c]), float(cell_t[c]), d, h, kernel)
+            fits[c] = fit_cov_at(scatter, s, t, d, h, kernel)
         except SparseWindowError:
             failed[c] = True
+    _check_flagged(int(failed.sum()), failed.size, "surface cells")
 
-    # the diagonal pair carries the level at (t, t) with the offset partials,
-    # so downstream quadrature sees one consistent value there
-    ncell = iu[0].size
-    on_diag = np.flatnonzero(iu[0] == iu[1])
-    diag_flags = failed[on_diag] | failed[ncell:]
-    diag_fits = fits[ncell:]
-    diag_fits[:, 0] = fits[on_diag, 0]
-    diag_fits[diag_flags] = np.nan
-    fits[on_diag] = diag_fits
-    failed[on_diag] = diag_flags
     G2, ds2, dt2 = np.full((3, nt, nt), np.nan)
-    G2[iu], ds2[iu], dt2[iu] = fits[:ncell].T
+    G2[iu], ds2[iu], dt2[iu] = fits.T
     flags = np.zeros((nt, nt), dtype=bool)
-    flags[iu] = failed[:ncell]
-    D_hat = diag_fits[:, 0]
-    dD_hat = diag_fits[:, 1] + diag_fits[:, 2]
-
-    _check_flagged(int(failed[:ncell].sum()), ncell, "surface cells")
+    flags[iu] = failed
+    if squares is None:
+        squares = smooth_squares(obs, eval_times, SQUARES_DEGREE, h, kernel)
+    _, dV, smooth_failed = squares
+    diag_flags = np.diag(flags) | smooth_failed
+    D_hat = np.where(diag_flags, np.nan, np.diag(G2))
+    dD_hat = np.where(diag_flags, np.nan, dV)
     return CovEstimate(
         eval_times=eval_times,
         G2=G2,
@@ -370,26 +339,39 @@ def fit_cov_grid(
     )
 
 
+def smooth_squares(
+    obs: SparseObservations,
+    eval_times: np.ndarray,
+    d: int,
+    h: float,
+    kernel: KernelSpec = EPANECHNIKOV,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`fit_mean_points` of the squared observations Y_ij^2: (V, dV, flags).
+
+    V estimates D(t) + rho^2, and with homoscedastic measurement noise (the
+    observation model here) dV estimates D'(t).  Flagged points failed even
+    after widening and hold NaN.
+    """
+    sq = replace_responses(obs, obs.y**2)
+    return fit_mean_points(sq, np.asarray(eval_times, dtype=float), d, h, kernel)
+
+
 def fit_diagonal_inclusive(
     obs: SparseObservations,
     eval_times: np.ndarray,
     h: float,
     kernel: KernelSpec = EPANECHNIKOV,
 ) -> np.ndarray:
-    """1-D smooth of the squared observations Y_ij^2 along the diagonal, at bandwidth h.
+    """Local linear `smooth_squares` level along the diagonal, at bandwidth h.
 
     This is the fit that does NOT exclude same-index products, so it
-    estimates D(t) + rho^2 rather than D(t).  It serves as the biased
-    control in diagnostics and as an ingredient of the noise variance
-    estimate.  The local linear fits come from the batched
-    `fit_mean_points`; a point that fails even after widening raises
+    estimates D(t) + rho^2 rather than D(t); it serves as the biased
+    control in diagnostics.  A point that fails even after widening raises
     SparseWindowError.
     """
-    sq = replace_responses(obs, obs.y**2)
-    eval_times = np.asarray(eval_times, dtype=float)
-    out, _, flags = fit_mean_points(sq, eval_times, 1, h, kernel)
+    out, _, flags = smooth_squares(obs, eval_times, 1, h, kernel)
     if flags.any():
-        raise SparseWindowError(float(eval_times[np.argmax(flags)]))
+        raise SparseWindowError(float(np.asarray(eval_times)[np.argmax(flags)]))
     return out
 
 
@@ -412,15 +394,17 @@ def noise_variance_estimate(
     taken over all observation times, estimates rho^2.  Averages that are
     negative, or no larger than the rounding of the two smooths
     (`_NOISE_FLOOR_RTOL` times their mean level), are floored at zero and
-    flagged: noiseless data land there with either sign.  `smooth()` returns
-    the smooth of Y^2 on the grid (`fit_diagonal_inclusive`); it is called
-    only once the diagonal fit has passed its check.
+    flagged: noiseless data land there with either sign.  `smooth()`, called
+    once the diagonal fit has passed its check, returns the level of the
+    smooth of Y^2 on the grid; a NaN level raises SparseWindowError there.
     """
     grid = cov_est.eval_times
     ok = ~cov_est.diag_flags
     if ok.sum() < 2:
         raise EstimationFailedError("too few diagonal values for noise estimate")
     V = smooth()
+    if np.isnan(V).any():
+        raise SparseWindowError(float(grid[np.argmax(np.isnan(V))]))
     V_at = np.interp(obs.t, grid, V)
     D_at = np.interp(obs.t, grid[ok], cov_est.D_hat[ok])
     rho2 = float(np.mean(V_at - D_at))

@@ -13,14 +13,14 @@ one place.  `_resolve_settings` turns the estimation section into concrete
 settings for one observation set (kernel, grid, bandwidths, the Y^2
 smooth's too, drift threshold, epsilon, separation policy and source,
 unit-scale nu_K), the only place that decides one;
-`_drift_stage` runs mean fit -> drift; `_noise_stage` runs surface fit ->
-total noise -> separation and returns the surface with the
-`CoefficientEstimate` record.  The three runs differ only in what they
-score.  emse and bootstrap run the stages serially (emse forks whole
-replications); `run_estimate` runs `_drift_stage` with the grid pass of
-the surface's pair sums in lane 0 (this process) and the offset pass with
-the smooth of Y^2 in a forked lane (`lanes.fan_out`), then hands both
-passes to `_noise_stage`.
+`_drift_stage` runs mean fit -> drift; `_noise_stage` runs surface fit
+and smooth of Y^2 -> total noise -> separation and returns the surface
+with the `CoefficientEstimate` record.  The three runs differ only in what
+they score.  emse and bootstrap run the stages serially (emse forks whole
+replications); `run_estimate` runs `_drift_stage` and the smooth of Y^2
+in lane 0 (this process) and the grid pass of the surface's pair sums in
+a forked lane (`lanes.fan_out`), then hands the pass and the smooth to
+`_noise_stage`.
 
 Models may live on any finite span; estimation always happens on [0, 1].
 A model on [t0, t1] is affinely rescaled, which multiplies the drift by the
@@ -50,11 +50,12 @@ import numpy as np
 
 from . import __version__
 from .covfit import (
+    SQUARES_DEGREE,
     CovEstimate,
     default_bandwidth_cov,
     fit_cov_grid,
-    fit_diagonal_inclusive,
     noise_variance_estimate,
+    smooth_squares,
     surface_sums,
 )
 from .errors import (
@@ -451,7 +452,7 @@ class _Settings(NamedTuple):
     d_cov: int
     h_m: float
     h_G: float
-    h_Y2: float                 # of the smooth of Y^2 (`fit_diagonal_inclusive`)
+    h_Y2: float                 # of the smooth of Y^2 (`covfit.smooth_squares`)
     mu_threshold: float | None  # None: the default rule of `estimate_drift`
     epsilon: float
     policy: SeparationPolicy | None
@@ -470,7 +471,7 @@ def _resolve_settings(cfg: ExperimentConfig, obs: SparseObservations) -> _Settin
         d_cov=e["d_cov"],
         h_m=default_bandwidth_mean(obs, e["d_mean"]) if e["h_m"] == "auto" else float(e["h_m"]),
         h_G=default_bandwidth_cov(obs, e["d_cov"]) if e["h_G"] == "auto" else float(e["h_G"]),
-        h_Y2=default_bandwidth_mean(obs, 1),  # Y^2 shares the panel's times
+        h_Y2=default_bandwidth_mean(obs, SQUARES_DEGREE),  # Y^2 shares the panel's times
         mu_threshold=None if e["mu_threshold"] == "auto" else float(e["mu_threshold"]),
         epsilon=float(e["epsilon"]),
         policy=build_policy(cfg),
@@ -499,13 +500,15 @@ def _drift_stage(
 
 
 def _noise_stage(
-    obs: SparseObservations, st: _Settings, drift: tuple, sums: tuple | None = None
+    obs: SparseObservations, st: _Settings, drift: tuple, fits: tuple | None = None
 ) -> tuple[CovEstimate, CoefficientEstimate]:
     """Surface fit, both routes to s = sigma^2 + nu_K xi^2, then the policy split,
     on the drift (mu_hat, region_A, threshold) of `_drift_stage`: (cov_est, coeffs).
-    `sums` are the surface's pair sums where they are taken already."""
+    `fits` are the surface's pair sums and the smooth of Y^2 where they are
+    taken already; else the surface fit takes the sums."""
     mu_hat, region_A, threshold = drift
-    cov_est = fit_cov_grid(obs, st.grid, st.d_cov, st.h_G, st.kernel, sums=sums)
+    sums, squares = fits or (None, smooth_squares(obs, st.grid, SQUARES_DEGREE, st.h_Y2, st.kernel))
+    cov_est = fit_cov_grid(obs, st.grid, st.d_cov, st.h_G, st.kernel, sums, squares)
     s_diag, s_tri, flags = estimate_total_noise(st.grid, mu_hat, cov_est, st.epsilon)
     coeffs = CoefficientEstimate(
         st.grid, mu_hat, s_diag, s_tri, sigma2_hat=None, xi2_hat=None,
@@ -560,31 +563,29 @@ def _ready(outcome):
 def run_estimate(cfg: ExperimentConfig, obs: SparseObservations) -> EstimateResult:
     """Full pipeline on one observation set: mean, surface, coefficients.
 
-    The four fits that read only the panel run as two tasks of equal cost
-    in `lanes.fan_out`: `_drift_stage` (the mean fit, then the drift) with
-    the grid pass of the surface's pair sums (in this process), and the
-    offset pass with the smooth of Y^2.  `_noise_stage` and the noise
-    variance follow here in pipeline order, and a step's exception raises
-    where its result is first needed, so a run fails as a serial run would.
+    The three fits that read only the panel run as two tasks of near-equal
+    cost in `lanes.fan_out`: `_drift_stage` (the mean fit, then the drift)
+    with the smooth of Y^2 in this process, and the grid pass of the
+    surface's pair sums.  `_noise_stage` and the noise variance follow here
+    in pipeline order, and a step's exception raises where its result is
+    first needed, so a run fails as a serial run would.
     """
     from . import lanes  # the process fan-out, compiled on first use
 
     st = _resolve_settings(cfg, obs)  # its bandwidth rules take obs.time_order, once for both lanes
-    tasks = {
-        "grid": (
+    tasks = {  # the first task runs in this process
+        "here": (
             lambda: _drift_stage(obs, st),
-            lambda: surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel),
+            lambda: smooth_squares(obs, st.grid, SQUARES_DEGREE, st.h_Y2, st.kernel),
         ),
-        "offset": (
-            lambda: surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel, offset=True),
-            lambda: fit_diagonal_inclusive(obs, st.grid, st.h_Y2, st.kernel),
-        ),
+        "grid": (lambda: surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel),),
     }
     found = lanes.fan_out(list(tasks), lambda task: 1, lambda task: _outcomes(*tasks[task]))
-    (drift, grid_sums), (offset_sums, smooth) = found["grid"], found["offset"]
+    (drift, squares), (sums,) = found["here"], found["grid"]
     mean_est, *drift = _ready(drift)
-    cov_est, coeffs = _noise_stage(obs, st, drift, (_ready(grid_sums), _ready(offset_sums)))
-    rho2, floored = noise_variance_estimate(obs, cov_est, lambda: _ready(smooth))
+    fits = _ready(sums), _ready(squares)  # in serial order
+    cov_est, coeffs = _noise_stage(obs, st, drift, fits)
+    rho2, floored = noise_variance_estimate(obs, cov_est, lambda: fits[1][0])
     return EstimateResult(mean_est, cov_est, coeffs, rho2, floored)
 
 

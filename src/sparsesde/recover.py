@@ -13,7 +13,8 @@ is recovered along two routes that must agree:
 
 The triangular average runs over tau in (t, 1]; its integrand is constant
 in tau when the inputs are exact, which is what makes the average a
-legitimate estimator and the diagonal/triangular gap a useful diagnostic.
+legitimate estimator and the diagonal/triangular gap a useful diagnostic
+(`route_gap`).
 sigma^2 and xi^2 are not separately identified by s alone; `separate`
 splits s under an explicit side assumption.
 """
@@ -134,8 +135,9 @@ def estimate_total_noise(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Both routes to s(t) on the grid, floored at zero.
 
-    Returns (s_diag, s_tri, flags).  s_diag covers the full grid; s_tri is
-    NaN beyond 1 - epsilon (flagged 'trimmed') and at nodes whose
+    Returns (s_diag, s_tri, flags).  s_diag, whose dD_hat is the slope of
+    the smooth of Y^2, covers the grid but the nodes `diag_flags` marks;
+    s_tri is NaN beyond 1 - epsilon (flagged 'trimmed') and at nodes whose
     quadrature failed.  Each node's s_tri is one `_tri_node` quadrature,
     all from one cumulative drift integral.
     """
@@ -172,6 +174,13 @@ def estimate_total_noise(
         "failed_diag": cov_est.diag_flags.copy(),
     }
     return s_diag, s_tri, flags
+
+
+def route_gap(coeffs: CoefficientEstimate) -> float | None:
+    """sup |s_diag - s_tri| over the nodes where both routes are finite (s_tri
+    is NaN past 1 - epsilon), or None where there is none."""
+    gap = np.abs(coeffs.s_diag - coeffs.s_tri)
+    return float(np.nanmax(gap)) if np.isfinite(gap).any() else None
 
 
 def separate(

@@ -32,6 +32,7 @@ from sparsesde import (
     observe,
     pair_scatter,
     simulate_ensemble,
+    smooth_squares,
     solve_moments,
     sinusoid_model,
 )
@@ -42,8 +43,8 @@ from sparsesde.covfit import (
     _ROW_CHUNK,
     _curve_sums,
     _offset_cells,
-    _pair_sums,
     replace_responses,
+    surface_sums,
 )
 from sparsesde.meanfit import _features, _kinds
 
@@ -378,29 +379,27 @@ def test_curve_pair_sums_add_up_to_pair_sums(d):
     obs = _simulated_panel()
     s_pts, t_pts = np.array([0.2, 0.5, 0.7]), np.array([0.4, 0.5, 0.9])
     per_curve = _curve_pair_sums(obs, 0.2, EPANECHNIKOV, d, s_pts, t_pts)
-    total = _pair_sums(obs, 0.2, EPANECHNIKOV, d, s_pts, t_pts)
+    total = _dense_pair_sums(obs, 0.2, EPANECHNIKOV, d, s_pts, t_pts)
     for got, ref in zip(per_curve, total):
         npt.assert_allclose(got.sum(axis=-1).squeeze(), ref, rtol=1e-12, atol=1e-12)
 
 
 def _grid_reference(obs, grid, d, h, kernel):
-    """Per-cell fits of every grid quantity: (cells, diag) dicts keyed by index,
-    holding the fitted tuple or None where the window never fills."""
+    """Per-cell fits of every grid cell: (cells, diag) dicts keyed by index,
+    holding the fitted tuple or None where the window never fills; diag
+    holds the cells (t, t)."""
     sc = pair_scatter(obs)
-    eps = 1e-3 * h
     cells, diag = {}, {}
     for i, s in enumerate(grid):
-        for j in range(i + 1, grid.size):
+        for j in range(i, grid.size):
             try:
-                cells[i, j] = fit_cov_at(sc, s, grid[j], d, h, kernel)
+                ref = fit_cov_at(sc, s, grid[j], d, h, kernel)
             except SparseWindowError:
-                cells[i, j] = None
-        try:
-            D, dD = fit_diag(sc, s, d, h, kernel)
-            _, dsG, dtG = fit_cov_at(sc, max(s - eps, 0.0), min(s + eps, 1.0), d, h, kernel)
-            diag[i] = (D, dD, dsG, dtG)
-        except SparseWindowError:
-            diag[i] = None
+                ref = None
+            if i == j:
+                diag[i] = ref
+            else:
+                cells[i, j] = ref
     return cells, diag
 
 
@@ -453,16 +452,18 @@ def test_grid_fit_matches_per_cell_fits(d, kernel, panel):
         if ref is not None:
             got = (est.G2[i, j], est.ds2[i, j], est.dt2[i, j])
             assert _rel_dev(got, ref) <= 1e-10, (i, j)
+    _, dV, smooth_failed = smooth_squares(obs, grid, 2, h, kernel)
     for i, ref in diag.items():
-        assert est.diag_flags[i] == (ref is None)
         assert est.pair_flags[i, i] == (ref is None)
-        if ref is None:
-            assert np.isnan([est.D_hat[i], est.dD_hat[i], est.G2[i, i]]).all()
-        else:
-            got = (est.D_hat[i], est.dD_hat[i], est.ds2[i, i], est.dt2[i, i])
+        assert est.diag_flags[i] == (ref is None or smooth_failed[i])
+        if est.diag_flags[i]:
+            assert np.isnan([est.D_hat[i], est.dD_hat[i]]).all()
+        if ref is not None:
+            got = (est.G2[i, i], est.ds2[i, i], est.dt2[i, i])
             assert _rel_dev(got, ref) <= 1e-10, i
-            assert est.G2[i, i] == est.D_hat[i]
-    n_cells = len(cells) + 2 * len(diag)  # off-diagonal, (t, t) and offset cells
+        if not est.diag_flags[i]:
+            assert est.G2[i, i] == est.D_hat[i] and est.dD_hat[i] == dV[i]
+    n_cells = len(cells) + len(diag)  # off-diagonal and (t, t) cells
     if panel == "simulated":
         assert est.fallback_cells == 0
         assert not est.pair_flags.any()
@@ -472,7 +473,7 @@ def test_grid_fit_matches_per_cell_fits(d, kernel, panel):
 
 
 def _dense_pair_sums(obs, h, kernel, d, s_pts, t_pts=None, block=64):
-    """Oracle: the dense block sums the windowed `_pair_sums` replaced.
+    """Oracle: the dense block sums the windowed `surface_sums` replaced.
 
     Features at every (centre, observation) pair of a block of curves;
     per-curve sums by `reduceat` and the j = k terms as a dense product.
@@ -535,19 +536,12 @@ def test_windowed_pair_sums_match_dense_oracle(d, kernel, panel):
     make, h, centres = _WINDOWED_PANELS[panel]
     obs = make()
     h = default_bandwidth_cov(obs, d) if h is None else h
-    eps = 1e-3 * h
-    forms = [
-        (centres,),
-        (np.maximum(centres - eps, 0.0), np.minimum(centres + eps, 1.0)),  # fit_cov_grid's offsets
-        (centres, centres[::-1] + 0.5 * h),  # unrelated s and t
-    ]
-    for form in forms:
-        got = _pair_sums(obs, h, kernel, d, *form)
-        ref = _dense_pair_sums(obs, h, kernel, d, *form)
-        for g, r in zip(got[:2], ref[:2]):
-            assert g.shape == r.shape
-            npt.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r), initial=1.0))
-        npt.assert_array_equal(got[2], ref[2])
+    got = surface_sums(obs, centres, d, h, kernel)
+    ref = _dense_pair_sums(obs, h, kernel, d, centres)
+    for g, r in zip(got[:2], ref[:2]):
+        assert g.shape == r.shape
+        npt.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r), initial=1.0))
+    npt.assert_array_equal(got[2], ref[2])
     if panel == "empty-windows":
         assert (got[2] == 0).any() and (ref[0][0, 0] == 0).any()
 
@@ -556,7 +550,7 @@ def test_windowed_pair_sums_match_dense_oracle(d, kernel, panel):
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN_TRUNCATED])
 @pytest.mark.parametrize("panel", ["multi-block", "empty-windows"])
 def test_curve_sums_match_centre_major_oracle_bitwise(d, kernel, panel):
-    # the curve-major bins must hand `_pair_sums` the very bytes, in the very
+    # the curve-major bins must hand `surface_sums` the very bytes, in the very
     # layout, that centre-major bins did: its matmuls and einsums read them as is
     make, h, centres = _WINDOWED_PANELS[panel]
     obs = make()

@@ -16,11 +16,7 @@ import pytest
 from sparsesde import (
     ClippedLinearDesign,
     ConfigError,
-    DesignConfig,
     GaussianInitial,
-    LevyConfig,
-    PathGrid,
-    PointMass,
     build_model,
     load_config,
     observe,
@@ -29,16 +25,16 @@ from sparsesde import (
     run_emse,
     run_estimate,
     run_oracle_check,
-    simulate_ensemble,
     sinusoid_model,
 )
 from sparsesde import bootstrap, harness, lanes, simulate
 from sparsesde.bootstrap import gathered_estimates, point_estimates
 from sparsesde.covfit import (
     CovEstimate,
-    fit_diagonal_inclusive,
+    fit_diag,
     noise_variance_estimate,
-    surface_sums,
+    pair_scatter,
+    replace_responses,
 )
 from sparsesde.errors import (
     EstimationFailedError,
@@ -60,7 +56,7 @@ from sparsesde.harness import (
     write_manifest,
     write_table,
 )
-from sparsesde.meanfit import default_bandwidth_mean
+from sparsesde.meanfit import default_bandwidth_mean, fit_mean_points
 from sparsesde.observe import SparseObservations
 
 from conftest import common_grid_panel, make_obs
@@ -459,8 +455,11 @@ def test_bootstrap_point_matches_estimate_at_t_star():
     (i,) = np.flatnonzero(coeffs.eval_grid == 0.5)
     assert not coeffs.flags["excluded"][i]
     assert point["mu"] == coeffs.mu_hat[i]
+    # the bootstrap's s at t* is the pointwise route of `fit_diag`
+    st = _resolve_settings(cfg, obs)
+    D, dD = fit_diag(pair_scatter(obs), 0.5, st.d_cov, st.h_G, st.kernel)
     s_boot = point["sigma2"] + bundle.unit_levy.nu_K * point["xi2"]
-    assert s_boot == pytest.approx(coeffs.s_diag[i], rel=1e-10, abs=0.0)
+    assert s_boot == pytest.approx(max(dD - 2.0 * point["mu"] * D, 0.0), rel=1e-10, abs=0.0)
 
 
 def _chain_bootstrap(cfg, obs):
@@ -1122,24 +1121,44 @@ def _estimate_bytes(result) -> list[bytes]:
     return [np.asarray(a).tobytes() for a in arrays]
 
 
-@pytest.mark.parametrize("h_m", ["auto", 0.3])
-def test_estimate_smooths_y2_at_the_degree_1_mean_rule(h_m):
-    # rho2_hat reads the smooth of Y^2 at default_bandwidth_mean(obs, 1), whatever
-    # bandwidth (and degree) the mean fit takes
-    est = {"eval_points": 11, "h_m": h_m, "policy": {"kind": "known-fraction", "expr": "0.5"}}
+def _y2_smooth(obs, st, h):
+    """The degree-2 smooth of Y^2 on the grid at bandwidth h, by `fit_mean_points`."""
+    return fit_mean_points(replace_responses(obs, obs.y**2), st.grid, 2, h, st.kernel)
+
+
+@pytest.mark.parametrize("estimation", [{"h_m": 0.3}, {"d_mean": 1}], ids=["h_m_0.3", "d_mean_1"])
+def test_estimate_smooths_y2_at_the_degree_2_mean_rule(estimation):
+    # rho2_hat reads the smooth of Y^2 at default_bandwidth_mean(obs, 2), whatever
+    # bandwidth and degree the mean fit takes
+    est = {"eval_points": 11, **estimation, "policy": {"kind": "known-fraction", "expr": "0.5"}}
     cfg = parse_config(cfg_dict(design={"n": 200, "r": 8}, estimation=est))
     obs = _estimate_panel(cfg)
     st = _resolve_settings(cfg, obs)
-    h = default_bandwidth_mean(obs, 1)
+    h = default_bandwidth_mean(obs, 2)
     assert st.h_Y2 == h and st.h_m != h
     result = run_estimate(cfg, obs)
 
     def rho2(h):
-        smooth = fit_diagonal_inclusive(obs, st.grid, h, st.kernel)
-        return noise_variance_estimate(obs, result.cov_est, lambda: smooth)
+        level = _y2_smooth(obs, st, h)[0]
+        return noise_variance_estimate(obs, result.cov_est, lambda: level)
 
     assert (result.rho2_hat, result.rho2_floored) == rho2(h)
     assert rho2(st.h_m)[0] != result.rho2_hat
+
+
+def test_s_diag_is_the_slope_of_the_y2_smooth_less_twice_mu_d():
+    cfg = _estimate_config()
+    obs = _estimate_panel(cfg)
+    st = _resolve_settings(cfg, obs)
+    result = run_estimate(cfg, obs)
+    cov, coeffs = result.cov_est, result.coeffs
+    _, dV, failed = _y2_smooth(obs, st, default_bandwidth_mean(obs, 2))
+    assert not failed.any() and not cov.diag_flags.any()
+    npt.assert_array_equal(cov.dD_hat, dV)
+    npt.assert_array_equal(cov.D_hat, np.diag(cov.G2))
+    s_diag = np.maximum(dV - 2.0 * coeffs.mu_hat * cov.D_hat, 0.0)
+    npt.assert_array_equal(coeffs.s_diag, s_diag)
+    npt.assert_array_equal(coeffs.flags["floored_diag"], dV - 2.0 * coeffs.mu_hat * cov.D_hat < 0)
 
 
 def test_forked_estimate_equals_in_process_estimate(monkeypatch):
@@ -1180,6 +1199,35 @@ def test_forked_estimate_equals_in_process_estimate(monkeypatch):
     assert all(found == first for found in runs.values())
 
 
+def test_mean_and_surface_fits_run_here_and_the_grid_pass_forks(two_cpus, monkeypatch):
+    cfg = _estimate_config()
+    obs = _estimate_panel(cfg)
+    parent = os.getpid()
+    ran = {}  # a forked lane's calls never reach this dict
+
+    def spy(name):
+        real = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            ran.setdefault(name, []).append(os.getpid())
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("fit_mean_curve", "smooth_squares", "surface_sums", "fit_cov_grid"):
+        monkeypatch.setattr(harness, name, spy(name))
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        ran.clear()
+        result = run_estimate(cfg, obs)
+        _no_process_left()
+        runs.append(_estimate_bytes(result) + [result.coeffs.s_diag.tobytes()])
+        here = {"fit_mean_curve": [parent], "smooth_squares": [parent], "fit_cov_grid": [parent]}
+        assert ran == (here if len(cpus) > 1 else {**here, "surface_sums": [parent]})
+    assert runs[0] == runs[1]
+
+
 def _both_runs(monkeypatch, cfg, obs) -> list[tuple[type, str]]:
     """(class, message) of the error that `run_estimate` raises on one CPU, then on two."""
     found = []
@@ -1218,20 +1266,20 @@ def test_failed_noise_smooth_in_a_lane_raises_as_in_process(monkeypatch):
     def sparse(*args, **kwargs):
         raise SparseWindowError(0.25)
 
-    monkeypatch.setattr(harness, "fit_diagonal_inclusive", sparse)
+    monkeypatch.setattr(harness, "smooth_squares", sparse)
     cfg = _estimate_config()
     one, two = _both_runs(monkeypatch, cfg, _estimate_panel(cfg))
     assert one == two == (SparseWindowError, str(SparseWindowError(0.25)))
 
 
 def test_lane_step_warning_is_shown_once_as_in_process(monkeypatch):
-    real = harness.fit_diagonal_inclusive
+    real = harness.smooth_squares
 
     def noisy(*args, **kwargs):
         warnings.warn("smooth of Y^2 is rough", RuntimeWarning)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "fit_diagonal_inclusive", noisy)
+    monkeypatch.setattr(harness, "smooth_squares", noisy)
     cfg = _estimate_config()
     obs = _estimate_panel(cfg)
     runs = []
@@ -1248,8 +1296,8 @@ def test_lane_step_warning_is_shown_once_as_in_process(monkeypatch):
 
 
 def test_overflow_in_a_lane_raises_as_in_process(monkeypatch):
-    # the grid pass overflows in this process, the Y^2 smooth in the forked lane,
-    # and the offset pass there raises on its overflow; a serial run stops at the grid
+    # the grid pass overflows in the forked lane and the Y^2 smooth in this
+    # process; a serial run stops at the grid pass
     cfg = parse_config(
         cfg_dict(
             model={"x0": {"kind": "normal", "mean": 0, "sd": 1e154}},
@@ -1264,26 +1312,6 @@ def test_overflow_in_a_lane_raises_as_in_process(monkeypatch):
     assert seen == []
     overflow = "estimation overflowed: overflow encountered in matmul"
     assert one == two == (EstimationFailedError, overflow)
-
-
-def test_offset_pass_overflow_fails_as_the_grid_pass_does():
-    # the offset pass contracts with einsum, which ignores np.errstate: an
-    # overflow there must fail the estimate, not warn of inf - inf later
-    cfg = parse_config(
-        cfg_dict(
-            model={"x0": {"kind": "normal", "mean": 0, "sd": 1e154}},
-            design={"n": 30, "r": 6},
-            estimation={"eval_points": 11},
-            experiment={"sim_steps": 50},
-        )
-    )
-    obs = _estimate_panel(cfg)
-    st = _resolve_settings(cfg, obs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EstimationFailedError, match="estimation overflowed"):
-            with harness._overflow_fails():
-                surface_sums(obs, st.grid, st.d_cov, st.h_G, st.kernel, offset=True)
 
 
 def test_error_in_the_forked_estimate_lane_reaches_the_parent(two_cpus, monkeypatch):
